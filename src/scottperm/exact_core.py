@@ -4,8 +4,9 @@ Every quantity on the exact evaluation path lives here: `Rational` (an
 arbitrary-precision fraction in canonical form), `Polynomial` (a dense
 coefficient tuple over `Rational`, low degree first, trailing zeros trimmed),
 and `RationalMatrix` (dense, row-major).  On top of those sit power-series
-inversion, the Sylvester resultant, a fraction-free determinant, and the
-Euclidean polynomial gcd.
+inversion, one fraction-free integer determinant kernel (`_bareiss`), the
+resultant as a companion-matrix determinant, and the Sylvester matrix and
+Euclidean polynomial gcd that the tests use as references.
 
 No floating point enters any function in this module.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 from .errors import BothZero, NonSquare, ZeroConstantTerm, ZeroPolynomial
@@ -161,6 +163,12 @@ def poly_divmod(p: Polynomial, q: Polynomial) -> tuple[Polynomial, Polynomial]:
     return Polynomial(quo), Polynomial(rem[:dq])
 
 
+def _clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers c_i and the lcm L of the denominators, so that values[i] == c_i / L."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
 def series_inverse(p: Polynomial, order: int) -> list[Fraction]:
     """First order+1 coefficients of the formal power series 1/p(t).
 
@@ -171,14 +179,15 @@ def series_inverse(p: Polynomial, order: int) -> list[Fraction]:
         raise ZeroConstantTerm("series inversion requires a nonzero constant term")
     if order < 0:
         raise ValueError("order must be nonnegative")
-    p0 = p.coeffs[0]
-    inverse = [1 / p0]
+    # With p = c / scale for integers c, g[k] = c0^(k+1) * [t^k] 1/c(t) is an
+    # integer: g[k] = -sum_i c[i] * c0^(i-1) * g[k-i].
+    c, scale = _clear_denominators(p.coeffs)
+    c0 = c[0]
+    weights = [c[i] * c0 ** (i - 1) for i in range(1, len(c))]
+    g = [1]
     for k in range(1, order + 1):
-        acc = Fraction(0)
-        for i in range(1, min(k, len(p.coeffs) - 1) + 1):
-            acc += p.coeffs[i] * inverse[k - i]
-        inverse.append(-acc / p0)
-    return inverse
+        g.append(-sum(map(mul, weights, g[k - 1 :: -1])))
+    return [Fraction(scale * gk, c0 ** (k + 1)) for k, gk in enumerate(g)]
 
 
 @dataclass(frozen=True, init=False)
@@ -254,6 +263,42 @@ class RationalMatrix:
         return RationalMatrix(self.rows, other.cols, out)
 
 
+def _bareiss(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free Bareiss elimination.
+
+    Works in place on `rows`.  Every division is exact by Sylvester's
+    identity, so the elimination never leaves the integers.
+    """
+    n = len(rows)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if rows[k][k] == 0:
+            for r in range(k + 1, n):
+                if rows[r][k] != 0:
+                    rows[k], rows[r] = rows[r], rows[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        row_k = rows[k]
+        pivot = row_k[k]
+        tail_k = row_k[k + 1 :]
+        for i in range(k + 1, n):
+            row_i = rows[i]
+            left = row_i[k]
+            if left:
+                row_i[k + 1 :] = [
+                    (a * pivot - left * b) // prev for a, b in zip(row_i[k + 1 :], tail_k)
+                ]
+            elif pivot != prev:
+                row_i[k + 1 :] = [a * pivot // prev for a in row_i[k + 1 :]]
+        prev = pivot
+    return sign * rows[n - 1][n - 1]
+
+
 def exact_det(m: RationalMatrix) -> Fraction:
     """Exact determinant by fraction-free Bareiss elimination.
 
@@ -262,40 +307,13 @@ def exact_det(m: RationalMatrix) -> Fraction:
     """
     if m.rows != m.cols:
         raise NonSquare(f"determinant of a {m.rows}x{m.cols} matrix")
-    n = m.rows
-    if n == 0:
-        return Fraction(1)
-
-    scale = 1  # product of the per-row integer clearing factors
-    work: list[list[int]] = []
-    for i in range(n):
-        row = m.row(i)
-        clear = math.lcm(*(c.denominator for c in row))
-        scale *= clear
-        work.append([int(c * clear) for c in row])
-
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if work[k][k] == 0:
-            for r in range(k + 1, n):
-                if work[r][k] != 0:
-                    work[k], work[r] = work[r], work[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        pivot = work[k][k]
-        for i in range(k + 1, n):
-            left = work[i][k]
-            row_i = work[i]
-            row_k = work[k]
-            for j in range(k + 1, n):
-                # Exact by Sylvester's identity; '//' never truncates here.
-                row_i[j] = (row_i[j] * pivot - left * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return Fraction(sign * work[n - 1][n - 1], scale)
+    scale = 1
+    rows: list[list[int]] = []
+    for i in range(m.rows):
+        row, row_scale = _clear_denominators(m.row(i))
+        scale *= row_scale
+        rows.append(row)
+    return Fraction(_bareiss(rows), scale)
 
 
 def sylvester_matrix(p: Polynomial, q: Polynomial) -> RationalMatrix:
@@ -322,12 +340,53 @@ def sylvester_matrix(p: Polynomial, q: Polynomial) -> RationalMatrix:
 def resultant(p: Polynomial, q: Polynomial) -> Fraction:
     """Res(p, q) = lc(p)^deg(q) * lc(q)^deg(p) * prod (x_i - y_j).
 
-    Computed as the Sylvester determinant through the same audited exact
-    determinant used everywhere else.
+    Computed as lc(p)^deg(q) * det(q(C_p)) with p the factor of lower degree
+    (swapping the arguments multiplies the resultant by (-1)^(deg p * deg q)).
+    C_p is the companion matrix of p, and column j of q(C_p) holds the
+    coefficients of x^j * q mod p, so the determinant is min(deg p, deg q)
+    square where the Sylvester matrix (`sylvester_matrix`, whose determinant
+    is the same value) is deg p + deg q square.  For p = x^n - 1, q(C_p) is
+    the circulant of q mod (x^n - 1).
     """
     if p.is_zero or q.is_zero:
         raise ZeroPolynomial("resultant of the zero polynomial")
-    return exact_det(sylvester_matrix(p, q))
+    sign = 1
+    if p.degree > q.degree:
+        p, q = q, p
+        sign = -1 if p.degree * q.degree % 2 else 1
+    da, db = p.degree, q.degree
+    if da == 0:
+        return sign * p.leading**db
+    # A and B are integer multiples of p and q, with q = B / den_b.  Reducing
+    # modulo A is reducing modulo p; A = lead * x^da + low.
+    A, _ = _clear_denominators(p.coeffs)
+    B, den_b = _clear_denominators(q.coeffs)
+    lead = A[-1]
+    low = A[:da]
+    # Pseudo-remainder: B mod p == r / lead^e with integer r.
+    r, e = B, 0
+    for top in range(db, da - 1, -1):
+        t = r.pop()
+        if t:
+            if lead != 1:
+                r = [lead * c for c in r]
+                e += 1
+            shift = top - da
+            for i, c in enumerate(low):
+                r[shift + i] -= t * c
+    # x^j * B mod p == columns[j] / lead^(e + j): each step multiplies by x
+    # and reduces x^da = -low / lead.
+    columns = [r]
+    for _ in range(da - 1):
+        t = r[-1]
+        r = [0] + [lead * c for c in r[:-1]]
+        if t:
+            r = [c - t * a for c, a in zip(r, low)]
+        columns.append(r)
+    # det(q(C_p)) divides out den_b and lead^(e + j) from each column j; the
+    # determinant of the columns equals that of the rows.
+    scale = den_b**da * lead ** (e * da + da * (da - 1) // 2)
+    return sign * p.leading**db * Fraction(_bareiss(columns), scale)
 
 
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:

@@ -20,7 +20,6 @@ from .exact_core import (
     Polynomial,
     RationalMatrix,
     exact_det,
-    poly_gcd,
     resultant,
 )
 from .scott_engine import EvalResult
@@ -205,7 +204,8 @@ def per_via_fes(kind: RowFamily | str, n: int, Q: Polynomial) -> EvalResult:
 
     kind selects the row polynomial: x^n - 1 or 1 + x + ... + x^(n-1).
     The value is the banded determinant divided by the resultant of the row
-    polynomial with Q itself (unnormalized; the scaling cancels).
+    polynomial with Q itself (unnormalized; the scaling cancels).  That
+    resultant is computed first, and SharedRoot is raised when it is 0.
     """
     family = RowFamily(kind)
     if Q.is_zero:
@@ -213,23 +213,19 @@ def per_via_fes(kind: RowFamily | str, n: int, Q: Polynomial) -> EvalResult:
     notes: list[str] = []
 
     if family is RowFamily.POWER_MINUS_ONE:
-        P = power_minus_one(n)
-        if poly_gcd(P, Q).degree != 0:
-            raise SharedRoot("the polynomials share a root")
-        numerator = fes(Q, n)
+        P, banded = power_minus_one(n), fes
         binomial = _binomial_parts(Q)
-        if binomial is not None:
-            c, d = binomial
-            denominator = special_resultant(1, 1, c, d, n, Q.degree)
-            notes.append("binomial resultant shortcut")
-        else:
-            denominator = resultant(P, Q)
     else:
-        P = all_ones_poly(n)
-        if poly_gcd(P, Q).degree != 0:
-            raise SharedRoot("the polynomials share a root")
-        numerator = fes_tilde(Q, n)
+        P, banded, binomial = all_ones_poly(n), fes_tilde, None
+    if binomial is not None:
+        c, d = binomial
+        denominator = special_resultant(1, 1, c, d, n, Q.degree)
+        notes.append("binomial resultant shortcut")
+    else:
         denominator = resultant(P, Q)
+    if denominator == 0:
+        raise SharedRoot("the polynomials share a root")
+    numerator = banded(Q, n)
 
     rows = P.degree
     if rows > Q.degree:

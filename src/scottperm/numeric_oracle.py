@@ -22,7 +22,7 @@ from .errors import (
     SingularEntry,
     ZeroDegree,
 )
-from .exact_core import Polynomial, poly_gcd
+from .exact_core import Polynomial, resultant
 
 # Entries 1/(x - y) blow up past any useful precision below this separation.
 SINGULAR_TOL = 1e-12
@@ -333,7 +333,7 @@ def random_coprime_pair(
     while True:
         p = Polynomial([rng.randint(-5, 5) for _ in range(deg_p)] + [1])
         q = Polynomial([rng.randint(-5, 5) for _ in range(deg_q)] + [1])
-        if poly_gcd(p, q).degree != 0:
+        if resultant(p, q) == 0:
             continue
         if distinct_x:
             try:

@@ -13,17 +13,20 @@ this determinant route against every other implemented route.
 """
 from __future__ import annotations
 
+import cmath
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Union
 
 from .errors import SharedRoot, ZeroDegree
 from .exact_core import (
     Polynomial,
     RationalMatrix,
-    exact_det,
-    poly_gcd,
+    _bareiss,
+    _clear_denominators,
     resultant,
     series_inverse,
 )
@@ -95,34 +98,86 @@ def build_E(Q: Polynomial, n: int) -> RationalMatrix:
     return RationalMatrix(height, n, entries)
 
 
+def _numerator_rows(h: list[int], q: list[int], n: int) -> list[list[int]]:
+    """The n x n integer matrix M with H @ E == M / (Lh * Lq).
+
+    h holds Lh * h_k for k = 0..m+n-2 and q holds Lq * q_u for the monic
+    coefficients q_0..q_m of Q.  Since (-1)^s e_s = q_(m-s), the 1-based
+    entry is M[i][k] = sum_j h[j-i] (j-2k+2) q[j-k+1].  With u = j-k+1 and
+    d = k-1-i this is S1(d) - (k-1) S0(d), where S0(d) = sum_u h[u+d] q[u]
+    and S1(d) = sum_u h[u+d] u q[u] over the band where both factors are
+    nonzero, so only the 2n-1 distinct values of d are summed.
+    """
+    m = len(q) - 1
+    uq = [u * c for u, c in enumerate(q)]
+    s0, s1 = [], []
+    for d in range(-n, n - 1):
+        lo = max(0, -d)
+        band = h[lo + d : m + d + 1]
+        s0.append(sum(map(mul, band, q[lo:])))
+        s1.append(sum(map(mul, band, uq[lo:])))
+    # s0[k - i - 1 + n] is S0(d) for the 0-based row i and column k.
+    return [
+        [s1[k - i - 1 + n] - k * s0[k - i - 1 + n] for k in range(n)] for i in range(n)
+    ]
+
+
 def scott_permanent(P: Polynomial, Q: Polynomial) -> EvalResult:
     """Exact permanent of (1/(x_i - y_j)) over the root sets of P and Q.
 
-    P and Q must not share a root.  With more rows than columns (deg P >
-    deg Q) the permanent is zero by convention, since no injective
-    row-to-column assignment exists.
+    P and Q must not share a root, which is tested once as Res(P, Q) == 0
+    on the resultant the value divides by.  With more rows than columns
+    (deg P > deg Q) the permanent is zero by convention, since no injective
+    row-to-column assignment exists.  det(H @ E) is taken over the integers
+    (`_numerator_rows`); neither H nor E is built.
     """
     if P.degree is None or P.degree < 1:
         raise ZeroDegree("the row polynomial must have degree >= 1")
     if Q.is_zero:
         raise ZeroDegree("the column polynomial must be nonzero")
-    if poly_gcd(P, Q).degree != 0:
+    p_monic, q_monic = P.monic(), Q.monic()
+    res = resultant(p_monic, q_monic)
+    if res == 0:
         raise SharedRoot("the polynomials share a root, so some entry 1/(x - y) is undefined")
     n = P.degree
     m = Q.degree
     if n > m:
         return EvalResult(Fraction(0), "theorem1", n, m, ("n > m: permanent vanishes",))
-    H = build_H(P, m)
-    E = build_E(Q, n)
-    det = exact_det(H @ E)
-    res = resultant(P.monic(), Q.monic())
-    return EvalResult(det / res, "theorem1", n, m)
+    h, h_scale = _clear_denominators(
+        series_inverse(Polynomial(reversed(p_monic.coeffs)), m + n - 2)
+    )
+    q, q_scale = _clear_denominators(q_monic.coeffs)
+    det = _bareiss(_numerator_rows(h, q, n))
+    return EvalResult(det / ((h_scale * q_scale) ** n * res), "theorem1", n, m)
+
+
+def _finite(z: Value) -> bool:
+    """Exact values are always finite; a float or complex may not be."""
+    return not isinstance(z, (float, complex)) or cmath.isfinite(z)
+
+
+def _exact_parts(z: Value) -> tuple[Fraction, Fraction]:
+    """Real and imaginary parts as Fractions; a float converts exactly."""
+    if isinstance(z, complex):
+        return Fraction(z.real), Fraction(z.imag)
+    return Fraction(z), Fraction(0)
 
 
 def relative_gap(a: Value, b: Value) -> float:
-    """|a - b| scaled by max(1, |a|, |b|); exact values are compared as complex."""
-    ca, cb = complex(a), complex(b)
-    return abs(ca - cb) / max(1.0, abs(ca), abs(cb))
+    """|a - b| scaled by max(1, |a|, |b|).
+
+    The square of the gap is computed exactly and rounded once, so values
+    far outside the range of a float compare correctly.  A value that is
+    not finite is infinitely far from every value.
+    """
+    if not (_finite(a) and _finite(b)):
+        return math.inf
+    ar, ai = _exact_parts(a)
+    br, bi = _exact_parts(b)
+    gap_squared = ((ar - br) ** 2 + (ai - bi) ** 2) / max(
+        1, ar * ar + ai * ai, br * br + bi * bi
+    )
+    return math.sqrt(gap_squared)
 
 
 @dataclass(frozen=True)
@@ -165,8 +220,9 @@ def verify(
     Routes: the determinant engine, the backtracking numeric oracle, the
     involution sum (square case), the banded-determinant shortcut when P is
     x^n - 1 or 1 + x + ... + x^(n-1), and any matching closed-form catalog
-    entry.  Each route reports its own timing; a route that fails contributes
-    its error instead of a value.
+    entry.  Each route reports its own timing; a route that fails, or
+    returns a value that is not finite, contributes an error instead of a
+    value.  Raises SharedRoot when Res(P, Q) == 0.
     """
     # Import here: these modules build their results out of EvalResult, so a
     # module-level import would be circular.
@@ -176,7 +232,7 @@ def verify(
         raise ZeroDegree("the row polynomial must have degree >= 1")
     if Q.is_zero:
         raise ZeroDegree("the column polynomial must be nonzero")
-    if poly_gcd(P, Q).degree != 0:
+    if resultant(P, Q) == 0:
         raise SharedRoot("the polynomials share a root")
     n, m = P.degree, Q.degree
 
@@ -191,6 +247,9 @@ def verify(
             outcomes.append(RouteOutcome(method, None, elapsed, f"{type(exc).__name__}: {exc}"))
             return
         elapsed = (time.perf_counter() - start) * 1000.0
+        if not _finite(value):
+            outcomes.append(RouteOutcome(method, None, elapsed, f"non-finite value {value}"))
+            return
         outcomes.append(RouteOutcome(method, value, elapsed, None, notes))
 
     def theorem1_task():

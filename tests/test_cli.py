@@ -216,6 +216,21 @@ class TestVerifyCommand:
         payload = error_json(capsys, 2, "verify", "x^3-1", "y^3-1")
         assert payload["error"] == "SharedRoot"
 
+    def test_values_beyond_float_range_exit_cleanly(self):
+        # The permanent is -10^400: too large for a float, and the float
+        # oracles see x = y.  The exact routes must still be compared.
+        q_text = f"y - {10**400 + 1}/{10**400}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "scottperm", "verify", "x - 1", q_text],
+            capture_output=True,
+            text=True,
+        )
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        assert payload["all_agree"] is True
+        assert {pair["gap"] for pair in payload["agreements"]} == {0.0}
+
 
 class TestCatalogCommand:
     def test_lists_every_entry(self, capsys):

@@ -39,6 +39,13 @@ def positive_degree_polys(max_degree: int = 5) -> st.SearchStrategy[Polynomial]:
     return polys(max_degree).filter(lambda p: p.degree is not None and p.degree >= 1)
 
 
+def degree_polys(lo: int, hi: int) -> st.SearchStrategy[Polynomial]:
+    """Polynomials of degree lo..hi with a nonzero, not necessarily unit, leading coefficient."""
+    return st.tuples(
+        st.lists(rationals, min_size=lo, max_size=hi), rationals.filter(bool)
+    ).map(lambda parts: Polynomial(parts[0] + [parts[1]]))
+
+
 X_MINUS_1 = Polynomial([-1, 1])
 X_PLUS_1 = Polynomial([1, 1])
 X2_MINUS_1 = Polynomial([-1, 0, 1])
@@ -197,6 +204,22 @@ class TestResultant:
         vanishes = resultant(p, q) == 0
         shares = poly_gcd(p, q).degree >= 1
         assert vanishes == shares
+
+    @given(degree_polys(3, 5), degree_polys(0, 2))
+    def test_higher_degree_first_matches_sylvester(self, p, q):
+        assert resultant(p, q) == exact_det(sylvester_matrix(p, q))
+
+    @given(degree_polys(0, 0), degree_polys(0, 5))
+    def test_constant_on_either_side_matches_sylvester(self, c, q):
+        assert resultant(c, q) == exact_det(sylvester_matrix(c, q)) == c.leading**q.degree
+        assert resultant(q, c) == exact_det(sylvester_matrix(q, c)) == c.leading**q.degree
+
+    @given(degree_polys(0, 3), degree_polys(0, 3), rationals)
+    def test_shared_root_is_zero_both_ways(self, a, b, root):
+        linear = Polynomial([-root, 1])
+        p, q = a * linear, b * linear
+        assert resultant(p, q) == exact_det(sylvester_matrix(p, q)) == 0
+        assert resultant(q, p) == 0
 
     @given(positive_degree_polys(3), positive_degree_polys(3))
     def test_sylvester_matrix_determinant_is_the_resultant(self, p, q):

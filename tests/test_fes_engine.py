@@ -25,8 +25,10 @@ from scottperm import (
     scott_permanent,
     special_resultant,
 )
+from scottperm import fes_engine
 from scottperm.errors import ZeroDegree
 from scottperm.fes_engine import BrokenDiagonalSpec, all_ones_poly, broken_diag, power_minus_one
+from test_exact_core import degree_polys
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
@@ -190,6 +192,42 @@ class TestPerViaFes:
             per_via_fes(RowFamily.POWER_MINUS_ONE, 3, Polynomial([-1, 0, 0, 1]))
         with pytest.raises(SharedRoot):
             per_via_fes(RowFamily.ALL_ONES, 3, Polynomial([1, 1, 1]))
+
+    @given(st.integers(min_value=1, max_value=8), degree_polys(0, 4))
+    def test_shared_root_rejected_power_family(self, n, cofactor):
+        Q = cofactor * Polynomial([-1, 1])  # 1 is a root of every x^n - 1
+        with pytest.raises(SharedRoot):
+            per_via_fes(RowFamily.POWER_MINUS_ONE, n, Q)
+
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=1, max_value=8),
+        rationals.filter(bool),
+    )
+    def test_shared_root_rejected_by_binomial_shortcut(self, n, m, c):
+        Q = Polynomial.from_pairs([(0, -c), (m, c)])  # c*y^m - c vanishes at 1
+        with pytest.raises(SharedRoot):
+            per_via_fes(RowFamily.POWER_MINUS_ONE, n, Q)
+
+    @given(st.integers(min_value=1, max_value=4), degree_polys(0, 4))
+    def test_shared_root_rejected_all_ones_family(self, half, cofactor):
+        Q = cofactor * Polynomial([1, 1])  # -1 is a root of 1 + ... + x^(n-1) for even n
+        with pytest.raises(SharedRoot):
+            per_via_fes(RowFamily.ALL_ONES, 2 * half, Q)
+
+    def test_shared_root_found_before_any_matrix_is_built(self, monkeypatch):
+        def unreachable(n, Q):
+            raise AssertionError("matrix built for a pair with a shared root")
+
+        monkeypatch.setattr(fes_engine, "fes_matrix", unreachable)
+        monkeypatch.setattr(fes_engine, "fes_tilde_matrix", unreachable)
+        for kind, n, Q in (
+            (RowFamily.POWER_MINUS_ONE, 3, Polynomial([-1, 0, 0, 1])),  # binomial shortcut
+            (RowFamily.POWER_MINUS_ONE, 4, Polynomial([-2, 2, -1, 1])),  # (y - 1)(y^2 + 2)
+            (RowFamily.ALL_ONES, 3, Polynomial([1, 1, 1])),
+        ):
+            with pytest.raises(SharedRoot):
+                per_via_fes(kind, n, Q)
 
     def test_vanishes_with_more_rows_than_columns(self):
         result = per_via_fes(RowFamily.POWER_MINUS_ONE, 4, Polynomial([1, 0, 2]))

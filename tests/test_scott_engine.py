@@ -1,6 +1,7 @@
 """Determinant engine: H/E builders, the exact permanent, and cross-route verify."""
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -24,6 +25,8 @@ from scottperm import (
     scott_permanent,
     verify,
 )
+from scottperm import numeric_oracle
+from test_exact_core import degree_polys
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=5)
 
@@ -153,6 +156,26 @@ class TestScottPermanent:
             numerator = exact_det(build_H(P, Q.degree) @ build_E(Q, P.degree))
             assert result.value * resultant(P, Q) == numerator
 
+    @given(degree_polys(1, 4), degree_polys(1, 6))
+    def test_integer_numerator_matches_h_times_e(self, P, Q):
+        res = resultant(P.monic(), Q.monic())
+        if res == 0:
+            with pytest.raises(SharedRoot):
+                scott_permanent(P, Q)
+            return
+        numerator = exact_det(build_H(P, Q.degree) @ build_E(Q, P.degree))
+        assert scott_permanent(P, Q).value * res == numerator
+
+    @given(degree_polys(0, 4), degree_polys(0, 4), rationals)
+    def test_shared_root_raises_in_both_orientations(self, a, b, root):
+        linear = Polynomial([-root, 1])
+        P, Q = a * linear, b * linear
+        for rows, columns in ((P, Q), (Q, P)):  # one of them has n > m when degrees differ
+            with pytest.raises(SharedRoot):
+                scott_permanent(rows, columns)
+            with pytest.raises(SharedRoot):
+                verify(rows, columns)
+
     @given(
         st.fractions(min_value=-6, max_value=6, max_denominator=4).filter(bool),
         st.integers(min_value=0, max_value=2**31 - 1),
@@ -183,6 +206,21 @@ class TestRelativeGap:
     def test_mixed_exact_and_complex(self):
         assert relative_gap(Fraction(-3, 8), complex(-0.375, 0)) == 0
 
+    def test_exact_values_beyond_float_range(self):
+        huge = Fraction(10**400)
+        assert relative_gap(huge, huge) == 0
+        assert relative_gap(huge, huge + 10**394) == pytest.approx(1e-6)
+
+    def test_floats_convert_exactly(self):
+        # 0.1 is not 1/10: the float's binary value differs by about 5.6e-18.
+        assert relative_gap(Fraction(1, 10), 0.1) == pytest.approx(5.55e-18, rel=1e-3, abs=0)
+        assert relative_gap(0.1, complex(0.1, 0)) == 0
+
+    @pytest.mark.parametrize("bad", [math.inf, complex(0, -math.inf), math.nan])
+    def test_non_finite_is_infinitely_far(self, bad):
+        assert relative_gap(bad, 1) == math.inf
+        assert relative_gap(Fraction(1), bad) == math.inf
+
 
 class TestVerify:
     def test_full_agreement_on_cube_case(self):
@@ -207,6 +245,21 @@ class TestVerify:
     def test_shared_root_raises(self):
         with pytest.raises(SharedRoot):
             verify(power_poly(2, -1), power_poly(2, -1))
+
+    def test_exact_routes_compare_beyond_float_range(self):
+        Q = Polynomial([-1 - Fraction(1, 10**400), 1])
+        report = verify(Polynomial([-1, 1]), Q)
+        values = {route.method: route.value for route in report.routes if route.value is not None}
+        assert values["theorem1"] == values["fes"] == -(10**400)
+        assert report.all_agree
+
+    def test_non_finite_route_value_is_a_route_error(self, monkeypatch):
+        monkeypatch.setattr(numeric_oracle, "brute_permanent", lambda X, Y: complex(math.inf, 0))
+        report = verify(power_poly(3, -1), power_poly(3, 1))
+        oracle = next(route for route in report.routes if route.method == "oracle")
+        assert oracle.value is None
+        assert "non-finite" in oracle.error
+        assert report.all_agree
 
     def test_oracle_skipped_beyond_cost_limit(self):
         report = verify(power_poly(7, -1), power_poly(7, 2), oracle_cost_limit=1000)
