@@ -14,6 +14,7 @@ domain, 1 anything else.  Errors are emitted as JSON on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -441,7 +442,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 # Entry point ---------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused by later ones."""
     parser = argparse.ArgumentParser(
         prog="scottperm",
         description="Exact permanents of reciprocal-difference matrices over polynomial root sets.",

@@ -31,7 +31,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 from .errors import BadParams, OutOfDomain
 from .exact_core import Polynomial
-from .fes_engine import all_ones_poly, power_minus_one
+from .fes_engine import RowFamily, all_ones_poly, classify_row_polynomial, power_minus_one
 
 Params = dict[str, Any]
 
@@ -1689,14 +1689,13 @@ def find_matching(P: Polynomial, Q: Polynomial) -> list[tuple[str, Params]]:
     return matches
 
 
-# Shared P-shape recognizers (after monic normalization).
+# Shared P-shape recognizers (after monic normalization); the two row
+# families come from fes_engine's recognizer.
 
 
 def _as_power_minus_one(P: Polynomial) -> int | None:
-    if P.degree is None or P.degree < 1:
-        return None
-    n = P.degree
-    return n if P.monic() == power_minus_one(n) else None
+    detected = classify_row_polynomial(P)
+    return detected[1] if detected and detected[0] is RowFamily.POWER_MINUS_ONE else None
 
 
 def _as_power_plus_one(P: Polynomial) -> int | None:
@@ -1707,7 +1706,5 @@ def _as_power_plus_one(P: Polynomial) -> int | None:
 
 
 def _as_all_ones(P: Polynomial) -> int | None:
-    if P.degree is None or P.degree < 1:
-        return None
-    n = P.degree + 1
-    return n if P.monic() == all_ones_poly(n) else None
+    detected = classify_row_polynomial(P)
+    return detected[1] if detected and detected[0] is RowFamily.ALL_ONES else None

@@ -165,7 +165,10 @@ def poly_divmod(p: Polynomial, q: Polynomial) -> tuple[Polynomial, Polynomial]:
 
 def _clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """Integers c_i and the lcm L of the denominators, so that values[i] == c_i / L."""
-    scale = math.lcm(*(v.denominator for v in values))
+    # Unpack a list, not a generator: CPython builds a generator's tuple at a
+    # guessed size and resizes it, which moves tuples between its per-size
+    # free lists until they hold megabytes in a long-running process.
+    scale = math.lcm(*[v.denominator for v in values])
     return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
@@ -214,14 +217,6 @@ class RationalMatrix:
             raise ValueError("ragged rows")
         return RationalMatrix(rows, cols, (c for row in data for c in row))
 
-    @staticmethod
-    def zeros(rows: int, cols: int) -> RationalMatrix:
-        return RationalMatrix(rows, cols, [0] * (rows * cols))
-
-    @staticmethod
-    def identity(n: int) -> RationalMatrix:
-        return RationalMatrix(n, n, (1 if i == j else 0 for i in range(n) for j in range(n)))
-
     def at(self, i: int, j: int) -> Fraction:
         """Entry in row i, column j (0-based)."""
         if not (0 <= i < self.rows and 0 <= j < self.cols):
@@ -233,20 +228,6 @@ class RationalMatrix:
 
     def to_lists(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def __add__(self, other: RationalMatrix) -> RationalMatrix:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return RationalMatrix(
-            self.rows, self.cols, (a + b for a, b in zip(self.entries, other.entries))
-        )
-
-    def __sub__(self, other: RationalMatrix) -> RationalMatrix:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return RationalMatrix(
-            self.rows, self.cols, (a - b for a, b in zip(self.entries, other.entries))
-        )
 
     def __matmul__(self, other: RationalMatrix) -> RationalMatrix:
         if self.cols != other.rows:

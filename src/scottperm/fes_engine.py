@@ -2,24 +2,26 @@
 
 When the row polynomial is x^n - 1 or 1 + x + ... + x^(n-1), the permanent
 numerator collapses to the determinant of a small sum of "broken diagonals":
-cyclic diagonals of the column polynomial's weighted coefficients.  The
-column polynomial enters with its raw coefficients, unnormalized; scaling Q
-by a constant scales the determinant and the resultant by the same factor.
+cyclic diagonals of the column polynomial's weighted coefficients.  Q's
+denominators are cleared once, every diagonal is written straight into one
+list of integer rows, and `exact_core._bareiss` takes the determinant; the
+scale comes back out as a power of Q's denominator lcm.  The column
+polynomial enters with its raw coefficients, unnormalized; scaling Q by a
+constant scales the determinant and the resultant by the same factor.
 """
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import SharedRoot, ZeroDegree, ZeroLeadingCoefficient
 from .exact_core import (
     Coefficient,
     Polynomial,
     RationalMatrix,
-    exact_det,
+    _bareiss,
+    _clear_denominators,
     resultant,
 )
 from .scott_engine import EvalResult
@@ -28,6 +30,11 @@ from .scott_engine import EvalResult
 class RowFamily(str, enum.Enum):
     POWER_MINUS_ONE = "power_minus_one"  # x^n - 1
     ALL_ONES = "all_ones"  # 1 + x + ... + x^(n-1)
+
+    @property
+    def method(self) -> str:
+        """Route name of the banded shortcut for this family."""
+        return "fes" if self is RowFamily.POWER_MINUS_ONE else "fes_tilde"
 
 
 def power_minus_one(n: int) -> Polynomial:
@@ -45,52 +52,58 @@ def all_ones_poly(n: int) -> Polynomial:
 
 
 def classify_row_polynomial(P: Polynomial) -> tuple[RowFamily, int] | None:
-    """Detect (after monic normalization) whether P belongs to a row family.
+    """Detect whether P, up to a constant factor, belongs to a row family.
 
     Returns (family, n) where n is the family parameter: x^n - 1 has degree
     n, while the all-ones polynomial of parameter n has degree n - 1.
     """
     if P.degree is None or P.degree < 1:
         return None
-    monic = P.monic()
-    deg = monic.degree
-    if monic == power_minus_one(deg):
-        return RowFamily.POWER_MINUS_ONE, deg
-    if deg >= 1 and monic == all_ones_poly(deg + 1):
-        return RowFamily.ALL_ONES, deg + 1
+    *low, lead = P.coeffs
+    if low[0] == -lead and not any(low[1:]):
+        return RowFamily.POWER_MINUS_ONE, P.degree
+    if all(c == lead for c in low):
+        return RowFamily.ALL_ONES, P.degree + 1
     return None
 
 
-def _offset(r: int, n: int) -> int:
-    """The representative of r in 1..n modulo n (so multiples of n map to n)."""
-    return ((r - 1) % n) + 1
+def _banded_rows(family: RowFamily, n: int, Q: Polynomial) -> tuple[list[list[int]], int]:
+    """Integer rows of the broken-diagonal matrix of Q, and Q's denominator lcm L.
 
-
-@dataclass(frozen=True)
-class BrokenDiagonalSpec:
-    """A cyclic diagonal: values[k] goes to column k, rows shifted by start_row.
-
-    With 1-based indices, the k-th value sits in row
-    ((start_row - 1 + k - 1) mod size) + 1 and column k.
+    The matrix is rows / L.  Coefficient q_r of Q puts (r - c) * q_r in
+    column c (0-based) at row (r + c - 1) mod n.  For the all-ones family
+    the matrix is (n-1) x (n-1): q_r's diagonal is added at that row and
+    subtracted one row up, at (r + c - 2) mod n, and entries that land in
+    row n - 1 are dropped.  Each diagonal is O(n) writes, so the whole
+    build is O(deg Q * n).
     """
+    if Q.is_zero:
+        raise ZeroDegree("the column polynomial must be nonzero")
+    q, scale = _clear_denominators(Q.coeffs)
+    if family is RowFamily.POWER_MINUS_ONE:
+        if n < 1:
+            raise ZeroDegree("n must be at least 1")
+        rows = [[0] * n for _ in range(n)]
+        for r, q_r in enumerate(q):
+            if q_r:
+                for c in range(n):
+                    rows[(r + c - 1) % n][c] += (r - c) * q_r
+        return rows, scale
+    if n < 2:
+        raise ZeroDegree("n must be at least 2")
+    size = n - 1
+    rows = [[0] * size for _ in range(n)]  # row n - 1 collects the dropped entries
+    for r, q_r in enumerate(q):
+        if q_r:
+            for c in range(size):
+                v = (r - c) * q_r
+                rows[(r + c - 1) % n][c] += v
+                rows[(r + c - 2) % n][c] -= v
+    return rows[:size], scale
 
-    size: int
-    start_row: int
-    values: tuple[Fraction, ...]
 
-
-def broken_diag(spec: BrokenDiagonalSpec) -> RationalMatrix:
-    """Materialize a broken diagonal as a square matrix."""
-    n = spec.size
-    if len(spec.values) != n:
-        raise ValueError(f"need {n} values, got {len(spec.values)}")
-    if not 1 <= spec.start_row <= n:
-        raise ValueError("start_row must be in 1..size")
-    entries = [Fraction(0)] * (n * n)
-    for k in range(1, n + 1):
-        row = (spec.start_row - 1 + k - 1) % n + 1
-        entries[(row - 1) * n + (k - 1)] = spec.values[k - 1]
-    return RationalMatrix(n, n, entries)
+def _as_matrix(rows: list[list[int]], scale: int) -> RationalMatrix:
+    return RationalMatrix.from_rows([[Fraction(v, scale) for v in row] for row in rows])
 
 
 def fes_matrix(n: int, Q: Polynomial) -> RationalMatrix:
@@ -100,47 +113,13 @@ def fes_matrix(n: int, Q: Polynomial) -> RationalMatrix:
     row (r mod n, as a value in 1..n) with column values
     r*a_r, (r-1)*a_r, ..., (r-n+1)*a_r.
     """
-    if n < 1:
-        raise ZeroDegree("n must be at least 1")
-    if Q.is_zero:
-        raise ZeroDegree("the column polynomial must be nonzero")
-    total = RationalMatrix.zeros(n, n)
-    for r in range(Q.degree + 1):
-        a_r = Q.coeff(r)
-        if a_r == 0:
-            continue
-        values = tuple(Fraction(r - k + 1) * a_r for k in range(1, n + 1))
-        total = total + broken_diag(BrokenDiagonalSpec(n, _offset(r, n), values))
-    return total
+    return _as_matrix(*_banded_rows(RowFamily.POWER_MINUS_ONE, n, Q))
 
 
 def fes(Q: Polynomial, n: int) -> Fraction:
     """Permanent numerator for rows x^n - 1: det of the broken-diagonal sum."""
-    return exact_det(fes_matrix(n, Q))
-
-
-def _wrapped_diag(n: int, i: int, values: Sequence[Fraction]) -> RationalMatrix:
-    """The (n-1) x (n-1) wrapped diagonal with offset i in 1..n.
-
-    For i = 1 this is the plain diagonal.  For i >= 2, value j goes to row
-    i-1+j for j = 1..n-i, value n-i+1 is dropped, and value j goes to row
-    j-(n-i+1) for j = n-i+2..n-1; row i-1 and column n-i+1 stay empty.
-    """
-    size = n - 1
-    if len(values) != size:
-        raise ValueError(f"need {size} values, got {len(values)}")
-    if not 1 <= i <= n:
-        raise ValueError("offset must be in 1..n")
-    entries = [Fraction(0)] * (size * size)
-    if i == 1:
-        for j in range(1, size + 1):
-            entries[(j - 1) * size + (j - 1)] = values[j - 1]
-    else:
-        for j in range(1, n - i + 1):
-            entries[(i - 1 + j - 1) * size + (j - 1)] = values[j - 1]
-        for j in range(n - i + 2, n):
-            entries[(j - (n - i + 1) - 1) * size + (j - 1)] = values[j - 1]
-    return RationalMatrix(size, size, entries)
+    rows, scale = _banded_rows(RowFamily.POWER_MINUS_ONE, n, Q)
+    return Fraction(_bareiss(rows), scale**n)
 
 
 def fes_tilde_matrix(n: int, Q: Polynomial) -> RationalMatrix:
@@ -148,27 +127,15 @@ def fes_tilde_matrix(n: int, Q: Polynomial) -> RationalMatrix:
 
     Each coefficient a_r contributes its weighted diagonal twice: added at
     offset (r mod n) and subtracted at offset (r-1 mod n), both as values
-    in 1..n.
+    in 1..n.  An entry that would fall on row n is dropped.
     """
-    if n < 2:
-        raise ZeroDegree("n must be at least 2")
-    if Q.is_zero:
-        raise ZeroDegree("the column polynomial must be nonzero")
-    size = n - 1
-    total = RationalMatrix.zeros(size, size)
-    for r in range(Q.degree + 1):
-        a_r = Q.coeff(r)
-        if a_r == 0:
-            continue
-        values = tuple(Fraction(r - k + 1) * a_r for k in range(1, size + 1))
-        total = total + _wrapped_diag(n, _offset(r, n), values)
-        total = total - _wrapped_diag(n, _offset(r - 1, n), values)
-    return total
+    return _as_matrix(*_banded_rows(RowFamily.ALL_ONES, n, Q))
 
 
 def fes_tilde(Q: Polynomial, n: int) -> Fraction:
     """Permanent numerator for rows 1 + x + ... + x^(n-1)."""
-    return exact_det(fes_tilde_matrix(n, Q))
+    rows, scale = _banded_rows(RowFamily.ALL_ONES, n, Q)
+    return Fraction(_bareiss(rows), scale ** (n - 1))
 
 
 def special_resultant(
@@ -230,5 +197,4 @@ def per_via_fes(kind: RowFamily | str, n: int, Q: Polynomial) -> EvalResult:
     rows = P.degree
     if rows > Q.degree:
         notes.append("n > m: permanent vanishes")
-    method = "fes" if family is RowFamily.POWER_MINUS_ONE else "fes_tilde"
-    return EvalResult(numerator / denominator, method, rows, Q.degree, tuple(notes))
+    return EvalResult(numerator / denominator, family.method, rows, Q.degree, tuple(notes))

@@ -290,7 +290,32 @@ class TestBenchCommand:
         assert error_json(capsys, 1, "bench", "abc", "3")["error"] == "BadParams"
 
 
+def _without_timings(payload):
+    if isinstance(payload, dict):
+        return {k: _without_timings(v) for k, v in payload.items() if k != "elapsed_ms"}
+    if isinstance(payload, list):
+        return [_without_timings(v) for v in payload]
+    return payload
+
+
 class TestModuleEntryPoint:
+    def test_repeated_calls_in_one_process_match_fresh_processes(self, capsys):
+        # main reuses one parser; no subcommand or option may leak into the next call.
+        for argv in (
+            ("eval", "x^3-1", "y^4+1", "--method", "theorem1"),
+            ("verify", "x^3-1", "y^4+1"),
+            ("eval", "x^3-1", "y^4+1"),
+            ("verify", "x^2+x+1", "y^3+2", "--tolerance", "1e-9"),
+            ("eval", "x^2+x+1", "y^3+2"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            fresh = subprocess.run(
+                [sys.executable, "-m", "scottperm", *argv], capture_output=True, text=True
+            )
+            assert (code, err) == (fresh.returncode, fresh.stderr)
+            assert _without_timings(json.loads(out)) == _without_timings(json.loads(fresh.stdout))
+        assert json.loads(out)["method"] == "fes_tilde"
+
     def test_python_dash_m(self):
         proc = subprocess.run(
             [sys.executable, "-m", "scottperm", "eval", "x^3-1", "y^3+1"],

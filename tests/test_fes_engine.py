@@ -27,37 +27,69 @@ from scottperm import (
 )
 from scottperm import fes_engine
 from scottperm.errors import ZeroDegree
-from scottperm.fes_engine import BrokenDiagonalSpec, all_ones_poly, broken_diag, power_minus_one
+from scottperm.fes_engine import all_ones_poly, power_minus_one
 from test_exact_core import degree_polys
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
 
+def monomial(r: int, a) -> Polynomial:
+    return Polynomial.from_pairs([(r, a)])
+
+
 class TestBrokenDiag:
+    """A Q with one nonzero coefficient a*y^r gives one broken diagonal of
+    fes_matrix, or one added-and-subtracted pair of fes_tilde_matrix."""
+
     def test_start_row_one_is_plain_diagonal(self):
-        spec = BrokenDiagonalSpec(3, 1, (Fraction(4), Fraction(5), Fraction(6)))
-        assert broken_diag(spec).to_lists() == [[4, 0, 0], [0, 5, 0], [0, 0, 6]]
+        # r = 4 is 1 mod 3, so the values (4, 3, 2) * a start in row 1.
+        assert fes_matrix(3, monomial(4, 7)).to_lists() == [[28, 0, 0], [0, 21, 0], [0, 0, 14]]
 
     def test_wrapped_placement(self):
         t = Fraction(7)
-        spec = BrokenDiagonalSpec(3, 3, (3 * t, 2 * t, t))
-        assert broken_diag(spec).to_lists() == [
+        assert fes_matrix(3, monomial(3, t)).to_lists() == [
             [0, 2 * t, 0],
             [0, 0, t],
             [3 * t, 0, 0],
         ]
 
     def test_fully_broken_two_by_two(self):
-        spec = BrokenDiagonalSpec(2, 2, (Fraction(1), Fraction(2)))
-        assert broken_diag(spec).to_lists() == [[0, 2], [1, 0]]
+        assert fes_matrix(2, monomial(2, 1)).to_lists() == [[0, 1], [2, 0]]
 
     def test_value_count_must_match_size(self):
-        with pytest.raises(ValueError):
-            broken_diag(BrokenDiagonalSpec(3, 1, (Fraction(1),)))
+        # One value per column, whatever deg Q: n of them for fes, n - 1 for fes_tilde.
+        Q = monomial(10, Fraction(1, 3))
+        fes_entries = [v for row in fes_matrix(4, Q).to_lists() for v in row if v]
+        assert len(fes_entries) == 4 and fes_matrix(4, Q).rows == 4
+        assert sorted(fes_entries) == [Fraction(k, 3) for k in (7, 8, 9, 10)]
+        tilde = fes_tilde_matrix(4, Q)
+        assert (tilde.rows, tilde.cols) == (3, 3)
 
     def test_start_row_must_be_in_range(self):
-        with pytest.raises(ValueError):
-            broken_diag(BrokenDiagonalSpec(3, 4, (Fraction(1),) * 3))
+        # Exponents past n wrap: y^(5 + 3k) starts in the same row as y^5.
+        for k in range(4):
+            rows = fes_matrix(3, monomial(5 + 3 * k, 1)).to_lists()
+            support = {(i, j) for i in range(3) for j in range(3) if rows[i][j]}
+            assert support == {(1, 0), (2, 1), (0, 2)}
+
+    def test_wrapped_pair_for_fes_tilde(self):
+        # r = 3, n = 3: +a_r's diagonal loses the entry on row 3, and so does
+        # the -a_r copy one row up.
+        t = Fraction(5, 2)
+        assert fes_tilde_matrix(3, monomial(3, t)).to_lists() == [[0, 2 * t], [-3 * t, 0]]
+        a = Fraction(-3)
+        assert fes_tilde_matrix(5, monomial(2, a)).to_lists() == [
+            [-2 * a, 0, 0, 0],
+            [2 * a, -a, 0, 0],
+            [0, a, 0, 0],
+            [0, 0, 0, a],
+        ]
+
+    def test_size_must_be_positive(self):
+        with pytest.raises(ZeroDegree):
+            fes_matrix(0, monomial(1, 1))
+        with pytest.raises(ZeroDegree):
+            fes(monomial(1, 1), 0)
 
 
 def quartic(a0, a1, a2, a3) -> Polynomial:
@@ -216,11 +248,10 @@ class TestPerViaFes:
             per_via_fes(RowFamily.ALL_ONES, 2 * half, Q)
 
     def test_shared_root_found_before_any_matrix_is_built(self, monkeypatch):
-        def unreachable(n, Q):
+        def unreachable(family, n, Q):
             raise AssertionError("matrix built for a pair with a shared root")
 
-        monkeypatch.setattr(fes_engine, "fes_matrix", unreachable)
-        monkeypatch.setattr(fes_engine, "fes_tilde_matrix", unreachable)
+        monkeypatch.setattr(fes_engine, "_banded_rows", unreachable)
         for kind, n, Q in (
             (RowFamily.POWER_MINUS_ONE, 3, Polynomial([-1, 0, 0, 1])),  # binomial shortcut
             (RowFamily.POWER_MINUS_ONE, 4, Polynomial([-2, 2, -1, 1])),  # (y - 1)(y^2 + 2)
@@ -234,6 +265,20 @@ class TestPerViaFes:
         assert result.value == 0
         assert any("vanishes" in note for note in result.notes)
         assert fes(Polynomial([1, 0, 2]), 4) == 0
+
+    @given(
+        st.sampled_from(list(RowFamily)),
+        st.integers(min_value=2, max_value=12),
+        degree_polys(1, 14),
+    )
+    def test_route_equivalence_on_rational_columns(self, family, n, Q):
+        # Q is rational and not monic, so fes divides out a power of its denominator.
+        P = power_minus_one(n) if family is RowFamily.POWER_MINUS_ONE else all_ones_poly(n)
+        if resultant(P, Q) == 0:
+            with pytest.raises(SharedRoot):
+                per_via_fes(family, n, Q)
+            return
+        assert per_via_fes(family, n, Q).value == scott_permanent(P, Q).value
 
     def test_route_equivalence_power_family(self):
         rng = random.Random(50)

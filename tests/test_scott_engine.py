@@ -25,7 +25,7 @@ from scottperm import (
     scott_permanent,
     verify,
 )
-from scottperm import numeric_oracle
+from scottperm import closed_catalog, exact_core, fes_engine, numeric_oracle, scott_engine
 from test_exact_core import degree_polys
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=5)
@@ -245,6 +245,34 @@ class TestVerify:
     def test_shared_root_raises(self):
         with pytest.raises(SharedRoot):
             verify(power_poly(2, -1), power_poly(2, -1))
+
+    def test_resultant_computed_once(self, monkeypatch):
+        calls = []
+
+        def counted(p, q):
+            calls.append((p, q))
+            return resultant(p, q)
+
+        for module in (exact_core, scott_engine, fes_engine, numeric_oracle, closed_catalog):
+            if getattr(module, "resultant", None) is resultant:
+                monkeypatch.setattr(module, "resultant", counted)
+        P, Q = Polynomial([2, 1, 1]), Polynomial([1, -1, 0, 1])  # no row family
+        report = verify(P, Q)
+        assert [route.method for route in report.routes] == ["theorem1", "oracle", "involution"]
+        assert report.all_agree
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "P,Q",
+        [
+            (Polynomial([-2, 1, 1]), Polynomial([-1, 1])),  # n > m: shared root 1
+            (Polynomial([-1, 1]), Polynomial([-2, 1, 1])),  # n <= m
+            (Polynomial([-1, 0, 1]), Polynomial([-3, 2, 1])),  # fes row family, n <= m
+        ],
+    )
+    def test_shared_root_raises_in_every_shape(self, P, Q):
+        with pytest.raises(SharedRoot):
+            verify(P, Q)
 
     def test_exact_routes_compare_beyond_float_range(self):
         Q = Polynomial([-1 - Fraction(1, 10**400), 1])
