@@ -74,6 +74,29 @@ def power_plus_one(n: int) -> Polynomial:
 
 
 @dataclass(frozen=True)
+class RowMatcher:
+    """Parameter inference for an entry whose P is one of the fes row families.
+
+    Called as infer(P, Q), it recognizes P itself.  `find_matching`
+    recognizes P once for all entries and calls `match` instead.
+    `read_q(n, Q)` gets the family parameter n and reads the remaining
+    parameters off Q.
+    """
+
+    family: RowFamily
+    read_q: Callable[[int, Polynomial], Params | None]
+
+    def __call__(self, P: Polynomial, Q: Polynomial) -> Params | None:
+        return self.match(classify_row_polynomial(P), Q)
+
+    def match(self, row: tuple[RowFamily, int] | None, Q: Polynomial) -> Params | None:
+        """Parameters from P's recognized row family (None if P is in none) and Q."""
+        if row is None or row[0] is not self.family:
+            return None
+        return self.read_q(row[1], Q)
+
+
+@dataclass(frozen=True)
 class CatalogEntry:
     """One closed-form identity, packaged as enumerable metadata."""
 
@@ -175,9 +198,8 @@ def _thm10_closed(p: Params) -> Fraction:
     return -(Fraction(d) ** n) * numerator / (A**q - (-B) ** q) ** d
 
 
-def _thm10_infer(P: Polynomial, Q: Polynomial) -> Params | None:
-    n = _as_power_minus_one(P)
-    if n is None or Q.degree is None:
+def _thm10_infer(n: int, Q: Polynomial) -> Params | None:
+    if Q.degree is None:
         return None
     support = [e for e in range(Q.degree + 1) if Q.coeff(e) != 0]
     residues = {e % n for e in support}
@@ -212,9 +234,8 @@ def _cor11_closed(p: Params) -> Fraction:
     return -poch(-n * weighted / A, n)
 
 
-def _cor11_infer(P: Polynomial, Q: Polynomial) -> Params | None:
-    n = _as_power_minus_one(P)
-    if n is None or Q.degree is None:
+def _cor11_infer(n: int, Q: Polynomial) -> Params | None:
+    if Q.degree is None:
         return None
     if any(Q.coeff(e) != 0 and e % n for e in range(Q.degree + 1)):
         return None
@@ -239,9 +260,8 @@ def _cor12_closed(p: Params) -> Fraction:
     return -poch(Fraction(-p["m"] * p["n"], 2), p["n"])
 
 
-def _cor12_infer(P: Polynomial, Q: Polynomial) -> Params | None:
-    n = _as_power_minus_one(P)
-    if n is None or Q.degree is None or Q.degree == 0 or Q.degree % n:
+def _cor12_infer(n: int, Q: Polynomial) -> Params | None:
+    if Q.degree is None or Q.degree == 0 or Q.degree % n:
         return None
     m = Q.degree // n
     if Q.monic() == _geometric_q(n, m):
@@ -281,9 +301,8 @@ def _cor14_closed(p: Params) -> Fraction:
     return -poch(Fraction(-p["n"] * (2 * p["m"] + 1), 3), p["n"])
 
 
-def _cor14_infer(P: Polynomial, Q: Polynomial) -> Params | None:
-    n = _as_power_minus_one(P)
-    if n is None or Q.degree is None or Q.degree == 0 or Q.degree % n:
+def _cor14_infer(n: int, Q: Polynomial) -> Params | None:
+    if Q.degree is None or Q.degree == 0 or Q.degree % n:
         return None
     m = Q.degree // n
     if m >= 1 and Q.monic() == _geometric_q(n, m, weight=lambda l: l).monic():
@@ -302,9 +321,8 @@ def _cor15_closed(p: Params) -> Fraction:
     return -poch(Fraction(-p["n"] * p["m"] * (p["m"] + 1), 2), p["n"])
 
 
-def _cor15_infer(P: Polynomial, Q: Polynomial) -> Params | None:
-    n = _as_power_minus_one(P)
-    if n is None or Q.degree is None or Q.degree == 0 or Q.degree % n:
+def _cor15_infer(n: int, Q: Polynomial) -> Params | None:
+    if Q.degree is None or Q.degree == 0 or Q.degree % n:
         return None
     square = Q.degree // n
     m = math.isqrt(square)
@@ -337,10 +355,9 @@ def _cor16_closed(p: Params) -> Fraction:
     return -poch(base, p["n"])
 
 
-def _trinomial_parts(P: Polynomial, Q: Polynomial) -> tuple[int, int, int, Fraction, Fraction] | None:
+def _trinomial_parts(n: int, Q: Polynomial) -> tuple[int, int, int, Fraction, Fraction] | None:
     """Match Q (up to scale) to y^(m n) + a y^(r n) + b; returns (n, m, r, a, b)."""
-    n = _as_power_minus_one(P)
-    if n is None or Q.degree is None or Q.degree == 0 or Q.degree % n:
+    if Q.degree is None or Q.degree == 0 or Q.degree % n:
         return None
     monic = Q.monic()
     m = monic.degree // n
@@ -354,8 +371,8 @@ def _trinomial_parts(P: Polynomial, Q: Polynomial) -> tuple[int, int, int, Fract
     return n, m, r, monic.coeff(middle[0]), monic.coeff(0)
 
 
-def _cor16_infer(P: Polynomial, Q: Polynomial) -> Params | None:
-    parts = _trinomial_parts(P, Q)
+def _cor16_infer(n: int, Q: Polynomial) -> Params | None:
+    parts = _trinomial_parts(n, Q)
     if parts is None:
         return None
     n, m, r, a, b = parts
@@ -366,10 +383,9 @@ def _cor17_family(p: Params) -> tuple[Polynomial, Polynomial]:
     return power_minus_one(p["n"]), _block_poly([(p["m"] * p["n"], 1), (0, 1)])
 
 
-def _cor17_infer(P: Polynomial, Q: Polynomial) -> Params | None:
-    n = _as_power_minus_one(P)
+def _cor17_infer(n: int, Q: Polynomial) -> Params | None:
     two = _two_term(Q)
-    if n is None or two is None:
+    if two is None:
         return None
     M, b = two
     if b == 1 and M % n == 0 and M // n >= 1:
@@ -389,8 +405,8 @@ def _cor18_domain(p: Params) -> str | None:
     return None
 
 
-def _cor18_infer(P: Polynomial, Q: Polynomial) -> Params | None:
-    parts = _trinomial_parts(P, Q)
+def _cor18_infer(n: int, Q: Polynomial) -> Params | None:
+    parts = _trinomial_parts(n, Q)
     if parts is None:
         return None
     n, m, r, a, b = parts
@@ -409,8 +425,8 @@ def _cor19_family(p: Params) -> tuple[Polynomial, Polynomial]:
     return power_minus_one(p["n"]), _trinomial_q(p["n"], 2, 1, p["a"], Fraction(1))
 
 
-def _cor19_infer(P: Polynomial, Q: Polynomial) -> Params | None:
-    parts = _trinomial_parts(P, Q)
+def _cor19_infer(n: int, Q: Polynomial) -> Params | None:
+    parts = _trinomial_parts(n, Q)
     if parts is None:
         return None
     n, m, r, a, b = parts
@@ -429,8 +445,8 @@ def _cor20_domain(p: Params) -> str | None:
     return None
 
 
-def _cor20_infer(P: Polynomial, Q: Polynomial) -> Params | None:
-    parts = _trinomial_parts(P, Q)
+def _cor20_infer(n: int, Q: Polynomial) -> Params | None:
+    parts = _trinomial_parts(n, Q)
     if parts is None:
         return None
     n, m, r, a, b = parts
@@ -449,8 +465,8 @@ def _cor21_family(p: Params) -> tuple[Polynomial, Polynomial]:
     return power_minus_one(p["n"]), _trinomial_q(p["n"], 2, 1, Fraction(-2), p["b"])
 
 
-def _cor21_infer(P: Polynomial, Q: Polynomial) -> Params | None:
-    parts = _trinomial_parts(P, Q)
+def _cor21_infer(n: int, Q: Polynomial) -> Params | None:
+    parts = _trinomial_parts(n, Q)
     if parts is None:
         return None
     n, m, r, a, b = parts
@@ -493,10 +509,9 @@ def _two_term(Q: Polynomial) -> tuple[int, Fraction] | None:
     return monic.degree, monic.coeff(0)
 
 
-def _cor22_infer(P: Polynomial, Q: Polynomial) -> Params | None:
-    n = _as_power_minus_one(P)
+def _cor22_infer(n: int, Q: Polynomial) -> Params | None:
     two = _two_term(Q)
-    if n is None or two is None:
+    if two is None:
         return None
     m, b = two
     return {"n": n, "m": m, "b": b}
@@ -516,8 +531,8 @@ def _cor23_closed(p: Params) -> Fraction:
     return sign * falling(m, n) / (1 - (-b) ** n)
 
 
-def _cor23_infer(P: Polynomial, Q: Polynomial) -> Params | None:
-    params = _cor22_infer(P, Q)
+def _cor23_infer(n: int, Q: Polynomial) -> Params | None:
+    params = _cor22_infer(n, Q)
     if params is None or math.gcd(params["m"], params["n"]) != 1:
         return None
     return params
@@ -599,10 +614,7 @@ def _cor25_closed(p: Params) -> Fraction:
     return sign * falling(m - 1, n - 1) / n
 
 
-def _cor25_infer(P: Polynomial, Q: Polynomial) -> Params | None:
-    n = _as_all_ones(P)
-    if n is None:
-        return None
+def _cor25_infer(n: int, Q: Polynomial) -> Params | None:
     if Q.degree == 0:
         m = 1
     else:
@@ -634,8 +646,8 @@ def _cor26_closed(p: Params) -> Fraction:
     return falling(p["m"], p["n"]) / 2
 
 
-def _cor26_infer(P: Polynomial, Q: Polynomial) -> Params | None:
-    params = _cor22_infer(P, Q)
+def _cor26_infer(n: int, Q: Polynomial) -> Params | None:
+    params = _cor22_infer(n, Q)
     if params is None or params["b"] != 1:
         return None
     n, m = params["n"], params["m"]
@@ -658,8 +670,8 @@ def _cor27_closed(p: Params) -> Fraction:
     return Fraction(math.factorial(p["n"] + 1), 2)
 
 
-def _cor27_infer(P: Polynomial, Q: Polynomial) -> Params | None:
-    params = _cor26_infer(P, Q)
+def _cor27_infer(n: int, Q: Polynomial) -> Params | None:
+    params = _cor26_infer(n, Q)
     if params is None or params["m"] != params["n"] + 1:
         return None
     return {"n": params["n"]}
@@ -693,10 +705,9 @@ def _cor28_closed(p: Params) -> Fraction:
     return -(Fraction(d) ** n) * numerator / ((b + 1) ** q - (-a) ** q) ** d
 
 
-def _square_trinomial_parts(P: Polynomial, Q: Polynomial) -> tuple[int, int, Fraction, Fraction] | None:
+def _square_trinomial_parts(n: int, Q: Polynomial) -> tuple[int, int, Fraction, Fraction] | None:
     """Match Q (up to scale) to y^n + a y^r + b with n = deg P; returns (n, r, a, b)."""
-    n = _as_power_minus_one(P)
-    if n is None or Q.degree is None or Q.degree < 1:
+    if Q.degree is None or Q.degree < 1:
         return None
     if Q.coeff(n) == 0:
         return None
@@ -710,8 +721,8 @@ def _square_trinomial_parts(P: Polynomial, Q: Polynomial) -> tuple[int, int, Fra
     return n, r, Q.coeff(r) / scale, Q.coeff(0) / scale
 
 
-def _cor28_infer(P: Polynomial, Q: Polynomial) -> Params | None:
-    parts = _square_trinomial_parts(P, Q)
+def _cor28_infer(n: int, Q: Polynomial) -> Params | None:
+    parts = _square_trinomial_parts(n, Q)
     if parts is None:
         return None
     n, r, a, b = parts
@@ -735,8 +746,8 @@ def _cor29_closed(p: Params) -> Fraction:
     return sign * (left - a**n * poch(Fraction(-r), n)) / ((b + 1) ** n - (-a) ** n)
 
 
-def _cor29_infer(P: Polynomial, Q: Polynomial) -> Params | None:
-    params = _cor28_infer(P, Q)
+def _cor29_infer(n: int, Q: Polynomial) -> Params | None:
+    params = _cor28_infer(n, Q)
     if params is None or math.gcd(params["n"], params["r"]) != 1:
         return None
     return params
@@ -752,8 +763,8 @@ def _cor30_closed(p: Params) -> Fraction:
     return Fraction(n) ** n - (-1) ** n * math.factorial(n + 1)
 
 
-def _cor30_infer(P: Polynomial, Q: Polynomial) -> Params | None:
-    params = _cor28_infer(P, Q)
+def _cor30_infer(n: int, Q: Polynomial) -> Params | None:
+    params = _cor28_infer(n, Q)
     if params and params["r"] == params["n"] + 1 and params["a"] == 1 and params["b"] == -1:
         return {"n": params["n"]}
     return None
@@ -770,8 +781,8 @@ def _cor31_family(p: Params) -> tuple[Polynomial, Polynomial]:
     return power_minus_one(n), _block_poly([(n, 1), (1, n), (0, -1)])
 
 
-def _cor31_infer(P: Polynomial, Q: Polynomial) -> Params | None:
-    params = _cor28_infer(P, Q)
+def _cor31_infer(n: int, Q: Polynomial) -> Params | None:
+    params = _cor28_infer(n, Q)
     if (
         params
         and params["n"] >= 2
@@ -828,10 +839,9 @@ def _arith_parts(Q: Polynomial) -> tuple[Fraction, Fraction, tuple[int, ...]] | 
     return scale, a, tuple(lengths)
 
 
-def _thm32_infer(P: Polynomial, Q: Polynomial) -> Params | None:
-    n = _as_power_minus_one(P)
+def _thm32_infer(n: int, Q: Polynomial) -> Params | None:
     parts = _arith_parts(Q)
-    if n is None or parts is None:
+    if parts is None:
         return None
     _, a, lengths = parts
     for length in lengths:
@@ -850,8 +860,8 @@ def _cor33_closed(p: Params) -> Fraction:
     return sign * Fraction(4 * m * n - n - 1, 6) * poch(m * n - n, n - 1)
 
 
-def _cor33_infer(P: Polynomial, Q: Polynomial) -> Params | None:
-    params = _thm32_infer(P, Q)
+def _cor33_infer(n: int, Q: Polynomial) -> Params | None:
+    params = _thm32_infer(n, Q)
     if params is None or params["a"] != 0:
         return None
     return {"n": params["n"], "m": params["m"]}
@@ -867,8 +877,8 @@ def _cor34_closed(p: Params) -> Fraction:
     return sign * Fraction(4 * m * n - n + 1, 6) * (m * n - n) * poch(m * n - n + 2, n - 2)
 
 
-def _cor34_infer(P: Polynomial, Q: Polynomial) -> Params | None:
-    params = _thm32_infer(P, Q)
+def _cor34_infer(n: int, Q: Polynomial) -> Params | None:
+    params = _thm32_infer(n, Q)
     if params is None or params["a"] != 1:
         return None
     return {"n": params["n"], "m": params["m"]}
@@ -883,10 +893,9 @@ def _cor35_closed(p: Params) -> Fraction:
     return Fraction((p["m"] - 1) * math.factorial(p["n"] + 1), 6)
 
 
-def _cor35_infer(P: Polynomial, Q: Polynomial) -> Params | None:
-    n = _as_power_minus_one(P)
+def _cor35_infer(n: int, Q: Polynomial) -> Params | None:
     parts = _arith_parts(Q)
-    if n is None or parts is None:
+    if parts is None:
         return None
     _, a, lengths = parts
     # Descending weights mn - l correspond to a = -mn with full length mn.
@@ -907,10 +916,9 @@ def _cor36_closed(p: Params) -> Fraction:
     return Fraction((p["m"] - 1) * math.factorial(p["n"]), 6)
 
 
-def _cor36_infer(P: Polynomial, Q: Polynomial) -> Params | None:
-    n = _as_power_minus_one(P)
+def _cor36_infer(n: int, Q: Polynomial) -> Params | None:
     parts = _arith_parts(Q)
-    if n is None or parts is None:
+    if parts is None:
         return None
     _, a, lengths = parts
     # Weights mn - l - 1 correspond to a = 1 - mn with stored degree mn - 2.
@@ -965,9 +973,8 @@ def _thm37_closed(p: Params) -> Fraction:
     return sign * lead * prod
 
 
-def _thm37_infer(P: Polynomial, Q: Polynomial) -> Params | None:
-    n = _as_power_minus_one(P)
-    if n is None or Q.degree is None or Q.degree < 1:
+def _thm37_infer(n: int, Q: Polynomial) -> Params | None:
+    if Q.degree is None or Q.degree < 1:
         return None
     divisors = [s for s in range(n, 0, -1) if n % s == 0 and n // s >= 2]
     for s in divisors:
@@ -998,10 +1005,9 @@ def _thm38_closed(p: Params) -> Fraction:
     return sign * poch(a + (m - 1) * n + 1, n - 1)
 
 
-def _thm38_infer(P: Polynomial, Q: Polynomial) -> Params | None:
-    n = _as_all_ones(P)
+def _thm38_infer(n: int, Q: Polynomial) -> Params | None:
     parts = _arith_parts(Q)
-    if n is None or parts is None:
+    if parts is None:
         return None
     _, a, lengths = parts
     for length in lengths:
@@ -1033,10 +1039,9 @@ def _thm39_closed(p: Params) -> Fraction:
     return sign * numerator / ((m * n + a - 1) ** n - (a - 1) ** n)
 
 
-def _thm39_infer(P: Polynomial, Q: Polynomial) -> Params | None:
-    n = _as_all_ones(P)
+def _thm39_infer(n: int, Q: Polynomial) -> Params | None:
     parts = _arith_parts(Q)
-    if n is None or parts is None:
+    if parts is None:
         return None
     _, a, lengths = parts
     for length in lengths:
@@ -1179,7 +1184,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
             for r in sorted({1, 2, 3, n + 1})
             for av, bv in (((1, 2), (1, 1)), ((2, 1), (1, -3)), ((2, 0, 1), (0, 1, 0)))
         ),
-        _thm10_infer,
+        RowMatcher(RowFamily.POWER_MINUS_ONE, _thm10_infer),
     )
     add(
         "cor11",
@@ -1194,7 +1199,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
             for n in (1, 2, 3, 4, 5)
             for av in ((1, 2), (2, 1, 1), (1, 0, 3), (-1, 2), (3,))
         ),
-        _cor11_infer,
+        RowMatcher(RowFamily.POWER_MINUS_ONE, _cor11_infer),
     )
     add(
         "cor12",
@@ -1205,7 +1210,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
         _cor12_family,
         _cor12_closed,
         _simple_grid(n=(1, 2, 3, 4, 5), m=(1, 2, 3, 4)),
-        _cor12_infer,
+        RowMatcher(RowFamily.POWER_MINUS_ONE, _cor12_infer),
     )
     add(
         "cor13",
@@ -1227,7 +1232,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
         _cor14_family,
         _cor14_closed,
         _simple_grid(n=(1, 2, 3, 4, 5), m=(1, 2, 3, 4)),
-        _cor14_infer,
+        RowMatcher(RowFamily.POWER_MINUS_ONE, _cor14_infer),
     )
     add(
         "cor15",
@@ -1238,7 +1243,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
         _cor15_family,
         _cor15_closed,
         _simple_grid(n=(1, 2, 3, 4), m=(1, 2, 3)),
-        _cor15_infer,
+        RowMatcher(RowFamily.POWER_MINUS_ONE, _cor15_infer),
     )
     add(
         "cor16",
@@ -1254,7 +1259,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
             for m, r in ((2, 1), (3, 1), (3, 2), (4, 3))
             for a, b in ((1, 1), (2, -1), (-1, 1), (1, 0), (3, 2))
         ),
-        _cor16_infer,
+        RowMatcher(RowFamily.POWER_MINUS_ONE, _cor16_infer),
     )
     add(
         "cor17",
@@ -1265,7 +1270,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
         _cor17_family,
         _cor12_closed,
         _simple_grid(n=(1, 2, 3, 4, 5), m=(1, 2, 3, 4)),
-        _cor17_infer,
+        RowMatcher(RowFamily.POWER_MINUS_ONE, _cor17_infer),
     )
     add(
         "cor18",
@@ -1280,7 +1285,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
             for n in (1, 2, 3, 4)
             for m, r, a in ((2, 1, 1), (3, 1, 2), (3, 2, 1), (4, 1, 3), (4, 3, 1), (2, 1, -3))
         ),
-        _cor18_infer,
+        RowMatcher(RowFamily.POWER_MINUS_ONE, _cor18_infer),
     )
     add(
         "cor19",
@@ -1295,7 +1300,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
             for n in (1, 2, 3, 4, 5)
             for a in (-1, 0, 1, 2, 3)
         ),
-        _cor19_infer,
+        RowMatcher(RowFamily.POWER_MINUS_ONE, _cor19_infer),
     )
     add(
         "cor20",
@@ -1311,7 +1316,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
             for m, r in ((2, 1), (3, 1), (3, 2), (4, 3))
             for b in (0, 2, 3)
         ),
-        _cor20_infer,
+        RowMatcher(RowFamily.POWER_MINUS_ONE, _cor20_infer),
     )
     add(
         "cor21",
@@ -1324,7 +1329,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
         tuple(
             {"n": n, "b": Fraction(b)} for n in (1, 2, 3, 4, 5) for b in (-1, 0, 2, 3)
         ),
-        _cor21_infer,
+        RowMatcher(RowFamily.POWER_MINUS_ONE, _cor21_infer),
     )
     add(
         "cor22",
@@ -1340,7 +1345,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
             for m in (1, 2, 3, 4)
             for b in (1, 2, -2)
         ),
-        _cor22_infer,
+        RowMatcher(RowFamily.POWER_MINUS_ONE, _cor22_infer),
     )
     add(
         "cor23",
@@ -1357,7 +1362,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
             if math.gcd(m, n) == 1
             for b in (1, 2)
         ),
-        _cor23_infer,
+        RowMatcher(RowFamily.POWER_MINUS_ONE, _cor23_infer),
     )
     add(
         "cor24",
@@ -1390,7 +1395,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
             for m in (1, 2, 3, 4, 5)
             if math.gcd(m, n) == 1
         ),
-        _cor25_infer,
+        RowMatcher(RowFamily.ALL_ONES, _cor25_infer),
     )
     add(
         "cor26",
@@ -1406,7 +1411,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
             for m in (1, 2, 3, 4, 5)
             if math.gcd(m, n) == 1
         ),
-        _cor26_infer,
+        RowMatcher(RowFamily.POWER_MINUS_ONE, _cor26_infer),
     )
     add(
         "cor27",
@@ -1417,7 +1422,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
         _cor27_family,
         _cor27_closed,
         _simple_grid(n=(1, 3, 5)),
-        _cor27_infer,
+        RowMatcher(RowFamily.POWER_MINUS_ONE, _cor27_infer),
     )
     add(
         "cor28",
@@ -1433,7 +1438,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
             for r in sorted({1, 2, 3, n + 1})
             for a, b in ((1, 1), (2, 1), (1, -3), (3, 0))
         ),
-        _cor28_infer,
+        RowMatcher(RowFamily.POWER_MINUS_ONE, _cor28_infer),
     )
     add(
         "cor29",
@@ -1450,7 +1455,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
             if math.gcd(n, r) == 1
             for a, b in ((1, 1), (2, 1), (1, -3), (3, 0))
         ),
-        _cor29_infer,
+        RowMatcher(RowFamily.POWER_MINUS_ONE, _cor29_infer),
     )
     add(
         "cor30",
@@ -1461,7 +1466,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
         _cor30_family,
         _cor30_closed,
         _simple_grid(n=(1, 2, 3, 4, 5)),
-        _cor30_infer,
+        RowMatcher(RowFamily.POWER_MINUS_ONE, _cor30_infer),
     )
     add(
         "cor31",
@@ -1472,7 +1477,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
         _cor31_family,
         lambda p: Fraction(1),
         _simple_grid(n=(2, 3, 4, 5)),
-        _cor31_infer,
+        RowMatcher(RowFamily.POWER_MINUS_ONE, _cor31_infer),
     )
     add(
         "thm32",
@@ -1488,7 +1493,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
             for m in (1, 2, 3)
             for a in (0, 1, -1, _HALF)
         ),
-        _thm32_infer,
+        RowMatcher(RowFamily.POWER_MINUS_ONE, _thm32_infer),
     )
     add(
         "cor33",
@@ -1499,7 +1504,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
         _cor33_family,
         _cor33_closed,
         _simple_grid(n=(2, 3, 4, 5), m=(1, 2, 3, 4)),
-        _cor33_infer,
+        RowMatcher(RowFamily.POWER_MINUS_ONE, _cor33_infer),
     )
     add(
         "cor34",
@@ -1510,7 +1515,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
         _cor34_family,
         _cor34_closed,
         _simple_grid(n=(2, 3, 4, 5), m=(1, 2, 3, 4)),
-        _cor34_infer,
+        RowMatcher(RowFamily.POWER_MINUS_ONE, _cor34_infer),
     )
     add(
         "cor35",
@@ -1521,7 +1526,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
         _cor35_family,
         _cor35_closed,
         _simple_grid(n=(2, 3, 4, 5), m=(1, 2, 3, 4)),
-        _cor35_infer,
+        RowMatcher(RowFamily.POWER_MINUS_ONE, _cor35_infer),
     )
     add(
         "cor36",
@@ -1532,7 +1537,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
         _cor36_family,
         _cor36_closed,
         _simple_grid(n=(2, 3, 4, 5), m=(1, 2, 3, 4)),
-        _cor36_infer,
+        RowMatcher(RowFamily.POWER_MINUS_ONE, _cor36_infer),
     )
     add(
         "thm37",
@@ -1550,7 +1555,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
             for m in (1, 2, 3)
             for a in (0, 1, _HALF)
         ),
-        _thm37_infer,
+        RowMatcher(RowFamily.POWER_MINUS_ONE, _thm37_infer),
     )
     add(
         "thm38",
@@ -1566,7 +1571,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
             for m in (1, 2, 3)
             for a in (0, 1, -1, _HALF)
         ),
-        _thm38_infer,
+        RowMatcher(RowFamily.ALL_ONES, _thm38_infer),
     )
     add(
         "thm39",
@@ -1582,7 +1587,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
             for m in (1, 2, 3)
             for a in (0, 1, -1, _HALF)
         ),
-        _thm39_infer,
+        RowMatcher(RowFamily.ALL_ONES, _thm39_infer),
     )
 
     add(
@@ -1673,11 +1678,13 @@ def find_matching(P: Polynomial, Q: Polynomial) -> list[tuple[str, Params]]:
     Matching is up to scalar multiples of P and Q, since the permanent
     depends only on the zero sets.
     """
+    row = classify_row_polynomial(P)
     matches: list[tuple[str, Params]] = []
     for entry in _REGISTRY.values():
-        if entry.infer is None:
+        infer = entry.infer
+        if infer is None:
             continue
-        params = entry.infer(P, Q)
+        params = infer.match(row, Q) if isinstance(infer, RowMatcher) else infer(P, Q)
         if params is None:
             continue
         try:
@@ -1689,13 +1696,8 @@ def find_matching(P: Polynomial, Q: Polynomial) -> list[tuple[str, Params]]:
     return matches
 
 
-# Shared P-shape recognizers (after monic normalization); the two row
-# families come from fes_engine's recognizer.
-
-
-def _as_power_minus_one(P: Polynomial) -> int | None:
-    detected = classify_row_polynomial(P)
-    return detected[1] if detected and detected[0] is RowFamily.POWER_MINUS_ONE else None
+# P-shape recognizer for x^n + 1 (after monic normalization); the two fes
+# row families come from fes_engine's recognizer through RowMatcher.
 
 
 def _as_power_plus_one(P: Polynomial) -> int | None:
@@ -1703,8 +1705,3 @@ def _as_power_plus_one(P: Polynomial) -> int | None:
         return None
     n = P.degree
     return n if P.monic() == power_plus_one(n) else None
-
-
-def _as_all_ones(P: Polynomial) -> int | None:
-    detected = classify_row_polynomial(P)
-    return detected[1] if detected and detected[0] is RowFamily.ALL_ONES else None

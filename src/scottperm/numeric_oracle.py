@@ -1,17 +1,19 @@
 """Floating-point reference implementations used to cross-check the exact path.
 
 Everything here works over complex numbers: polynomial root finding by the
-Durand-Kerner simultaneous iteration, a direct backtracking permanent, the
-involution-sum evaluation of the same permanent, and bordered Cauchy /
-Borchardt determinants.  None of these functions is used by the exact
-evaluators; they exist so independent routes can be compared numerically.
+Durand-Kerner simultaneous iteration, the permanent by a dynamic program
+over row subsets (O(m * n * 2^n) for n rows and m columns), the
+involution-sum evaluation of the same permanent by a second subset DP
+(O(n * 2^n)), Ryser's formula as a square-case reference, and bordered
+Cauchy / Borchardt determinants.  None of these functions is used by the
+exact evaluators; they exist so independent routes can be compared
+numerically.
 """
 from __future__ import annotations
 
 import cmath
 import random
-from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -110,10 +112,16 @@ def _reciprocal_difference_matrix(
 
 
 def brute_permanent(X: Sequence[complex], Y: Sequence[complex]) -> complex:
-    """Permanent of the n x m matrix (1/(x_i - y_j)) by direct backtracking.
+    """Permanent of the n x m matrix (1/(x_i - y_j)) by a DP over row subsets.
 
-    Sums the products over all injective maps from rows to columns.  With
-    more rows than columns there are no injective maps, so the value is 0.
+    dp[mask] sums the products over the injective maps from the rows in
+    mask to the columns seen so far.  Each column j either takes no row or
+    one row i outside mask, adding dp[mask] * a[i][j] to dp[mask | 1 << i];
+    larger masks are updated first, so no column is used twice.  A mask with
+    more rows left than columns left can no longer fill up and is not
+    extended.  That is O(m * n * 2^n) work, against m!/(m-n)! injective
+    maps.  With more rows than columns there are no injective maps, so the
+    value is 0.
     """
     n, m = len(X), len(Y)
     if n > m:
@@ -121,33 +129,30 @@ def brute_permanent(X: Sequence[complex], Y: Sequence[complex]) -> complex:
     if n == 0:
         return 1 + 0j
     a = _reciprocal_difference_matrix(X, Y)
-    last = a[n - 1]
-
-    def walk(i: int, used: int, partial: complex) -> complex:
-        row = a[i]
-        if i == n - 1:
-            total = 0j
-            for j in range(m):
-                if not used & (1 << j):
-                    total += partial * row[j]
-            return total
-        total = 0j
-        for j in range(m):
-            bit = 1 << j
-            if not used & bit:
-                total += walk(i + 1, used | bit, partial * row[j])
-        return total
-
-    if n == 1:
-        return sum(last) + 0j
-    return walk(0, 0, 1 + 0j)
+    full = (1 << n) - 1
+    by_size: list[list[int]] = [[] for _ in range(n + 1)]
+    for mask in range(full + 1):
+        by_size[mask.bit_count()].append(mask)
+    dp = [0j] * (full + 1)
+    dp[0] = 1 + 0j
+    for j in range(m):
+        column = [row[j] for row in a]
+        for size in range(min(j, n - 1), max(0, n - m + j) - 1, -1):
+            for mask in by_size[size]:
+                value = dp[mask]
+                free = full ^ mask
+                while free:
+                    bit = free & -free
+                    dp[mask | bit] += value * column[bit.bit_length() - 1]
+                    free ^= bit
+    return dp[full]
 
 
 def ryser_permanent(matrix: Sequence[Sequence[complex]]) -> complex:
     """Permanent of a square matrix by Ryser's formula with Gray-code updates.
 
     Kept as a second combinatorial reference, independent of the
-    backtracking enumeration.
+    subset DP in brute_permanent.
     """
     n = len(matrix)
     if n == 0:
@@ -176,40 +181,6 @@ def ryser_permanent(matrix: Sequence[Sequence[complex]]) -> complex:
     return total
 
 
-@dataclass(frozen=True)
-class Involution:
-    """A self-inverse permutation of {0, ..., n-1}: disjoint 2-cycles plus fixed points."""
-
-    pairs: tuple[tuple[int, int], ...]
-    fixed: tuple[int, ...]
-
-
-def enumerate_involutions(n: int) -> Iterator[Involution]:
-    """All involutions of {0, ..., n-1}.
-
-    Counts follow the telescoping recurrence I(n) = I(n-1) + (n-1) I(n-2):
-    1, 1, 2, 4, 10, 26, 76, 232, ...
-    """
-    if n < 0:
-        raise BadParams("n must be nonnegative")
-
-    def build(remaining: tuple[int, ...]) -> Iterator[tuple[tuple[tuple[int, int], ...], tuple[int, ...]]]:
-        if not remaining:
-            yield (), ()
-            return
-        head, rest = remaining[0], remaining[1:]
-        for pairs, fixed in build(rest):
-            yield pairs, (head,) + fixed
-        for idx in range(len(rest)):
-            partner = rest[idx]
-            leftover = rest[:idx] + rest[idx + 1 :]
-            for pairs, fixed in build(leftover):
-                yield ((head, partner),) + pairs, fixed
-
-    for pairs, fixed in build(tuple(range(n))):
-        yield Involution(pairs, fixed)
-
-
 def involution_weighted_sum(
     X: Sequence[complex], fixed_weight: Callable[[int], complex]
 ) -> complex:
@@ -218,6 +189,10 @@ def involution_weighted_sum(
     Each involution contributes the product of 1/(x_i - x_j)^2 over its
     2-cycles times the product of fixed_weight(k) over its fixed points.
     The x values must be pairwise distinct.
+
+    Computed by a DP over the set of used rows, smallest first: the lowest
+    unused row r is either a fixed point or pairs with an unused p > r.
+    That is O(n * 2^n) work, against one term per involution.
     """
     n = len(X)
     inv_sq = [[0j] * n for _ in range(n)]
@@ -228,15 +203,25 @@ def involution_weighted_sum(
                 raise RepeatedXRoot(f"x_{i} and x_{j} nearly coincide")
             inv_sq[i][j] = inv_sq[j][i] = 1.0 / diff**2
     weights = [fixed_weight(k) for k in range(n)]
-    total = 0j
-    for sigma in enumerate_involutions(n):
-        term = 1 + 0j
-        for i, j in sigma.pairs:
-            term *= inv_sq[i][j]
-        for k in sigma.fixed:
-            term *= weights[k]
-        total += term
-    return total
+    full = (1 << n) - 1
+    dp = [0j] * (full + 1)
+    dp[0] = 1 + 0j
+    for mask in range(full):
+        value = dp[mask]
+        if not value:  # unreachable (rows are used lowest first) or an exact 0
+            continue
+        free = full ^ mask
+        low = free & -free
+        r = low.bit_length() - 1
+        used = mask | low
+        dp[used] += value * weights[r]
+        pair = inv_sq[r]
+        free ^= low
+        while free:
+            bit = free & -free
+            dp[used | bit] += value * pair[bit.bit_length() - 1]
+            free ^= bit
+    return dp[full]
 
 
 def involution_sum(X: Sequence[complex], Y: Sequence[complex]) -> complex:

@@ -202,13 +202,6 @@ class VerifyReport:
         return all(ok for _, _, _, ok in self.agreements) if self.agreements else True
 
 
-def _involution_count(n: int) -> int:
-    a, b = 1, 1
-    for k in range(2, n + 1):
-        a, b = b, b + (k - 1) * a
-    return b if n else 1
-
-
 def verify(
     P: Polynomial,
     Q: Polynomial,
@@ -217,13 +210,18 @@ def verify(
 ) -> VerifyReport:
     """Evaluate the permanent by every applicable route and compare.
 
-    Routes: the determinant engine, the backtracking numeric oracle, the
-    involution sum (square case), the banded-determinant shortcut when P is
-    x^n - 1 or 1 + x + ... + x^(n-1), and any matching closed-form catalog
-    entry.  Each route reports its own timing; a route that fails, or
-    returns a value that is not finite, contributes an error instead of a
-    value.  Raises SharedRoot when Res(P, Q) == 0; that error propagates
-    from the theorem1 route instead of being recorded.
+    Routes: the determinant engine, the subset-DP numeric oracle, the
+    involution sum, the banded-determinant shortcut when P is x^n - 1 or
+    1 + x + ... + x^(n-1), and any matching closed-form catalog entry.
+    Each route reports its own timing; a route that fails, or returns a
+    value that is not finite, contributes an error instead of a value.
+    Raises SharedRoot when Res(P, Q) == 0; that error propagates from the
+    theorem1 route instead of being recorded.
+
+    The two float routes share one root finding per polynomial; a root
+    finding error is an error of each route that needs those roots.  The
+    oracle is skipped when its DP work m * n * 2^n exceeds
+    oracle_cost_limit, and the involution sum when its n * 2^n does.
     """
     # Import here: these modules build their results out of EvalResult, so a
     # module-level import would be circular.
@@ -261,33 +259,42 @@ def verify(
     # the one shared-root check of the whole report.
     run("theorem1", theorem1_task)
 
-    injective_maps = 1
-    for k in range(n):
-        injective_maps *= max(m - k, 0)
-    if n > m or injective_maps <= oracle_cost_limit:
+    # Keyed by identity: P and Q live for the whole report, and hashing a
+    # Polynomial hashes every Fraction coefficient.
+    found: dict[int, list[complex] | Exception] = {}
+
+    def roots(poly: Polynomial) -> list[complex]:
+        key = id(poly)
+        if key not in found:
+            try:
+                found[key] = numeric_oracle.find_roots(poly)
+            except Exception as exc:  # raised again for every route that needs it
+                found[key] = exc
+        got = found[key]
+        if isinstance(got, Exception):
+            raise got
+        return got
+
+    if n > m or m * n * 2**n <= oracle_cost_limit:
         def oracle_task():
-            X = numeric_oracle.find_roots(P) if n <= m else []
             if n > m:
                 return 0j, ("n > m: no injective assignments",)
-            Y = numeric_oracle.find_roots(Q)
-            return numeric_oracle.brute_permanent(X, Y), ()
+            return numeric_oracle.brute_permanent(roots(P), roots(Q)), ()
 
         run("oracle", oracle_task)
     else:
         outcomes.append(
-            RouteOutcome("oracle", None, 0.0, None, ("skipped: too many injective assignments",))
+            RouteOutcome("oracle", None, 0.0, None, ("skipped: m*n*2^n exceeds oracle_cost_limit",))
         )
 
-    if _involution_count(n) <= 500_000:
+    if n * 2**n <= oracle_cost_limit:
         def involution_task():
-            X = numeric_oracle.find_roots(P)
-            Y = numeric_oracle.find_roots(Q)
-            return numeric_oracle.involution_sum(X, Y), ()
+            return numeric_oracle.involution_sum(roots(P), roots(Q)), ()
 
         run("involution", involution_task)
     else:
         outcomes.append(
-            RouteOutcome("involution", None, 0.0, None, ("skipped: too many involutions",))
+            RouteOutcome("involution", None, 0.0, None, ("skipped: n*2^n exceeds oracle_cost_limit",))
         )
 
     fes_kind = fes_engine.classify_row_polynomial(P)

@@ -17,11 +17,13 @@ from scottperm import (
     catalog_eval,
     catalog_family,
     catalog_ids,
+    classify_row_polynomial,
     find_matching,
     involution_identity_check,
     poch,
     scott_permanent,
 )
+from scottperm import closed_catalog
 from scottperm.closed_catalog import falling, get_entry, power_plus_one
 
 ALL_IDS = (
@@ -306,6 +308,27 @@ class TestRecognition:
         Q2 = Polynomial([-2 * Q.coeff(k) for k in range(Q.degree + 1)])
         base = sorted(mid for mid, _ in find_matching(P, Q))
         assert sorted(mid for mid, _ in find_matching(P2, Q2)) == base
+
+    def test_row_family_recognized_once_per_find_matching(self, monkeypatch):
+        calls = []
+
+        def counted(P):
+            calls.append(P)
+            return classify_row_polynomial(P)
+
+        monkeypatch.setattr(closed_catalog, "classify_row_polynomial", counted)
+        for entry in catalog_entries():
+            for point in entry.grid:
+                P, Q = entry.family(point)
+                calls.clear()
+                matches = find_matching(P, Q)
+                assert len(calls) <= 1, (entry.id, point)
+                for matched_id, matched_params in matches:
+                    # infer(P, Q), as the CLI's closed:<id> route calls it, agrees.
+                    inferred = get_entry(matched_id).infer(P, Q)
+                    assert catalog_eval(matched_id, **inferred) == catalog_eval(
+                        matched_id, **matched_params
+                    )
 
     def test_unrelated_pair_matches_nothing(self):
         assert find_matching(Polynomial([2, 0, 1]), Polynomial([1, 1, 1])) == []

@@ -1,6 +1,7 @@
-"""Floating-point oracle: roots, brute-force permanents, involution sums."""
+"""Floating-point oracle: roots, subset-DP permanents, involution sums."""
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -16,9 +17,9 @@ from scottperm import (
     borchardt_matrix_det,
     brute_permanent,
     cauchy_matrix_det,
-    enumerate_involutions,
     find_roots,
     involution_sum,
+    involution_weighted_sum,
     poly_gcd,
     random_coprime_pair,
     relative_gap,
@@ -29,6 +30,45 @@ from scottperm.errors import ZeroDegree
 from scottperm.numeric_oracle import delta, difference_product
 
 INVOLUTION_COUNTS = [1, 1, 2, 4, 10, 26, 76, 232]
+
+
+def enumerate_involutions(n):
+    """All involutions of {0, ..., n-1} as (pairs, fixed) tuples.
+
+    The reference for the involution DP: the lowest remaining element is
+    either fixed or paired with one of the others.
+    """
+
+    def build(remaining):
+        if not remaining:
+            yield (), ()
+            return
+        head, rest = remaining[0], remaining[1:]
+        for pairs, fixed in build(rest):
+            yield pairs, (head,) + fixed
+        for idx, partner in enumerate(rest):
+            for pairs, fixed in build(rest[:idx] + rest[idx + 1 :]):
+                yield ((head, partner),) + pairs, fixed
+
+    return build(tuple(range(n)))
+
+
+def permanent_by_permutations(matrix):
+    """Permanent of an n x m matrix (n <= m) summed over injective maps."""
+    n = len(matrix)
+    m = len(matrix[0]) if n else 0
+    total = 0j
+    for columns in itertools.permutations(range(m), n):
+        term = 1 + 0j
+        for row, col in zip(matrix, columns):
+            term *= row[col]
+        total += term
+    return total
+
+
+# Points of a half-integer lattice are at least 1/2 apart, and shifting the
+# rows by 1/4 keeps every row point at least 1/4 from every column point.
+lattice = st.tuples(st.integers(-6, 6), st.integers(-6, 6)).map(lambda t: complex(*t) / 2)
 
 
 def _close_sets(got, expected, tol=1e-9):
@@ -101,6 +141,14 @@ class TestBrutePermanent:
             ryser = ryser_permanent(matrix)
             assert relative_gap(direct, ryser) <= 1e-9
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    @given(data=st.data())
+    def test_agrees_with_permutation_sum_on_rectangular_instances(self, n, data):
+        X = [x + 0.25 for x in data.draw(st.lists(lattice, min_size=n, max_size=n))]
+        Y = data.draw(st.lists(lattice, min_size=n, max_size=8))
+        matrix = [[1.0 / (x - y) for y in Y] for x in X]
+        assert relative_gap(brute_permanent(X, Y), permanent_by_permutations(matrix)) <= 1e-9
+
     def test_ryser_requires_square(self):
         with pytest.raises(BadParams):
             ryser_permanent([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
@@ -118,8 +166,9 @@ class TestEnumerateInvolutions:
 
     @staticmethod
     def _as_mapping(sigma, n):
-        perm = {i: i for i in sigma.fixed}
-        for i, j in sigma.pairs:
+        pairs, fixed = sigma
+        perm = {i: i for i in fixed}
+        for i, j in pairs:
             perm[i] = j
             perm[j] = i
         assert sorted(perm) == list(range(n))
@@ -154,6 +203,22 @@ class TestInvolutionSum:
         X = find_roots(Polynomial([-1, 0, 0, 1]))
         Y = find_roots(Polynomial([1, 0, 0, 1]))
         assert abs(involution_sum(X, Y) - (-3 / 8)) < 1e-9
+
+    @pytest.mark.parametrize("n", range(9))
+    @given(data=st.data())
+    def test_weighted_sum_matches_enumeration(self, n, data):
+        X = data.draw(st.lists(lattice, min_size=n, max_size=n, unique=True))
+        weights = data.draw(st.lists(lattice, min_size=n, max_size=n))
+        expected = 0j
+        for pairs, fixed in enumerate_involutions(n):
+            term = 1 + 0j
+            for i, j in pairs:
+                term *= 1.0 / (X[i] - X[j]) ** 2
+            for k in fixed:
+                term *= weights[k]
+            expected += term
+        got = involution_weighted_sum(X, weights.__getitem__)
+        assert relative_gap(got, expected) <= 1e-9
 
     def test_repeated_x_roots_rejected(self):
         with pytest.raises(RepeatedXRoot):

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from scottperm import (
+    DidNotConverge,
     EvalResult,
     Polynomial,
     SharedRoot,
@@ -18,6 +19,7 @@ from scottperm import (
     build_E,
     build_H,
     exact_det,
+    find_roots,
     poly_eval,
     random_coprime_pair,
     relative_gap,
@@ -295,6 +297,71 @@ class TestVerify:
         assert oracle.value is None
         assert any("skipped" in note for note in oracle.notes)
         assert report.all_agree
+
+    @pytest.mark.parametrize(
+        "limit,ran",
+        [
+            (7 * 7 * 2**7, {"oracle", "involution"}),
+            (7 * 7 * 2**7 - 1, {"involution"}),
+            (7 * 2**7 - 1, set()),
+        ],
+    )
+    def test_float_routes_skipped_by_subset_dp_work(self, limit, ran):
+        report = verify(Polynomial([1, 2, 0, 0, 0, 0, 0, 1]), power_poly(7, 2), oracle_cost_limit=limit)
+        routes = {route.method: route for route in report.routes}
+        for method in ("oracle", "involution"):
+            route = routes[method]
+            if method in ran:
+                assert route.error is None and route.value is not None
+            else:
+                assert route.value is None and any("skipped" in note for note in route.notes)
+        assert report.all_agree
+
+    def test_float_routes_run_at_n_14(self):
+        P, Q = random_coprime_pair(random.Random(14), 14, 14)
+        report = verify(P, Q)
+        routes = {route.method: route for route in report.routes}
+        assert set(routes) == {"theorem1", "oracle", "involution"}
+        assert all(route.value is not None for route in routes.values())
+        assert len(report.agreements) == 3
+        assert report.all_agree
+
+    def test_roots_found_once_per_polynomial(self, monkeypatch):
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return find_roots(p)
+
+        monkeypatch.setattr(numeric_oracle, "find_roots", counted)
+        P, Q = Polynomial([2, 1, 1]), Polynomial([1, -1, 0, 1])
+        report = verify(P, Q)
+        assert {route.method for route in report.routes if route.value is not None} == {
+            "theorem1",
+            "oracle",
+            "involution",
+        }
+        assert report.all_agree
+        assert sorted(calls, key=lambda p: p.degree) == [P, Q]
+
+    def test_root_finding_error_is_an_error_of_each_float_route(self, monkeypatch):
+        calls = []
+        Q = Polynomial([1, -1, 0, 1])
+
+        def failing_on_q(p):
+            calls.append(p)
+            if p == Q:
+                raise DidNotConverge("no roots for Q")
+            return find_roots(p)
+
+        monkeypatch.setattr(numeric_oracle, "find_roots", failing_on_q)
+        report = verify(Polynomial([2, 1, 1]), Q)
+        routes = {route.method: route for route in report.routes}
+        for method in ("oracle", "involution"):
+            assert routes[method].value is None
+            assert routes[method].error == "DidNotConverge: no roots for Q"
+        assert routes["theorem1"].value is not None
+        assert calls.count(Q) == 1
 
 
 class TestEvalResult:
