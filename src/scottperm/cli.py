@@ -4,12 +4,13 @@ Commands:
 
 * ``eval P Q [--method ...]``: one permanent, one JSON object on stdout.
 * ``verify P Q``: run every applicable route and report the agreement matrix.
+  Both dispatch through the one route table, ``scott_engine.ROUTES``.
 * ``catalog [--id ...]``: list the closed-form catalog as JSON.
 * ``bench N_RANGE M_RANGE``: CSV timing rows comparing the exponential
   oracle against the polynomial-time determinant route.
 
-Exit codes: 0 success, 2 shared root, 3 parse error, 4 out of catalog
-domain, 1 anything else.  Errors are emitted as JSON on stderr.
+Exit codes: 0 success, 2 shared root, 3 parse error, 4 out of catalog domain, 1 anything
+else, such as ZeroDegree for a constant P or a zero Q.  Errors are JSON on stderr.
 """
 from __future__ import annotations
 
@@ -24,10 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Sequence
 
-from . import closed_catalog, fes_engine, numeric_oracle, scott_engine
-from .errors import BadParams, OutOfDomain, ParseError, ScottPermError, SharedRoot, ZeroDegree
+from . import closed_catalog, numeric_oracle, scott_engine
+from .errors import BadParams, OutOfDomain, ParseError, ScottPermError, SharedRoot
 from .exact_core import Polynomial
-from .scott_engine import EvalResult
 
 
 class DegreeZeroWarning(UserWarning):
@@ -241,62 +241,11 @@ def _value_json(value: Any) -> dict[str, Any] | None:
     return {"re": z.real, "im": z.imag}
 
 
-def _roots_or_empty(p: Polynomial) -> list[complex]:
-    if p.degree == 0:
-        return []
-    return numeric_oracle.find_roots(p)
-
-
-def _evaluate(P: Polynomial, Q: Polynomial, method: str) -> EvalResult:
-    if method == "auto":
-        detected = fes_engine.classify_row_polynomial(P)
-        if detected is not None:
-            kind, n = detected
-            return fes_engine.per_via_fes(kind, n, Q)
-        return scott_engine.scott_permanent(P, Q)
-    if method == "theorem1":
-        return scott_engine.scott_permanent(P, Q)
-    if method == "fes":
-        detected = fes_engine.classify_row_polynomial(P)
-        if detected is None:
-            raise BadParams(
-                "method fes needs a row polynomial of the form x^n - 1 or 1 + x + ... + x^(n-1)"
-            )
-        kind, n = detected
-        return fes_engine.per_via_fes(kind, n, Q)
-    if method == "oracle":
-        if P.degree is None or P.degree < 1:
-            raise ZeroDegree("the row polynomial must have degree >= 1")
-        if Q.is_zero:
-            raise ZeroDegree("the column polynomial must be nonzero")
-        value = numeric_oracle.brute_permanent(_roots_or_empty(P), _roots_or_empty(Q))
-        return EvalResult(value, "oracle", P.degree, Q.degree, ())
-    if method == "involution":
-        if P.degree is None or P.degree < 1:
-            raise ZeroDegree("the row polynomial must have degree >= 1")
-        if Q.is_zero:
-            raise ZeroDegree("the column polynomial must be nonzero")
-        value = numeric_oracle.involution_sum(_roots_or_empty(P), _roots_or_empty(Q))
-        return EvalResult(value, "involution", P.degree, Q.degree, ())
-    if method.startswith("closed:"):
-        entry_id = method.split(":", 1)[1]
-        entry = closed_catalog.get_entry(entry_id)
-        if entry.infer is None:
-            raise BadParams(f"{entry_id} has no polynomial-pair matcher")
-        params = entry.infer(P, Q)
-        if params is None:
-            raise OutOfDomain(f"{entry_id}: the given pair is not in this family")
-        value = closed_catalog.catalog_eval(entry_id, **params)
-        shown = ", ".join(f"{k}={v}" for k, v in params.items())
-        return EvalResult(value, method, P.degree, Q.degree, (f"matched with {shown}",))
-    raise BadParams(f"unknown method {method!r}")
-
-
 def _cmd_eval(args: argparse.Namespace) -> int:
     P = parse_poly(args.P).parsed
     Q = parse_poly(args.Q).parsed
     start = time.perf_counter()
-    result = _evaluate(P, Q, args.method)
+    result = scott_engine.evaluate(P, Q, args.method)
     elapsed_ms = (time.perf_counter() - start) * 1000
     payload = {
         "n": result.n,
@@ -375,22 +324,22 @@ def _parse_range(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def _timed_best(fn: Callable[[], Any], repeats: int = 3) -> tuple[Any, float]:
-    """Run fn up to `repeats` times; return its value and the best time in ms.
+def _timed_best(fn: Callable[[], Any], budget_ms: float = 20.0) -> tuple[Any, float]:
+    """Run fn; return its value and its best time in ms.
 
     A call slower than 100 ms is not repeated, so the exponential oracle leg
-    is paid once while fast legs get a stable best-of-3.
+    is paid once; a faster one runs at least 3 times and until budget_ms is
+    spent, so one slow spell of the machine cannot set a fast leg's best time.
     """
-    best: float | None = None
-    value: Any = None
-    for _ in range(repeats):
+    best, spent, runs = float("inf"), 0.0, 0
+    while not (runs >= 3 and spent >= budget_ms):
         start = time.perf_counter()
         value = fn()
         elapsed = (time.perf_counter() - start) * 1000
-        best = elapsed if best is None else min(best, elapsed)
+        best, spent, runs = min(best, elapsed), spent + elapsed, runs + 1
         if elapsed > 100:
             break
-    return value, float(best)
+    return value, best
 
 
 def bench_rows(
@@ -457,7 +406,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument(
         "--method",
         default="auto",
-        help="auto, theorem1, fes, oracle, involution, or closed:<id>",
+        help="auto, theorem1, fes, oracle, involution, closed_form, or closed:<id>",
     )
     p_eval.set_defaults(func=_cmd_eval)
 

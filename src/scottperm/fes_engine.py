@@ -24,7 +24,7 @@ from .exact_core import (
     _clear_denominators,
     resultant,
 )
-from .scott_engine import EvalResult
+from .results import EvalResult
 
 
 class RowFamily(str, enum.Enum):

@@ -1,4 +1,4 @@
-"""Exact evaluation of permanents of matrices 1/(x_i - y_j).
+"""Exact evaluation of permanents of matrices 1/(x_i - y_j), and the route table.
 
 The rows are indexed by the roots X of a polynomial P (degree n) and the
 columns by the roots Y of a polynomial Q (degree m >= n).  The permanent is
@@ -8,20 +8,23 @@ obtained without ever computing a root: it equals
 
 where H is the n x (m+n-1) band of complete homogeneous symmetric functions
 of X, E is an (m+n-1) x n matrix of weighted elementary symmetric functions
-of Y, and Res is the resultant of the monic forms.  `verify` then compares
-this determinant route against every other implemented route.
+of Y, and Res is the resultant of the monic forms.  `ROUTES` is the one
+table of this and every other route (each returns an `EvalResult`, from the
+leaf module `results`): `evaluate` runs one by name, `verify` all that apply.
 """
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
-from typing import Union
+from typing import Callable, NamedTuple
 
-from .errors import SharedRoot, ZeroDegree
+from . import closed_catalog, fes_engine, numeric_oracle
+from .errors import BadParams, OutOfDomain, ScottPermError, SharedRoot, ZeroDegree
 from .exact_core import (
     Polynomial,
     RationalMatrix,
@@ -30,19 +33,7 @@ from .exact_core import (
     resultant,
     series_inverse,
 )
-
-Value = Union[Fraction, complex]
-
-
-@dataclass(frozen=True)
-class EvalResult:
-    """Outcome of one evaluation route."""
-
-    value: Value
-    method: str
-    n: int
-    m: int
-    notes: tuple[str, ...] = ()
+from .results import EvalResult, Value
 
 
 def build_H(P: Polynomial, m: int) -> RationalMatrix:
@@ -202,120 +193,161 @@ class VerifyReport:
         return all(ok for _, _, _, ok in self.agreements) if self.agreements else True
 
 
+# The route table ------------------------------------------------------------
+
+# What verify records as a route's failure; anything else is a bug and propagates.
+ROUTE_FAILURES = (ScottPermError, ArithmeticError)
+
+
+class Pair:
+    """(P, Q) checked once (ZeroDegree for a constant P or a zero Q), with P's row
+    family, and the catalog matches and the roots found once each, on first use."""
+
+    def __init__(self, P: Polynomial, Q: Polynomial):
+        if P.degree is None or P.degree < 1:
+            raise ZeroDegree("the row polynomial must have degree >= 1")
+        if Q.is_zero:
+            raise ZeroDegree("the column polynomial must be nonzero")
+        self.P, self.Q, self.n, self.m = P, Q, P.degree, Q.degree
+        self.family = fes_engine.classify_row_polynomial(P)
+        # Keyed by identity: hashing a Polynomial hashes every coefficient.
+        self._roots: dict[int, list[complex] | Exception] = {}
+
+    @functools.cached_property
+    def matches(self) -> list[tuple[str, dict]]:
+        return closed_catalog.find_matching(self.P, self.Q)
+
+    def roots(self, poly: Polynomial) -> list[complex]:
+        """The roots of P or Q (none for a constant); a failure is raised on every call."""
+        key = id(poly)
+        if key not in self._roots:
+            try:
+                self._roots[key] = numeric_oracle.find_roots(poly) if poly.degree else []
+            except ROUTE_FAILURES as exc:
+                self._roots[key] = exc
+        if isinstance(self._roots[key], Exception):
+            raise self._roots[key]
+        return self._roots[key]
+
+
+class Route(NamedTuple):
+    """A way to evaluate a pair; `needs` says what `applies` asks for.  `work`
+    counts the DP steps verify limits by oracle_cost_limit; `work_text` names them."""
+
+    name: str
+    evaluate: Callable[[Pair], EvalResult]
+    applies: Callable[[Pair], bool] = lambda pair: True
+    needs: str = ""
+    work: Callable[[Pair], int] | None = None
+    work_text: str = ""
+
+
+def _oracle(pair: Pair) -> EvalResult:
+    if pair.n > pair.m:
+        return EvalResult(0j, "oracle", pair.n, pair.m, ("n > m: no injective assignments",))
+    value = numeric_oracle.brute_permanent(pair.roots(pair.P), pair.roots(pair.Q))
+    return EvalResult(value, "oracle", pair.n, pair.m)
+
+
+def _involution(pair: Pair) -> EvalResult:
+    value = numeric_oracle.involution_sum(pair.roots(pair.P), pair.roots(pair.Q))
+    return EvalResult(value, "involution", pair.n, pair.m)
+
+
+def _closed_form(pair: Pair) -> EvalResult:
+    entry_id, params = pair.matches[0]
+    value = closed_catalog.catalog_eval(entry_id, **params)
+    return EvalResult(value, "closed_form", pair.n, pair.m, (f"matched {entry_id}",))
+
+
+# In verify's order.  theorem1 tests Res(P, Q) also when n > m, so its
+# SharedRoot is the one shared-root check of a report.  Each route calls its
+# engine through a module attribute at call time, so a wrapper or monkeypatch
+# installed there sees every call.  fes names its result fes or fes_tilde.
+ROUTES = (
+    Route("theorem1", lambda pair: scott_permanent(pair.P, pair.Q)),
+    Route("oracle", _oracle, work_text="m*n*2^n",
+          work=lambda pair: 0 if pair.n > pair.m else pair.m * pair.n * 2**pair.n),
+    Route("involution", _involution, work=lambda pair: pair.n * 2**pair.n, work_text="n*2^n"),
+    Route("fes", lambda pair: fes_engine.per_via_fes(*pair.family, pair.Q),
+          applies=lambda pair: pair.family is not None,
+          needs="a row polynomial of the form x^n - 1 or 1 + x + ... + x^(n-1)"),
+    Route("closed_form", _closed_form, applies=lambda pair: bool(pair.matches),
+          needs="a pair that some closed-form catalog entry matches"),
+)
+_METHODS = {route.name: route for route in ROUTES}
+_METHODS["auto"] = Route("auto", lambda p: _METHODS["fes" if p.family else "theorem1"].evaluate(p))
+
+
+def _catalog_route(method: str) -> Route:
+    """eval's closed:<id>: one named catalog entry, its parameters inferred."""
+    if not method.startswith("closed:"):
+        raise BadParams(f"unknown method {method!r}")
+    entry_id = method[len("closed:"):]
+    infer = closed_catalog.get_entry(entry_id).infer
+    if infer is None:
+        raise BadParams(f"{entry_id} has no polynomial-pair matcher")
+
+    def lookup(pair: Pair) -> EvalResult:
+        params = infer(pair.P, pair.Q)
+        if params is None:
+            raise OutOfDomain(f"{entry_id}: the given pair is not in this family")
+        shown = ", ".join(f"{k}={v}" for k, v in params.items())
+        value = closed_catalog.catalog_eval(entry_id, **params)
+        return EvalResult(value, method, pair.n, pair.m, (f"matched with {shown}",))
+
+    return Route(method, lookup)
+
+
+def evaluate(P: Polynomial, Q: Polynomial, method: str = "auto") -> EvalResult:
+    """The permanent by one route: a name in ROUTES, "auto" or "closed:<id>".
+
+    "auto" takes fes for a row family and theorem1 otherwise.  An unknown
+    method is BadParams even for a bad pair; a route that does not take the
+    pair is BadParams.  Unlike in verify, no route is skipped for its cost.
+    """
+    route = _METHODS.get(method) or _catalog_route(method)
+    pair = Pair(P, Q)
+    if not route.applies(pair):
+        raise BadParams(f"method {method} needs {route.needs}")
+    return route.evaluate(pair)
+
+
 def verify(
     P: Polynomial,
     Q: Polynomial,
     tolerance: float = 1e-6,
     oracle_cost_limit: int = 20_000_000,
 ) -> VerifyReport:
-    """Evaluate the permanent by every applicable route and compare.
+    """Evaluate the permanent by every route in ROUTES that applies, and compare.
 
-    Routes: the determinant engine, the subset-DP numeric oracle, the
-    involution sum, the banded-determinant shortcut when P is x^n - 1 or
-    1 + x + ... + x^(n-1), and any matching closed-form catalog entry.
-    Each route reports its own timing; a route that fails, or returns a
-    value that is not finite, contributes an error instead of a value.
-    Raises SharedRoot when Res(P, Q) == 0; that error propagates from the
-    theorem1 route instead of being recorded.
-
-    The two float routes share one root finding per polynomial; a root
-    finding error is an error of each route that needs those roots.  The
-    oracle is skipped when its DP work m * n * 2^n exceeds
-    oracle_cost_limit, and the involution sum when its n * 2^n does.
+    Each route reports its own timing.  A route that fails with one of
+    ROUTE_FAILURES, or returns a value that is not finite, contributes an
+    error instead of a value; SharedRoot propagates from theorem1.  A float
+    route is skipped when its DP work (m*n*2^n, n*2^n) exceeds oracle_cost_limit.
     """
-    # Import here: these modules build their results out of EvalResult, so a
-    # module-level import would be circular.
-    from . import closed_catalog, fes_engine, numeric_oracle
-
-    if P.degree is None or P.degree < 1:
-        raise ZeroDegree("the row polynomial must have degree >= 1")
-    if Q.is_zero:
-        raise ZeroDegree("the column polynomial must be nonzero")
-    n, m = P.degree, Q.degree
-
+    pair = Pair(P, Q)
     outcomes: list[RouteOutcome] = []
-
-    def run(method: str, task) -> None:
+    for route in ROUTES:
+        if not route.applies(pair):
+            continue
+        if route.work is not None and route.work(pair) > oracle_cost_limit:
+            note = f"skipped: {route.work_text} exceeds oracle_cost_limit"
+            outcomes.append(RouteOutcome(route.name, None, 0.0, None, (note,)))
+            continue
         start = time.perf_counter()
         try:
-            value, notes = task()
+            result = route.evaluate(pair)
         except SharedRoot:
             raise
-        except Exception as exc:  # route failures are data, not fatal
-            elapsed = (time.perf_counter() - start) * 1000.0
-            outcomes.append(RouteOutcome(method, None, elapsed, f"{type(exc).__name__}: {exc}"))
-            return
+        except ROUTE_FAILURES as exc:
+            error, method, value, notes = f"{type(exc).__name__}: {exc}", route.name, None, ()
+        else:
+            error, method, value, notes = None, result.method, result.value, result.notes
+            if not _finite(value):
+                error, value, notes = f"non-finite value {value}", None, ()
         elapsed = (time.perf_counter() - start) * 1000.0
-        if not _finite(value):
-            outcomes.append(RouteOutcome(method, None, elapsed, f"non-finite value {value}"))
-            return
-        outcomes.append(RouteOutcome(method, value, elapsed, None, notes))
-
-    def theorem1_task():
-        result = scott_permanent(P, Q)
-        return result.value, result.notes
-
-    # theorem1 tests Res(P, Q) first, also when n > m, so its SharedRoot is
-    # the one shared-root check of the whole report.
-    run("theorem1", theorem1_task)
-
-    # Keyed by identity: P and Q live for the whole report, and hashing a
-    # Polynomial hashes every Fraction coefficient.
-    found: dict[int, list[complex] | Exception] = {}
-
-    def roots(poly: Polynomial) -> list[complex]:
-        key = id(poly)
-        if key not in found:
-            try:
-                found[key] = numeric_oracle.find_roots(poly)
-            except Exception as exc:  # raised again for every route that needs it
-                found[key] = exc
-        got = found[key]
-        if isinstance(got, Exception):
-            raise got
-        return got
-
-    if n > m or m * n * 2**n <= oracle_cost_limit:
-        def oracle_task():
-            if n > m:
-                return 0j, ("n > m: no injective assignments",)
-            return numeric_oracle.brute_permanent(roots(P), roots(Q)), ()
-
-        run("oracle", oracle_task)
-    else:
-        outcomes.append(
-            RouteOutcome("oracle", None, 0.0, None, ("skipped: m*n*2^n exceeds oracle_cost_limit",))
-        )
-
-    if n * 2**n <= oracle_cost_limit:
-        def involution_task():
-            return numeric_oracle.involution_sum(roots(P), roots(Q)), ()
-
-        run("involution", involution_task)
-    else:
-        outcomes.append(
-            RouteOutcome("involution", None, 0.0, None, ("skipped: n*2^n exceeds oracle_cost_limit",))
-        )
-
-    fes_kind = fes_engine.classify_row_polynomial(P)
-    if fes_kind is not None:
-        kind, fes_n = fes_kind
-
-        def fes_task():
-            result = fes_engine.per_via_fes(kind, fes_n, Q)
-            return result.value, result.notes
-
-        run(kind.method, fes_task)
-
-    matches = closed_catalog.find_matching(P, Q)
-    if matches:
-        entry_id, params = matches[0]
-
-        def closed_task():
-            value = closed_catalog.catalog_eval(entry_id, **params)
-            return value, (f"matched {entry_id}",)
-
-        run("closed_form", closed_task)
+        outcomes.append(RouteOutcome(method, value, elapsed, error, notes))
 
     agreements: list[tuple[str, str, float, bool]] = []
     valued = [o for o in outcomes if o.value is not None]
@@ -324,4 +356,4 @@ def verify(
             gap = relative_gap(valued[i].value, valued[j].value)
             agreements.append((valued[i].method, valued[j].method, gap, gap <= tolerance))
 
-    return VerifyReport(n, m, tolerance, tuple(outcomes), tuple(agreements))
+    return VerifyReport(pair.n, pair.m, tolerance, tuple(outcomes), tuple(agreements))

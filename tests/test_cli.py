@@ -186,6 +186,67 @@ class TestEvalCommand:
         assert payload["value"] == {"num": "0", "den": "1"}
         assert payload["n"] == 3 and payload["m"] == 1
 
+    def test_closed_form_route_takes_the_first_catalog_match(self, capsys):
+        payload = eval_json(capsys, "eval", "x^3-1", "y^6+y^3+1", "--method", "closed_form")
+        assert payload["method"] == "closed_form"
+        assert payload["value"] == {"num": "6", "den": "1"}
+        assert payload["notes"] == ["matched cor11"]
+
+    def test_closed_form_route_needs_a_catalog_match(self, capsys):
+        payload = error_json(capsys, 1, "eval", "[2, 0, 1]", "y^3+1", "--method", "closed_form")
+        assert payload["error"] == "BadParams"
+
+    @pytest.mark.filterwarnings("ignore::scottperm.cli.DegreeZeroWarning")
+    @pytest.mark.parametrize(
+        "method", ["auto", "theorem1", "fes", "oracle", "involution", "closed_form", "closed:cor19"]
+    )
+    @pytest.mark.parametrize(
+        "P,Q,side",
+        [("5", "y^3+1", "row"), ("[0]", "y^3+1", "row"), ("x^3-1", "0", "column")],
+    )
+    def test_degenerate_pairs_are_zero_degree_for_every_method(self, capsys, method, P, Q, side):
+        payload = error_json(capsys, 1, "eval", P, Q, "--method", method)
+        assert payload["error"] == "ZeroDegree"
+        assert f"the {side} polynomial" in payload["detail"]
+
+    @pytest.mark.filterwarnings("ignore::scottperm.cli.DegreeZeroWarning")
+    @pytest.mark.parametrize("method", ["magic", "closed:thm99", "closed:prop40"])
+    def test_method_is_resolved_before_the_pair_is_checked(self, capsys, method):
+        payload = error_json(capsys, 1, "eval", "5", "y^3+1", "--method", method)
+        assert payload["error"] == "BadParams"
+
+
+ROUTE_NAMES = ("theorem1", "oracle", "involution", "fes", "closed_form")
+
+
+@pytest.mark.filterwarnings("ignore::scottperm.cli.DegreeZeroWarning")
+@pytest.mark.parametrize(
+    "P,Q",
+    [("x^3-1", "y^4+1"), ("x^2+x+1", "y^3+2"), ("x^2-1", "5"), ("[2, 0, 1]", "y^3+1")],
+)
+@pytest.mark.parametrize("method", ROUTE_NAMES)
+def test_eval_matches_the_verify_route_of_the_same_name(capsys, method, P, Q):
+    report = eval_json(capsys, "verify", P, Q)
+    code, out, err = run_cli(capsys, "eval", P, Q, "--method", method)
+    # The fes route is named after the row family it found.
+    names = ("fes", "fes_tilde") if method == "fes" else (method,)
+    routes = [route for route in report["routes"] if route["method"] in names]
+    if not routes:  # the route does not take this pair
+        assert code == 1 and json.loads(err)["error"] == "BadParams"
+        return
+    (route,) = routes
+    if route["error"] is not None:
+        assert code == 1
+        assert route["error"].startswith(json.loads(err)["error"] + ": ")
+        return
+    assert code == 0, err
+    payload = json.loads(out)
+    assert (payload["method"], payload["value"], payload["notes"]) == (
+        route["method"],
+        route["value"],
+        route["notes"],
+    )
+
 
 class TestVerifyCommand:
     def test_full_agreement(self, capsys):

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from scottperm import (
+    BadParams,
     DidNotConverge,
     EvalResult,
     Polynomial,
@@ -362,6 +363,106 @@ class TestVerify:
             assert routes[method].error == "DidNotConverge: no roots for Q"
         assert routes["theorem1"].value is not None
         assert calls.count(Q) == 1
+
+    def test_involution_route_takes_a_constant_column_polynomial(self):
+        # A constant Q has no roots, so the involution sum runs on X alone.
+        pairs = [
+            closed_catalog.catalog_family(entry.id, **point)
+            for entry in closed_catalog.catalog_entries()
+            for point in entry.grid
+        ]
+        constant_q = [(P, Q) for P, Q in pairs if Q.degree == 0]
+        assert len(constant_q) == 25
+        for P, Q in constant_q:
+            report = verify(P, Q)
+            assert all(route.error is None for route in report.routes)
+            assert report.all_agree
+            involution = next(route for route in report.routes if route.method == "involution")
+            assert abs(involution.value) <= 1e-6
+
+    def test_program_errors_in_a_route_propagate(self, monkeypatch):
+        def broken(X, Y):
+            raise TypeError("a bug, not a route failure")
+
+        monkeypatch.setattr(numeric_oracle, "brute_permanent", broken)
+        with pytest.raises(TypeError, match="a bug"):
+            verify(power_poly(3, -1), power_poly(3, 1))
+
+    def test_float_overflow_is_a_route_error(self):
+        report = verify(Polynomial([-1, 1]), Polynomial([-(10**400), 1]))
+        routes = {route.method: route for route in report.routes}
+        for method in ("oracle", "involution"):
+            assert routes[method].value is None
+            assert routes[method].error.startswith("OverflowError: ")
+        assert routes["theorem1"].value == routes["closed_form"].value
+        assert report.all_agree
+
+
+class TestRouteTable:
+    def test_verify_runs_the_table_in_order(self):
+        assert [route.name for route in scott_engine.ROUTES] == [
+            "theorem1",
+            "oracle",
+            "involution",
+            "fes",
+            "closed_form",
+        ]
+
+    @pytest.mark.parametrize("method", ["theorem1", "oracle", "involution", "fes", "closed_form"])
+    def test_evaluate_and_verify_call_the_same_engines(self, method, monkeypatch):
+        # Each route reaches its engine through the module attribute, so a
+        # patched engine is seen by both callers.
+        engine = {
+            "theorem1": (scott_engine, "scott_permanent"),
+            "oracle": (numeric_oracle, "brute_permanent"),
+            "involution": (numeric_oracle, "involution_sum"),
+            "fes": (fes_engine, "per_via_fes"),
+            "closed_form": (closed_catalog, "catalog_eval"),
+        }[method]
+        calls = []
+        original = getattr(*engine)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(*engine, counted)
+        P, Q = power_poly(3, -1), power_poly(4, 1)
+        result = scott_engine.evaluate(P, Q, method)
+        report = verify(P, Q)
+        assert len(calls) == 2
+        value = next(route.value for route in report.routes if route.method == method)
+        assert relative_gap(result.value, value) == 0.0
+
+    def test_auto_takes_fes_only_for_a_row_family(self):
+        assert scott_engine.evaluate(power_poly(3, -1), power_poly(3, 1)).method == "fes"
+        assert scott_engine.evaluate(Polynomial([1, 1, 1]), power_poly(3, 2)).method == "fes_tilde"
+        assert scott_engine.evaluate(Polynomial([2, 0, 1]), power_poly(3, 1)).method == "theorem1"
+
+    def test_pair_is_checked_after_the_method_is_resolved(self):
+        with pytest.raises(BadParams, match="unknown method"):
+            scott_engine.evaluate(Polynomial([5]), power_poly(3, 1), "magic")
+        with pytest.raises(ZeroDegree):
+            scott_engine.evaluate(Polynomial([5]), power_poly(3, 1), "fes")
+        with pytest.raises(BadParams, match="needs a row polynomial"):
+            scott_engine.evaluate(Polynomial([2, 0, 1]), power_poly(3, 1), "fes")
+        with pytest.raises(ZeroDegree):
+            verify(power_poly(2, -1), Polynomial([]))
+
+    def test_a_constant_polynomial_has_no_roots(self, monkeypatch):
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return find_roots(p)
+
+        monkeypatch.setattr(numeric_oracle, "find_roots", counted)
+        P, Q = power_poly(2, -1), Polynomial([5])
+        pair = scott_engine.Pair(P, Q)
+        assert pair.roots(Q) == []
+        assert len(pair.roots(P)) == 2
+        assert pair.roots(P) is pair.roots(P)
+        assert calls == [P]
 
 
 class TestEvalResult:
