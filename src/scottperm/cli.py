@@ -324,15 +324,15 @@ def _parse_range(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def _timed_best(fn: Callable[[], Any], budget_ms: float = 20.0) -> tuple[Any, float]:
+def _timed_best(fn: Callable[[], Any]) -> tuple[Any, float]:
     """Run fn; return its value and its best time in ms.
 
     A call slower than 100 ms is not repeated, so the exponential oracle leg
-    is paid once; a faster one runs at least 3 times and until budget_ms is
+    is paid once; a faster one runs at least 3 times and until 20 ms are
     spent, so one slow spell of the machine cannot set a fast leg's best time.
     """
     best, spent, runs = float("inf"), 0.0, 0
-    while not (runs >= 3 and spent >= budget_ms):
+    while runs < 3 or spent < 20:
         start = time.perf_counter()
         value = fn()
         elapsed = (time.perf_counter() - start) * 1000

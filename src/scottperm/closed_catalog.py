@@ -1672,13 +1672,19 @@ def catalog_family(entry_id: str, **params: Any) -> tuple[Polynomial, Polynomial
     return entry.family(clean)
 
 
-def find_matching(P: Polynomial, Q: Polynomial) -> list[tuple[str, Params]]:
+_RECOGNIZE = object()
+
+
+def find_matching(
+    P: Polynomial, Q: Polynomial, *, row: tuple[RowFamily, int] | None | object = _RECOGNIZE
+) -> list[tuple[str, Params]]:
     """All catalog entries whose family contains (P, Q), with inferred params.
 
     Matching is up to scalar multiples of P and Q, since the permanent
-    depends only on the zero sets.
+    depends only on the zero sets.  `row` is P's row family when the caller
+    has already recognized it (None for none); otherwise P is recognized here.
     """
-    row = classify_row_polynomial(P)
+    row = classify_row_polynomial(P) if row is _RECOGNIZE else row
     matches: list[tuple[str, Params]] = []
     for entry in _REGISTRY.values():
         infer = entry.infer

@@ -201,7 +201,7 @@ ROUTE_FAILURES = (ScottPermError, ArithmeticError)
 
 class Pair:
     """(P, Q) checked once (ZeroDegree for a constant P or a zero Q), with P's row
-    family, and the catalog matches and the roots found once each, on first use."""
+    family, the catalog matches and the roots each found once, on first use."""
 
     def __init__(self, P: Polynomial, Q: Polynomial):
         if P.degree is None or P.degree < 1:
@@ -209,13 +209,16 @@ class Pair:
         if Q.is_zero:
             raise ZeroDegree("the column polynomial must be nonzero")
         self.P, self.Q, self.n, self.m = P, Q, P.degree, Q.degree
-        self.family = fes_engine.classify_row_polynomial(P)
         # Keyed by identity: hashing a Polynomial hashes every coefficient.
         self._roots: dict[int, list[complex] | Exception] = {}
 
     @functools.cached_property
+    def family(self) -> tuple[fes_engine.RowFamily, int] | None:
+        return fes_engine.classify_row_polynomial(self.P)
+
+    @functools.cached_property
     def matches(self) -> list[tuple[str, dict]]:
-        return closed_catalog.find_matching(self.P, self.Q)
+        return closed_catalog.find_matching(self.P, self.Q, row=self.family)
 
     def roots(self, poly: Polynomial) -> list[complex]:
         """The roots of P or Q (none for a constant); a failure is raised on every call."""

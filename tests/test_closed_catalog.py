@@ -330,6 +330,17 @@ class TestRecognition:
                         matched_id, **matched_params
                     )
 
+    def test_a_known_row_family_is_not_recognized_again(self, monkeypatch):
+        pairs = [entry.family(point) for entry in catalog_entries() for point in entry.grid[:2]]
+        expected = [find_matching(P, Q) for P, Q in pairs]
+        rows = [classify_row_polynomial(P) for P, _ in pairs]
+
+        def refuse(P):
+            raise AssertionError("P's row family was recognized again")
+
+        monkeypatch.setattr(closed_catalog, "classify_row_polynomial", refuse)
+        assert [find_matching(P, Q, row=row) for (P, Q), row in zip(pairs, rows)] == expected
+
     def test_unrelated_pair_matches_nothing(self):
         assert find_matching(Polynomial([2, 0, 1]), Polynomial([1, 1, 1])) == []
 

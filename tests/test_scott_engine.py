@@ -449,6 +449,35 @@ class TestRouteTable:
         with pytest.raises(ZeroDegree):
             verify(power_poly(2, -1), Polynomial([]))
 
+    @pytest.mark.parametrize(
+        "P,Q",
+        [
+            (power_poly(3, -1), power_poly(4, 1)),  # fes row family
+            (Polynomial([1, 1, 1]), power_poly(3, 2)),  # fes_tilde row family
+            (Polynomial([2, 0, 1]), power_poly(3, 1)),  # no row family
+        ],
+    )
+    def test_verify_recognizes_the_row_family_once(self, P, Q, monkeypatch):
+        calls = []
+        original = fes_engine.classify_row_polynomial
+
+        def counted(poly):
+            calls.append(poly)
+            return original(poly)
+
+        monkeypatch.setattr(fes_engine, "classify_row_polynomial", counted)
+        monkeypatch.setattr(closed_catalog, "classify_row_polynomial", counted)
+        verify(P, Q)
+        assert calls == [P]
+
+    @pytest.mark.parametrize("method", ["theorem1", "oracle", "involution"])
+    def test_methods_that_ignore_the_row_family_do_not_recognize_it(self, method, monkeypatch):
+        def refuse(poly):
+            raise AssertionError("P's row family was recognized")
+
+        monkeypatch.setattr(fes_engine, "classify_row_polynomial", refuse)
+        assert scott_engine.evaluate(power_poly(3, -1), power_poly(4, 1), method).n == 3
+
     def test_a_constant_polynomial_has_no_roots(self, monkeypatch):
         calls = []
 
