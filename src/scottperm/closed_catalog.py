@@ -5,6 +5,14 @@ exact closed form of the permanent.  Entries are enumerable metadata, so the
 whole catalog can be swept against the determinant engine, matched against a
 parsed (P, Q) pair, or listed by the command line.
 
+Recognition is data plus one check.  An entry's reader proposes candidate
+parameters for a concrete (P, Q): it is guarded by deg P, deg Q and the
+supports of P and Q, and it may read coefficients, but it builds no
+polynomial.  `CatalogEntry.infer` validates each candidate, builds the entry's
+family there and keeps the first that equals (P, Q) up to scale, so a match
+is always a member of the family.  `find_matching` shares one pair's degrees,
+supports, monic forms and already compared families among all readers.
+
 The four ``prop4x`` entries carry, in addition, identities for weighted sums
 over involutions of the n-th roots of unity; ``involution_identity_check``
 evaluates those sums numerically and compares them with the stated constant.
@@ -24,14 +32,15 @@ Derivation notes that shaped this module:
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import BadParams, OutOfDomain
 from .exact_core import Polynomial
-from .fes_engine import RowFamily, all_ones_poly, classify_row_polynomial, power_minus_one
+from .fes_engine import all_ones_poly, power_minus_one
 
 Params = dict[str, Any]
 
@@ -74,31 +83,12 @@ def power_plus_one(n: int) -> Polynomial:
 
 
 @dataclass(frozen=True)
-class RowMatcher:
-    """Parameter inference for an entry whose P is one of the fes row families.
-
-    Called as infer(P, Q), it recognizes P itself.  `find_matching`
-    recognizes P once for all entries and calls `match` instead.
-    `read_q(n, Q)` gets the family parameter n and reads the remaining
-    parameters off Q.
-    """
-
-    family: RowFamily
-    read_q: Callable[[int, Polynomial], Params | None]
-
-    def __call__(self, P: Polynomial, Q: Polynomial) -> Params | None:
-        return self.match(classify_row_polynomial(P), Q)
-
-    def match(self, row: tuple[RowFamily, int] | None, Q: Polynomial) -> Params | None:
-        """Parameters from P's recognized row family (None if P is in none) and Q."""
-        if row is None or row[0] is not self.family:
-            return None
-        return self.read_q(row[1], Q)
-
-
-@dataclass(frozen=True)
 class CatalogEntry:
-    """One closed-form identity, packaged as enumerable metadata."""
+    """One closed-form identity, packaged as enumerable metadata.
+
+    `read` proposes candidate parameters for a pair (see the module notes);
+    an entry without a reader matches no pair.
+    """
 
     id: str
     param_kinds: tuple[tuple[str, str, int | None], ...]  # (name, kind, minimum)
@@ -108,11 +98,16 @@ class CatalogEntry:
     family: Callable[[Params], tuple[Polynomial, Polynomial]]
     closed_form: Callable[[Params], Fraction]
     grid: tuple[Params, ...]
-    infer: Callable[[Polynomial, Polynomial], Params | None] | None = None
+    read: Reader | None = None
 
     @property
     def param_names(self) -> tuple[str, ...]:
         return tuple(name for name, _, _ in self.param_kinds)
+
+    def infer(self, P: Polynomial, Q: Polynomial) -> Params | None:
+        """Validated parameters of the family member equal to (P, Q) up to
+        scale, or None; the domain is not checked."""
+        return _infer(self, _Shape(P, Q))
 
 
 def _validate(entry: CatalogEntry, params: Mapping[str, Any]) -> Params:
@@ -198,21 +193,6 @@ def _thm10_closed(p: Params) -> Fraction:
     return -(Fraction(d) ** n) * numerator / (A**q - (-B) ** q) ** d
 
 
-def _thm10_infer(n: int, Q: Polynomial) -> Params | None:
-    if Q.degree is None:
-        return None
-    support = [e for e in range(Q.degree + 1) if Q.coeff(e) != 0]
-    residues = {e % n for e in support}
-    nonzero = residues - {0}
-    if len(nonzero) != 1:
-        return None
-    r = nonzero.pop()
-    top = max((e - (r if e % n == r else 0)) // n for e in support)
-    av = tuple(Q.coeff(l * n) for l in range(top + 1))
-    bv = tuple(Q.coeff(l * n + r) for l in range(top + 1))
-    return {"n": n, "r": r, "a": av, "b": bv}
-
-
 # cor11 ---------------------------------------------------------------------
 
 
@@ -234,15 +214,6 @@ def _cor11_closed(p: Params) -> Fraction:
     return -poch(-n * weighted / A, n)
 
 
-def _cor11_infer(n: int, Q: Polynomial) -> Params | None:
-    if Q.degree is None:
-        return None
-    if any(Q.coeff(e) != 0 and e % n for e in range(Q.degree + 1)):
-        return None
-    av = tuple(Q.coeff(l * n) for l in range(Q.degree // n + 1))
-    return {"n": n, "a": av}
-
-
 # Geometric-block families cor12..cor21 ------------------------------------
 
 
@@ -260,15 +231,6 @@ def _cor12_closed(p: Params) -> Fraction:
     return -poch(Fraction(-p["m"] * p["n"], 2), p["n"])
 
 
-def _cor12_infer(n: int, Q: Polynomial) -> Params | None:
-    if Q.degree is None or Q.degree == 0 or Q.degree % n:
-        return None
-    m = Q.degree // n
-    if Q.monic() == _geometric_q(n, m):
-        return {"n": n, "m": m}
-    return None
-
-
 def _cor13_domain(p: Params) -> str | None:
     if p["m"] % 2:
         return "m must be even (odd m shares a root with x^n + 1)"
@@ -283,31 +245,12 @@ def _cor13_closed(p: Params) -> Fraction:
     return poch(Fraction(-p["m"] * p["n"], 2), p["n"])
 
 
-def _cor13_infer(P: Polynomial, Q: Polynomial) -> Params | None:
-    n = _as_power_plus_one(P)
-    if n is None or Q.degree is None or Q.degree == 0 or Q.degree % n:
-        return None
-    m = Q.degree // n
-    if m % 2 == 0 and Q.monic() == _geometric_q(n, m):
-        return {"n": n, "m": m}
-    return None
-
-
 def _cor14_family(p: Params) -> tuple[Polynomial, Polynomial]:
     return power_minus_one(p["n"]), _geometric_q(p["n"], p["m"], weight=lambda l: l)
 
 
 def _cor14_closed(p: Params) -> Fraction:
     return -poch(Fraction(-p["n"] * (2 * p["m"] + 1), 3), p["n"])
-
-
-def _cor14_infer(n: int, Q: Polynomial) -> Params | None:
-    if Q.degree is None or Q.degree == 0 or Q.degree % n:
-        return None
-    m = Q.degree // n
-    if m >= 1 and Q.monic() == _geometric_q(n, m, weight=lambda l: l).monic():
-        return {"n": n, "m": m}
-    return None
 
 
 def _cor15_family(p: Params) -> tuple[Polynomial, Polynomial]:
@@ -319,19 +262,6 @@ def _cor15_family(p: Params) -> tuple[Polynomial, Polynomial]:
 
 def _cor15_closed(p: Params) -> Fraction:
     return -poch(Fraction(-p["n"] * p["m"] * (p["m"] + 1), 2), p["n"])
-
-
-def _cor15_infer(n: int, Q: Polynomial) -> Params | None:
-    if Q.degree is None or Q.degree == 0 or Q.degree % n:
-        return None
-    square = Q.degree // n
-    m = math.isqrt(square)
-    if m * m != square or m < 1:
-        return None
-    target = _geometric_q(n, m, weight=lambda l: l, exponent=lambda l: l * l * n)
-    if Q.monic() == target.monic():
-        return {"n": n, "m": m}
-    return None
 
 
 def _trinomial_q(n: int, m: int, r: int, a: Fraction, b: Fraction) -> Polynomial:
@@ -355,42 +285,8 @@ def _cor16_closed(p: Params) -> Fraction:
     return -poch(base, p["n"])
 
 
-def _trinomial_parts(n: int, Q: Polynomial) -> tuple[int, int, int, Fraction, Fraction] | None:
-    """Match Q (up to scale) to y^(m n) + a y^(r n) + b; returns (n, m, r, a, b)."""
-    if Q.degree is None or Q.degree == 0 or Q.degree % n:
-        return None
-    monic = Q.monic()
-    m = monic.degree // n
-    support = [e for e in range(monic.degree) if monic.coeff(e) != 0]
-    middle = [e for e in support if e != 0]
-    if len(middle) != 1 or middle[0] % n:
-        return None
-    r = middle[0] // n
-    if not 1 <= r < m:
-        return None
-    return n, m, r, monic.coeff(middle[0]), monic.coeff(0)
-
-
-def _cor16_infer(n: int, Q: Polynomial) -> Params | None:
-    parts = _trinomial_parts(n, Q)
-    if parts is None:
-        return None
-    n, m, r, a, b = parts
-    return {"n": n, "m": m, "r": r, "a": a, "b": b}
-
-
 def _cor17_family(p: Params) -> tuple[Polynomial, Polynomial]:
     return power_minus_one(p["n"]), _block_poly([(p["m"] * p["n"], 1), (0, 1)])
-
-
-def _cor17_infer(n: int, Q: Polynomial) -> Params | None:
-    two = _two_term(Q)
-    if two is None:
-        return None
-    M, b = two
-    if b == 1 and M % n == 0 and M // n >= 1:
-        return {"n": n, "m": M // n}
-    return None
 
 
 def _cor18_domain(p: Params) -> str | None:
@@ -405,16 +301,6 @@ def _cor18_domain(p: Params) -> str | None:
     return None
 
 
-def _cor18_infer(n: int, Q: Polynomial) -> Params | None:
-    parts = _trinomial_parts(n, Q)
-    if parts is None:
-        return None
-    n, m, r, a, b = parts
-    if m + r * a == a + b + 1 != 0:
-        return {"n": n, "m": m, "r": r, "a": a, "b": b}
-    return None
-
-
 def _cor19_domain(p: Params) -> str | None:
     if p["a"] == -2:
         return "a = -2: Q = (y^n - 1)^2 shares every root with x^n - 1"
@@ -423,16 +309,6 @@ def _cor19_domain(p: Params) -> str | None:
 
 def _cor19_family(p: Params) -> tuple[Polynomial, Polynomial]:
     return power_minus_one(p["n"]), _trinomial_q(p["n"], 2, 1, p["a"], Fraction(1))
-
-
-def _cor19_infer(n: int, Q: Polynomial) -> Params | None:
-    parts = _trinomial_parts(n, Q)
-    if parts is None:
-        return None
-    n, m, r, a, b = parts
-    if m == 2 and r == 1 and b == 1 and a != -2:
-        return {"n": n, "a": a}
-    return None
 
 
 def _cor20_domain(p: Params) -> str | None:
@@ -445,16 +321,6 @@ def _cor20_domain(p: Params) -> str | None:
     return None
 
 
-def _cor20_infer(n: int, Q: Polynomial) -> Params | None:
-    parts = _trinomial_parts(n, Q)
-    if parts is None:
-        return None
-    n, m, r, a, b = parts
-    if m + r * a == 0 and a + b + 1 != 0:
-        return {"n": n, "m": m, "r": r, "a": a, "b": b}
-    return None
-
-
 def _cor21_domain(p: Params) -> str | None:
     if p["b"] == 1:
         return "b = 1: Q = (y^n - 1)^2 shares every root with x^n - 1"
@@ -463,16 +329,6 @@ def _cor21_domain(p: Params) -> str | None:
 
 def _cor21_family(p: Params) -> tuple[Polynomial, Polynomial]:
     return power_minus_one(p["n"]), _trinomial_q(p["n"], 2, 1, Fraction(-2), p["b"])
-
-
-def _cor21_infer(n: int, Q: Polynomial) -> Params | None:
-    parts = _trinomial_parts(n, Q)
-    if parts is None:
-        return None
-    n, m, r, a, b = parts
-    if m == 2 and r == 1 and a == -2 and b != 1:
-        return {"n": n, "b": b}
-    return None
 
 
 # cor22/cor23: binomial Q of arbitrary degree ------------------------------
@@ -499,24 +355,6 @@ def _cor22_closed(p: Params) -> Fraction:
     return -(Fraction(d) ** n) * numerator / (1 - (-b) ** q) ** d
 
 
-def _two_term(Q: Polynomial) -> tuple[int, Fraction] | None:
-    """Match Q (up to scale) to y^M + b with M >= 1; returns (M, b)."""
-    if Q.degree is None or Q.degree < 1:
-        return None
-    monic = Q.monic()
-    if any(monic.coeff(e) != 0 for e in range(1, monic.degree)):
-        return None
-    return monic.degree, monic.coeff(0)
-
-
-def _cor22_infer(n: int, Q: Polynomial) -> Params | None:
-    two = _two_term(Q)
-    if two is None:
-        return None
-    m, b = two
-    return {"n": n, "m": m, "b": b}
-
-
 def _cor23_domain(p: Params) -> str | None:
     if math.gcd(p["m"], p["n"]) != 1:
         return "requires gcd(m, n) = 1"
@@ -529,13 +367,6 @@ def _cor23_closed(p: Params) -> Fraction:
     n, m, b = p["n"], p["m"], p["b"]
     sign = -1 if n % 2 == 0 else 1
     return sign * falling(m, n) / (1 - (-b) ** n)
-
-
-def _cor23_infer(n: int, Q: Polynomial) -> Params | None:
-    params = _cor22_infer(n, Q)
-    if params is None or math.gcd(params["m"], params["n"]) != 1:
-        return None
-    return params
 
 
 # cor24/cor25: all-ones against all-ones -----------------------------------
@@ -568,42 +399,6 @@ def _cor24_closed(p: Params) -> Fraction:
     return total / Fraction(m * n * s) ** s
 
 
-def _spread_ones_parts(R: Polynomial) -> tuple[int, int] | None:
-    """Match R (up to scale) to 1 + x^s + ... + x^((k-1)s); returns (k, s)."""
-    if R.degree is None:
-        return None
-    if R.degree == 0:
-        return None
-    monic = R.monic()
-    support = [e for e in range(monic.degree + 1) if monic.coeff(e) != 0]
-    s = support[1] if len(support) > 1 else monic.degree
-    if any(monic.coeff(e) != 1 for e in support):
-        return None
-    if support != [l * s for l in range(len(support))] or support[-1] != monic.degree:
-        return None
-    return len(support), s
-
-
-def _cor24_infer(P: Polynomial, Q: Polynomial) -> Params | None:
-    p_parts = _spread_ones_parts(P)
-    if p_parts is None:
-        return None
-    n, s = p_parts
-    if n < 2:
-        return None
-    if Q.degree == 0:
-        if Q.monic() == Polynomial([1]):
-            return {"n": n, "m": 1, "s": s} if math.gcd(1, n) == 1 else None
-        return None
-    q_parts = _spread_ones_parts(Q)
-    if q_parts is None or q_parts[1] != s:
-        return None
-    m = q_parts[0]
-    if math.gcd(m, n) != 1:
-        return None
-    return {"n": n, "m": m, "s": s}
-
-
 def _cor25_family(p: Params) -> tuple[Polynomial, Polynomial]:
     return all_ones_poly(p["n"]), _spread_ones(p["m"], 1)
 
@@ -612,19 +407,6 @@ def _cor25_closed(p: Params) -> Fraction:
     n, m = p["n"], p["m"]
     sign = -1 if n % 2 == 0 else 1
     return sign * falling(m - 1, n - 1) / n
-
-
-def _cor25_infer(n: int, Q: Polynomial) -> Params | None:
-    if Q.degree == 0:
-        m = 1
-    else:
-        q_parts = _spread_ones_parts(Q)
-        if q_parts is None or q_parts[1] != 1:
-            return None
-        m = q_parts[0]
-    if math.gcd(m, n) != 1:
-        return None
-    return {"n": n, "m": m}
 
 
 # cor26/cor27: odd n, binomial y^m + 1 -------------------------------------
@@ -646,16 +428,6 @@ def _cor26_closed(p: Params) -> Fraction:
     return falling(p["m"], p["n"]) / 2
 
 
-def _cor26_infer(n: int, Q: Polynomial) -> Params | None:
-    params = _cor22_infer(n, Q)
-    if params is None or params["b"] != 1:
-        return None
-    n, m = params["n"], params["m"]
-    if n % 2 == 0 or math.gcd(m, n) != 1:
-        return None
-    return {"n": n, "m": m}
-
-
 def _cor27_domain(p: Params) -> str | None:
     if p["n"] % 2 == 0:
         return "n must be odd"
@@ -668,13 +440,6 @@ def _cor27_family(p: Params) -> tuple[Polynomial, Polynomial]:
 
 def _cor27_closed(p: Params) -> Fraction:
     return Fraction(math.factorial(p["n"] + 1), 2)
-
-
-def _cor27_infer(n: int, Q: Polynomial) -> Params | None:
-    params = _cor26_infer(n, Q)
-    if params is None or params["m"] != params["n"] + 1:
-        return None
-    return {"n": params["n"]}
 
 
 # cor28..cor31: square-ish trinomials y^n + a y^r + b ----------------------
@@ -705,30 +470,6 @@ def _cor28_closed(p: Params) -> Fraction:
     return -(Fraction(d) ** n) * numerator / ((b + 1) ** q - (-a) ** q) ** d
 
 
-def _square_trinomial_parts(n: int, Q: Polynomial) -> tuple[int, int, Fraction, Fraction] | None:
-    """Match Q (up to scale) to y^n + a y^r + b with n = deg P; returns (n, r, a, b)."""
-    if Q.degree is None or Q.degree < 1:
-        return None
-    if Q.coeff(n) == 0:
-        return None
-    scale = Q.coeff(n)
-    support = [e for e in range(Q.degree + 1) if Q.coeff(e) != 0 and e not in (0, n)]
-    if len(support) > 1:
-        return None
-    if not support:
-        return None  # plain binomial: cor22 territory
-    r = support[0]
-    return n, r, Q.coeff(r) / scale, Q.coeff(0) / scale
-
-
-def _cor28_infer(n: int, Q: Polynomial) -> Params | None:
-    parts = _square_trinomial_parts(n, Q)
-    if parts is None:
-        return None
-    n, r, a, b = parts
-    return {"n": n, "r": r, "a": a, "b": b}
-
-
 def _cor29_domain(p: Params) -> str | None:
     if math.gcd(p["n"], p["r"]) != 1:
         return "requires gcd(n, r) = 1"
@@ -746,13 +487,6 @@ def _cor29_closed(p: Params) -> Fraction:
     return sign * (left - a**n * poch(Fraction(-r), n)) / ((b + 1) ** n - (-a) ** n)
 
 
-def _cor29_infer(n: int, Q: Polynomial) -> Params | None:
-    params = _cor28_infer(n, Q)
-    if params is None or math.gcd(params["n"], params["r"]) != 1:
-        return None
-    return params
-
-
 def _cor30_family(p: Params) -> tuple[Polynomial, Polynomial]:
     n = p["n"]
     return power_minus_one(n), _block_poly([(n + 1, 1), (n, 1), (0, -1)])
@@ -761,13 +495,6 @@ def _cor30_family(p: Params) -> tuple[Polynomial, Polynomial]:
 def _cor30_closed(p: Params) -> Fraction:
     n = p["n"]
     return Fraction(n) ** n - (-1) ** n * math.factorial(n + 1)
-
-
-def _cor30_infer(n: int, Q: Polynomial) -> Params | None:
-    params = _cor28_infer(n, Q)
-    if params and params["r"] == params["n"] + 1 and params["a"] == 1 and params["b"] == -1:
-        return {"n": params["n"]}
-    return None
 
 
 def _cor31_domain(p: Params) -> str | None:
@@ -779,19 +506,6 @@ def _cor31_domain(p: Params) -> str | None:
 def _cor31_family(p: Params) -> tuple[Polynomial, Polynomial]:
     n = p["n"]
     return power_minus_one(n), _block_poly([(n, 1), (1, n), (0, -1)])
-
-
-def _cor31_infer(n: int, Q: Polynomial) -> Params | None:
-    params = _cor28_infer(n, Q)
-    if (
-        params
-        and params["n"] >= 2
-        and params["r"] == 1
-        and params["a"] == params["n"]
-        and params["b"] == -1
-    ):
-        return {"n": params["n"]}
-    return None
 
 
 # thm32 family: arithmetic-progression coefficients ------------------------
@@ -822,34 +536,6 @@ def _thm32_closed(p: Params) -> Fraction:
     return sign * lead * poch(a + (m - 1) * n + 1, n - 2)
 
 
-def _arith_parts(Q: Polynomial) -> tuple[Fraction, Fraction, tuple[int, ...]] | None:
-    """Match Q to scale * sum (l + a) y^l; returns (scale, a, candidate lengths)."""
-    if Q.degree is None or Q.degree < 1:
-        return None
-    scale = Q.coeff(1) - Q.coeff(0)
-    if scale == 0:
-        return None
-    a = Q.coeff(0) / scale
-    for l in range(Q.degree + 1):
-        if Q.coeff(l) != scale * (l + a):
-            return None
-    lengths = [Q.degree + 1]
-    if Q.degree + 1 + a == 0:
-        lengths.append(Q.degree + 2)
-    return scale, a, tuple(lengths)
-
-
-def _thm32_infer(n: int, Q: Polynomial) -> Params | None:
-    parts = _arith_parts(Q)
-    if parts is None:
-        return None
-    _, a, lengths = parts
-    for length in lengths:
-        if length % n == 0 and length // n >= 1:
-            return {"n": n, "m": length // n, "a": a}
-    return None
-
-
 def _cor33_family(p: Params) -> tuple[Polynomial, Polynomial]:
     return power_minus_one(p["n"]), _arith_poly(p["m"] * p["n"], Fraction(0))
 
@@ -858,13 +544,6 @@ def _cor33_closed(p: Params) -> Fraction:
     n, m = p["n"], p["m"]
     sign = -1 if n % 2 == 0 else 1
     return sign * Fraction(4 * m * n - n - 1, 6) * poch(m * n - n, n - 1)
-
-
-def _cor33_infer(n: int, Q: Polynomial) -> Params | None:
-    params = _thm32_infer(n, Q)
-    if params is None or params["a"] != 0:
-        return None
-    return {"n": params["n"], "m": params["m"]}
 
 
 def _cor34_family(p: Params) -> tuple[Polynomial, Polynomial]:
@@ -877,13 +556,6 @@ def _cor34_closed(p: Params) -> Fraction:
     return sign * Fraction(4 * m * n - n + 1, 6) * (m * n - n) * poch(m * n - n + 2, n - 2)
 
 
-def _cor34_infer(n: int, Q: Polynomial) -> Params | None:
-    params = _thm32_infer(n, Q)
-    if params is None or params["a"] != 1:
-        return None
-    return {"n": params["n"], "m": params["m"]}
-
-
 def _cor35_family(p: Params) -> tuple[Polynomial, Polynomial]:
     n, m = p["n"], p["m"]
     return power_minus_one(n), _block_poly([(l, m * n - l) for l in range(m * n)])
@@ -893,20 +565,6 @@ def _cor35_closed(p: Params) -> Fraction:
     return Fraction((p["m"] - 1) * math.factorial(p["n"] + 1), 6)
 
 
-def _cor35_infer(n: int, Q: Polynomial) -> Params | None:
-    parts = _arith_parts(Q)
-    if parts is None:
-        return None
-    _, a, lengths = parts
-    # Descending weights mn - l correspond to a = -mn with full length mn.
-    if a >= 0 or Fraction(-a).denominator != 1:
-        return None
-    mn = int(-a)
-    if mn in lengths and mn % n == 0 and mn // n >= 1:
-        return {"n": n, "m": mn // n}
-    return None
-
-
 def _cor36_family(p: Params) -> tuple[Polynomial, Polynomial]:
     n, m = p["n"], p["m"]
     return power_minus_one(n), _block_poly([(l, m * n - l - 1) for l in range(m * n)])
@@ -914,20 +572,6 @@ def _cor36_family(p: Params) -> tuple[Polynomial, Polynomial]:
 
 def _cor36_closed(p: Params) -> Fraction:
     return Fraction((p["m"] - 1) * math.factorial(p["n"]), 6)
-
-
-def _cor36_infer(n: int, Q: Polynomial) -> Params | None:
-    parts = _arith_parts(Q)
-    if parts is None:
-        return None
-    _, a, lengths = parts
-    # Weights mn - l - 1 correspond to a = 1 - mn with stored degree mn - 2.
-    if a >= 0 or Fraction(1 - a).denominator != 1:
-        return None
-    mn = int(1 - a)
-    if (mn - 1) in lengths and mn % n == 0 and mn // n >= 1:
-        return {"n": n, "m": mn // n}
-    return None
 
 
 # thm37: arithmetic coefficients spread over exponent step s ---------------
@@ -973,24 +617,6 @@ def _thm37_closed(p: Params) -> Fraction:
     return sign * lead * prod
 
 
-def _thm37_infer(n: int, Q: Polynomial) -> Params | None:
-    if Q.degree is None or Q.degree < 1:
-        return None
-    divisors = [s for s in range(n, 0, -1) if n % s == 0 and n // s >= 2]
-    for s in divisors:
-        if any(Q.coeff(e) != 0 and e % s for e in range(Q.degree + 1)):
-            continue
-        compressed = Polynomial(Q.coeff(l * s) for l in range(Q.degree // s + 1))
-        parts = _arith_parts(compressed)
-        if parts is None:
-            continue
-        _, a, lengths = parts
-        for length in lengths:
-            if (length * s) % n == 0 and (length * s) // n >= 1:
-                return {"n": n, "s": s, "m": (length * s) // n, "a": a}
-    return None
-
-
 # thm38/thm39: rows 1 + x + ... + x^(n-1) ----------------------------------
 
 
@@ -1003,17 +629,6 @@ def _thm38_closed(p: Params) -> Fraction:
     n, m, a = p["n"], p["m"], p["a"]
     sign = -1 if n % 2 == 0 else 1
     return sign * poch(a + (m - 1) * n + 1, n - 1)
-
-
-def _thm38_infer(n: int, Q: Polynomial) -> Params | None:
-    parts = _arith_parts(Q)
-    if parts is None:
-        return None
-    _, a, lengths = parts
-    for length in lengths:
-        if length % n == 0 and length // n >= 1:
-            return {"n": n, "m": length // n, "a": a}
-    return None
 
 
 def _thm39_domain(p: Params) -> str | None:
@@ -1037,17 +652,6 @@ def _thm39_closed(p: Params) -> Fraction:
     sign = -1 if n % 2 == 0 else 1
     numerator = m * n * poch(n * m - n, n - 1) * (n * m + a - 1) ** (n - 1)
     return sign * numerator / ((m * n + a - 1) ** n - (a - 1) ** n)
-
-
-def _thm39_infer(n: int, Q: Polynomial) -> Params | None:
-    parts = _arith_parts(Q)
-    if parts is None:
-        return None
-    _, a, lengths = parts
-    for length in lengths:
-        if (length + 1) % n == 0 and (length + 1) // n >= 1:
-            return {"n": n, "m": (length + 1) // n, "a": a}
-    return None
 
 
 # prop40..prop43: involution-sum identities over roots of x^n - 1 ----------
@@ -1131,6 +735,155 @@ def _prop_family(q_builder: Callable[[int], Polynomial]) -> Callable[[Params], t
     return build
 
 
+# Readers --------------------------------------------------------------------
+
+
+class _Shape:
+    """One (P, Q) as the readers see it: degrees and supports, then on first
+    use the monic forms, and the family comparisons already made for it."""
+
+    def __init__(self, P: Polynomial, Q: Polynomial):
+        self.P, self.Q, self.n, self.d = P, Q, P.degree, Q.degree
+        self.sp = tuple(e for e, c in enumerate(P.coeffs) if c)
+        self.sq = tuple(e for e, c in enumerate(Q.coeffs) if c)
+        self.compared: dict[tuple, bool] = {}
+
+    @functools.cached_property
+    def monic(self) -> tuple[Polynomial, Polynomial]:
+        return self.P.monic(), self.Q.monic()
+
+    @functools.cached_property
+    def progressions(self) -> list[tuple[Fraction, int]]:
+        return _progressions(self.Q.coeffs)
+
+
+def _progressions(c: Sequence[Fraction]) -> list[tuple[Fraction, int]]:
+    """Every (a, L) for which c is, up to scale, the coefficient list of
+    sum_{l<L} (l + a) y^l: one more length when the next term is 0."""
+    if len(c) == 1:  # L = 1 with any a, or L = 2 with a = -1
+        return [(c[0], 1), (Fraction(-1), 2)]
+    step = c[1] - c[0]
+    if step == 0 or any(c[l + 1] - c[l] != step for l in range(1, len(c) - 1)):
+        return []
+    a = c[0] / step
+    return [(a, len(c))] + ([(a, len(c) + 1)] if len(c) + a == 0 else [])
+
+
+Reader = Callable[[_Shape], Iterable[Params]]
+RowReader = Callable[[_Shape, int], Iterable[Params]]  # also given P's family parameter n
+
+
+def _pm_one(read: RowReader) -> Reader:
+    """A reader for P = x^n - 1 or x^n + 1, whose support is {0, n}."""
+    return lambda s: read(s, s.n) if s.sp == (0, s.n) else ()
+
+
+def _all_ones(read: RowReader) -> Reader:
+    """A reader for P = 1 + x + ... + x^(n-1), whose support is every exponent."""
+    return lambda s: read(s, s.n + 1) if len(s.sp) == s.n + 1 else ()
+
+
+def _when(support: Callable[[int, int], Iterable[int]],
+          params: Callable[[int, int], Params]) -> Reader:
+    """A reader for P = x^n -/+ 1 and Q with support(n, deg Q) as its support."""
+    return _pm_one(lambda s, n: [params(n, s.d)] if s.sq == tuple(support(n, s.d)) else ())
+
+
+def _ap(read: Callable[[int, Fraction, int], Params | bool]) -> RowReader:
+    """A reader for Q an arithmetic progression; `read(n, a, L)` gives a candidate or False."""
+    return lambda s, n: filter(None, (read(n, a, L) for a, L in s.progressions))
+
+
+@_pm_one
+def _read_thm10(s: _Shape, n: int) -> Iterator[Params]:
+    residues = {e % n for e in s.sq} - {0}
+    if len(residues) == 1:
+        r, blocks = residues.pop(), range(s.d // n + 1)
+        yield {"n": n, "r": r, "a": tuple(s.Q.coeff(l * n) for l in blocks),
+               "b": tuple(s.Q.coeff(l * n + r) for l in blocks)}
+
+
+@_pm_one
+def _read_cor11(s: _Shape, n: int) -> Iterator[Params]:
+    if all(e % n == 0 for e in s.sq):
+        yield {"n": n, "a": s.Q.coeffs[::n]}
+
+
+@_pm_one
+def _read_cor16(s: _Shape, n: int) -> Iterator[Params]:  # and cor18, cor20
+    middle = [e for e in s.sq if e not in (0, s.d)]
+    if len(middle) == 1 and middle[0] % n == 0 == s.d % n:
+        yield {"n": n, "m": s.d // n, "r": middle[0] // n,
+               "a": s.Q.coeff(middle[0]) / s.Q.leading, "b": s.Q.coeff(0) / s.Q.leading}
+
+
+@_pm_one
+def _read_cor19(s: _Shape, n: int) -> Iterator[Params]:
+    if s.d == 2 * n and set(s.sq) <= {0, n, 2 * n}:
+        yield {"n": n, "a": s.Q.coeff(n) / s.Q.leading}
+
+
+@_pm_one
+def _read_cor21(s: _Shape, n: int) -> Iterator[Params]:
+    if s.d == 2 * n and set(s.sq) <= {0, n, 2 * n}:
+        yield {"n": n, "b": s.Q.coeff(0) / s.Q.leading}
+
+
+@_pm_one
+def _read_cor22(s: _Shape, n: int) -> Iterator[Params]:  # and cor23
+    if s.d and set(s.sq) <= {0, s.d}:
+        yield {"n": n, "m": s.d, "b": s.Q.coeff(0) / s.Q.leading}
+
+
+def _read_cor24(s: _Shape) -> Iterator[Params]:
+    step = s.sp[1]
+    if s.sp == tuple(range(0, s.n + 1, step)) and s.sq == tuple(range(0, s.d + 1, step)):
+        yield {"n": len(s.sp), "m": len(s.sq), "s": step}
+
+
+@_all_ones
+def _read_cor25(s: _Shape, n: int) -> Iterator[Params]:
+    if len(s.sq) == s.d + 1:
+        yield {"n": n, "m": s.d + 1}
+
+
+@_pm_one
+def _read_cor28(s: _Shape, n: int) -> Iterator[Params]:  # and cor29
+    others = [e for e in s.sq if e not in (0, n)]
+    if n in s.sq and len(others) == 1:
+        r, lead = others[0], s.Q.coeff(n)
+        yield {"n": n, "r": r, "a": s.Q.coeff(r) / lead, "b": s.Q.coeff(0) / lead}
+
+
+@_pm_one
+def _read_thm37(s: _Shape, n: int) -> Iterator[Params]:
+    for step in range(n // 2, 0, -1):
+        if n % step == 0 and all(e % step == 0 for e in s.sq):
+            for a, length in _progressions(s.Q.coeffs[::step]):
+                if length * step % n == 0:
+                    yield {"n": n, "m": length * step // n, "a": a, "s": step}
+
+
+# cor13 shares cor12's reader: only P's constant term tells them apart.
+_read_cor12 = _when(lambda n, d: range(0, d + 1, n), lambda n, d: {"n": n, "m": d // n})
+_read_cor14 = _when(lambda n, d: range(n, d + 1, n), lambda n, d: {"n": n, "m": d // n})
+_read_cor15 = _when(lambda n, d: (l * l * n for l in range(1, math.isqrt(d // n) + 1)),
+                    lambda n, d: {"n": n, "m": math.isqrt(d // n)})
+_read_cor17 = _when(lambda n, d: (0, d), lambda n, d: {"n": n, "m": d // n})
+_read_cor26 = _when(lambda n, d: (0, d), lambda n, d: {"n": n, "m": d})
+_read_cor27 = _when(lambda n, d: (0, n + 1), lambda n, d: {"n": n})
+_read_cor30 = _when(lambda n, d: (0, n, n + 1), lambda n, d: {"n": n})
+_read_cor31 = _when(lambda n, d: (0, 1, n), lambda n, d: {"n": n})
+_read_thm32 = _pm_one(_ap(lambda n, a, L: L % n == 0 and {"n": n, "m": L // n, "a": a}))
+_read_cor33 = _pm_one(_ap(lambda n, a, L: a == 0 and L % n == 0 and {"n": n, "m": L // n}))
+_read_cor34 = _pm_one(_ap(lambda n, a, L: a == 1 and L % n == 0 and {"n": n, "m": L // n}))
+_read_cor35 = _pm_one(_ap(lambda n, a, L: L == -a and L % n == 0 and {"n": n, "m": L // n}))
+_read_cor36 = _pm_one(_ap(lambda n, a, L: L == 1 - a and L % n == 0 and {"n": n, "m": L // n}))
+_read_thm38 = _all_ones(_ap(lambda n, a, L: L % n == 0 and {"n": n, "m": L // n, "a": a}))
+_read_thm39 = _all_ones(_ap(lambda n, a, L: (L + 1) % n == 0
+                                and {"n": n, "m": (L + 1) // n, "a": a}))
+
+
 # Registry ------------------------------------------------------------------
 
 
@@ -1160,13 +913,13 @@ def _build_registry() -> dict[str, CatalogEntry]:
         family,
         closed_form,
         raw_grid: tuple[Params, ...],
-        infer=None,
+        read=None,
     ) -> None:
         grid = tuple(p for p in raw_grid if domain_check(p) is None)
         entries.append(
             CatalogEntry(
                 entry_id, kinds, statement, domain_desc, domain_check,
-                family, closed_form, grid, infer,
+                family, closed_form, grid, read,
             )
         )
 
@@ -1184,7 +937,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
             for r in sorted({1, 2, 3, n + 1})
             for av, bv in (((1, 2), (1, 1)), ((2, 1), (1, -3)), ((2, 0, 1), (0, 1, 0)))
         ),
-        RowMatcher(RowFamily.POWER_MINUS_ONE, _thm10_infer),
+        _read_thm10,
     )
     add(
         "cor11",
@@ -1199,7 +952,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
             for n in (1, 2, 3, 4, 5)
             for av in ((1, 2), (2, 1, 1), (1, 0, 3), (-1, 2), (3,))
         ),
-        RowMatcher(RowFamily.POWER_MINUS_ONE, _cor11_infer),
+        _read_cor11,
     )
     add(
         "cor12",
@@ -1210,7 +963,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
         _cor12_family,
         _cor12_closed,
         _simple_grid(n=(1, 2, 3, 4, 5), m=(1, 2, 3, 4)),
-        RowMatcher(RowFamily.POWER_MINUS_ONE, _cor12_infer),
+        _read_cor12,
     )
     add(
         "cor13",
@@ -1221,7 +974,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
         _cor13_family,
         _cor13_closed,
         _simple_grid(n=(1, 2, 3, 4, 5), m=(2, 4)),
-        _cor13_infer,
+        _read_cor12,
     )
     add(
         "cor14",
@@ -1232,7 +985,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
         _cor14_family,
         _cor14_closed,
         _simple_grid(n=(1, 2, 3, 4, 5), m=(1, 2, 3, 4)),
-        RowMatcher(RowFamily.POWER_MINUS_ONE, _cor14_infer),
+        _read_cor14,
     )
     add(
         "cor15",
@@ -1243,7 +996,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
         _cor15_family,
         _cor15_closed,
         _simple_grid(n=(1, 2, 3, 4), m=(1, 2, 3)),
-        RowMatcher(RowFamily.POWER_MINUS_ONE, _cor15_infer),
+        _read_cor15,
     )
     add(
         "cor16",
@@ -1259,7 +1012,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
             for m, r in ((2, 1), (3, 1), (3, 2), (4, 3))
             for a, b in ((1, 1), (2, -1), (-1, 1), (1, 0), (3, 2))
         ),
-        RowMatcher(RowFamily.POWER_MINUS_ONE, _cor16_infer),
+        _read_cor16,
     )
     add(
         "cor17",
@@ -1270,7 +1023,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
         _cor17_family,
         _cor12_closed,
         _simple_grid(n=(1, 2, 3, 4, 5), m=(1, 2, 3, 4)),
-        RowMatcher(RowFamily.POWER_MINUS_ONE, _cor17_infer),
+        _read_cor17,
     )
     add(
         "cor18",
@@ -1285,7 +1038,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
             for n in (1, 2, 3, 4)
             for m, r, a in ((2, 1, 1), (3, 1, 2), (3, 2, 1), (4, 1, 3), (4, 3, 1), (2, 1, -3))
         ),
-        RowMatcher(RowFamily.POWER_MINUS_ONE, _cor18_infer),
+        _read_cor16,
     )
     add(
         "cor19",
@@ -1300,7 +1053,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
             for n in (1, 2, 3, 4, 5)
             for a in (-1, 0, 1, 2, 3)
         ),
-        RowMatcher(RowFamily.POWER_MINUS_ONE, _cor19_infer),
+        _read_cor19,
     )
     add(
         "cor20",
@@ -1316,7 +1069,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
             for m, r in ((2, 1), (3, 1), (3, 2), (4, 3))
             for b in (0, 2, 3)
         ),
-        RowMatcher(RowFamily.POWER_MINUS_ONE, _cor20_infer),
+        _read_cor16,
     )
     add(
         "cor21",
@@ -1329,7 +1082,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
         tuple(
             {"n": n, "b": Fraction(b)} for n in (1, 2, 3, 4, 5) for b in (-1, 0, 2, 3)
         ),
-        RowMatcher(RowFamily.POWER_MINUS_ONE, _cor21_infer),
+        _read_cor21,
     )
     add(
         "cor22",
@@ -1345,7 +1098,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
             for m in (1, 2, 3, 4)
             for b in (1, 2, -2)
         ),
-        RowMatcher(RowFamily.POWER_MINUS_ONE, _cor22_infer),
+        _read_cor22,
     )
     add(
         "cor23",
@@ -1362,7 +1115,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
             if math.gcd(m, n) == 1
             for b in (1, 2)
         ),
-        RowMatcher(RowFamily.POWER_MINUS_ONE, _cor23_infer),
+        _read_cor22,
     )
     add(
         "cor24",
@@ -1379,7 +1132,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
             if math.gcd(m, n) == 1
             for s in (1, 2, 3)
         ),
-        _cor24_infer,
+        _read_cor24,
     )
     add(
         "cor25",
@@ -1395,7 +1148,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
             for m in (1, 2, 3, 4, 5)
             if math.gcd(m, n) == 1
         ),
-        RowMatcher(RowFamily.ALL_ONES, _cor25_infer),
+        _read_cor25,
     )
     add(
         "cor26",
@@ -1411,7 +1164,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
             for m in (1, 2, 3, 4, 5)
             if math.gcd(m, n) == 1
         ),
-        RowMatcher(RowFamily.POWER_MINUS_ONE, _cor26_infer),
+        _read_cor26,
     )
     add(
         "cor27",
@@ -1422,7 +1175,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
         _cor27_family,
         _cor27_closed,
         _simple_grid(n=(1, 3, 5)),
-        RowMatcher(RowFamily.POWER_MINUS_ONE, _cor27_infer),
+        _read_cor27,
     )
     add(
         "cor28",
@@ -1438,7 +1191,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
             for r in sorted({1, 2, 3, n + 1})
             for a, b in ((1, 1), (2, 1), (1, -3), (3, 0))
         ),
-        RowMatcher(RowFamily.POWER_MINUS_ONE, _cor28_infer),
+        _read_cor28,
     )
     add(
         "cor29",
@@ -1455,7 +1208,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
             if math.gcd(n, r) == 1
             for a, b in ((1, 1), (2, 1), (1, -3), (3, 0))
         ),
-        RowMatcher(RowFamily.POWER_MINUS_ONE, _cor29_infer),
+        _read_cor28,
     )
     add(
         "cor30",
@@ -1466,7 +1219,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
         _cor30_family,
         _cor30_closed,
         _simple_grid(n=(1, 2, 3, 4, 5)),
-        RowMatcher(RowFamily.POWER_MINUS_ONE, _cor30_infer),
+        _read_cor30,
     )
     add(
         "cor31",
@@ -1477,7 +1230,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
         _cor31_family,
         lambda p: Fraction(1),
         _simple_grid(n=(2, 3, 4, 5)),
-        RowMatcher(RowFamily.POWER_MINUS_ONE, _cor31_infer),
+        _read_cor31,
     )
     add(
         "thm32",
@@ -1493,7 +1246,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
             for m in (1, 2, 3)
             for a in (0, 1, -1, _HALF)
         ),
-        RowMatcher(RowFamily.POWER_MINUS_ONE, _thm32_infer),
+        _read_thm32,
     )
     add(
         "cor33",
@@ -1504,7 +1257,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
         _cor33_family,
         _cor33_closed,
         _simple_grid(n=(2, 3, 4, 5), m=(1, 2, 3, 4)),
-        RowMatcher(RowFamily.POWER_MINUS_ONE, _cor33_infer),
+        _read_cor33,
     )
     add(
         "cor34",
@@ -1515,7 +1268,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
         _cor34_family,
         _cor34_closed,
         _simple_grid(n=(2, 3, 4, 5), m=(1, 2, 3, 4)),
-        RowMatcher(RowFamily.POWER_MINUS_ONE, _cor34_infer),
+        _read_cor34,
     )
     add(
         "cor35",
@@ -1526,7 +1279,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
         _cor35_family,
         _cor35_closed,
         _simple_grid(n=(2, 3, 4, 5), m=(1, 2, 3, 4)),
-        RowMatcher(RowFamily.POWER_MINUS_ONE, _cor35_infer),
+        _read_cor35,
     )
     add(
         "cor36",
@@ -1537,7 +1290,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
         _cor36_family,
         _cor36_closed,
         _simple_grid(n=(2, 3, 4, 5), m=(1, 2, 3, 4)),
-        RowMatcher(RowFamily.POWER_MINUS_ONE, _cor36_infer),
+        _read_cor36,
     )
     add(
         "thm37",
@@ -1555,7 +1308,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
             for m in (1, 2, 3)
             for a in (0, 1, _HALF)
         ),
-        RowMatcher(RowFamily.POWER_MINUS_ONE, _thm37_infer),
+        _read_thm37,
     )
     add(
         "thm38",
@@ -1571,7 +1324,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
             for m in (1, 2, 3)
             for a in (0, 1, -1, _HALF)
         ),
-        RowMatcher(RowFamily.ALL_ONES, _thm38_infer),
+        _read_thm38,
     )
     add(
         "thm39",
@@ -1587,7 +1340,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
             for m in (1, 2, 3)
             for a in (0, 1, -1, _HALF)
         ),
-        RowMatcher(RowFamily.ALL_ONES, _thm39_infer),
+        _read_thm39,
     )
 
     add(
@@ -1672,42 +1425,36 @@ def catalog_family(entry_id: str, **params: Any) -> tuple[Polynomial, Polynomial
     return entry.family(clean)
 
 
-_RECOGNIZE = object()
-
-
-def find_matching(
-    P: Polynomial, Q: Polynomial, *, row: tuple[RowFamily, int] | None | object = _RECOGNIZE
-) -> list[tuple[str, Params]]:
-    """All catalog entries whose family contains (P, Q), with inferred params.
-
-    Matching is up to scalar multiples of P and Q, since the permanent
-    depends only on the zero sets.  `row` is P's row family when the caller
-    has already recognized it (None for none); otherwise P is recognized here.
-    """
-    row = classify_row_polynomial(P) if row is _RECOGNIZE else row
-    matches: list[tuple[str, Params]] = []
-    for entry in _REGISTRY.values():
-        infer = entry.infer
-        if infer is None:
-            continue
-        params = infer.match(row, Q) if isinstance(infer, RowMatcher) else infer(P, Q)
-        if params is None:
-            continue
+def _infer(entry: CatalogEntry, shape: _Shape) -> Params | None:
+    # No family has a constant or one-term P or a zero Q; readers may index P's support.
+    if entry.read is None or len(shape.sp) < 2 or not shape.sq:
+        return None
+    for raw in entry.read(shape):
         try:
-            clean = _validate(entry, params)
+            params = _validate(entry, raw)
         except BadParams:
             continue
-        if entry.domain_check(clean) is None:
-            matches.append((entry.id, clean))
+        key = (entry.family, *params.items())
+        if key not in shape.compared:
+            fp, fq = entry.family(params)
+            shape.compared[key] = (fp.degree, fq.degree) == (shape.n, shape.d) and (
+                fp.monic(), fq.monic()) == shape.monic
+        if shape.compared[key]:
+            return params
+    return None
+
+
+def find_matching(P: Polynomial, Q: Polynomial) -> list[tuple[str, Params]]:
+    """All catalog entries whose family contains (P, Q), in catalog order,
+    each with its parameters; entries whose domain excludes them are left out.
+
+    Matching is up to scalar multiples of P and Q, since the permanent
+    depends only on the zero sets.
+    """
+    shape = _Shape(P, Q)
+    matches: list[tuple[str, Params]] = []
+    for entry in _REGISTRY.values():
+        params = _infer(entry, shape)
+        if params is not None and entry.domain_check(params) is None:
+            matches.append((entry.id, params))
     return matches
-
-
-# P-shape recognizer for x^n + 1 (after monic normalization); the two fes
-# row families come from fes_engine's recognizer through RowMatcher.
-
-
-def _as_power_plus_one(P: Polynomial) -> int | None:
-    if P.degree is None or P.degree < 1:
-        return None
-    n = P.degree
-    return n if P.monic() == power_plus_one(n) else None

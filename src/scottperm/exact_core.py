@@ -112,7 +112,8 @@ class Polynomial:
         for exponent, value in pairs:
             if exponent < 0:
                 raise ValueError("exponents must be nonnegative")
-            table[exponent] = table.get(exponent, Fraction(0)) + _to_rational(value)
+            value = _to_rational(value)
+            table[exponent] = table[exponent] + value if exponent in table else value
         if not table:
             return Polynomial()
         coeffs = [Fraction(0)] * (max(table) + 1)

@@ -218,7 +218,7 @@ class Pair:
 
     @functools.cached_property
     def matches(self) -> list[tuple[str, dict]]:
-        return closed_catalog.find_matching(self.P, self.Q, row=self.family)
+        return closed_catalog.find_matching(self.P, self.Q)
 
     def roots(self, poly: Polynomial) -> list[complex]:
         """The roots of P or Q (none for a constant); a failure is raised on every call."""
@@ -282,20 +282,25 @@ _METHODS = {route.name: route for route in ROUTES}
 _METHODS["auto"] = Route("auto", lambda p: _METHODS["fes" if p.family else "theorem1"].evaluate(p))
 
 
+def _shown(value: object) -> str:
+    """A parameter as the CLI prints it: a vector as (5, 0), not as Fractions."""
+    return f"({', '.join(map(str, value))})" if isinstance(value, tuple) else str(value)
+
+
 def _catalog_route(method: str) -> Route:
     """eval's closed:<id>: one named catalog entry, its parameters inferred."""
     if not method.startswith("closed:"):
         raise BadParams(f"unknown method {method!r}")
     entry_id = method[len("closed:"):]
-    infer = closed_catalog.get_entry(entry_id).infer
-    if infer is None:
+    entry = closed_catalog.get_entry(entry_id)
+    if entry.read is None:
         raise BadParams(f"{entry_id} has no polynomial-pair matcher")
 
     def lookup(pair: Pair) -> EvalResult:
-        params = infer(pair.P, pair.Q)
+        params = entry.infer(pair.P, pair.Q)
         if params is None:
             raise OutOfDomain(f"{entry_id}: the given pair is not in this family")
-        shown = ", ".join(f"{k}={v}" for k, v in params.items())
+        shown = ", ".join(f"{k}={_shown(v)}" for k, v in params.items())
         value = closed_catalog.catalog_eval(entry_id, **params)
         return EvalResult(value, method, pair.n, pair.m, (f"matched with {shown}",))
 

@@ -144,6 +144,22 @@ class TestEvalCommand:
         assert payload["value"] == {"num": "6", "den": "1"}
         assert payload["notes"] == ["matched with n=3, a=1"]
 
+    def test_closed_route_prints_vector_parameters_as_rationals(self, capsys):
+        payload = eval_json(capsys, "eval", "x^2-1", "y^3+5", "--method", "closed:thm10")
+        assert payload["notes"] == ["matched with n=2, r=1, a=(5, 0), b=(0, 1)"]
+
+    def test_closed_route_matches_the_binomial_member_of_cor19(self, capsys):
+        payload = eval_json(capsys, "eval", "x^3-1", "y^6+1", "--method", "closed:cor19")
+        assert payload["value"] == {"num": "6", "den": "1"}
+        assert payload["notes"] == ["matched with n=3, a=0"]
+
+    def test_closed_route_reports_why_a_member_is_out_of_domain(self, capsys):
+        payload = error_json(
+            capsys, 4, "eval", "x^2-1", "y^3+1", "--method", "closed:cor26"
+        )
+        assert payload["error"] == "OutOfDomain"
+        assert payload["detail"] == "cor26: n must be odd"
+
     def test_closed_route_rejects_non_members(self, capsys):
         payload = error_json(
             capsys, 4, "eval", "x^3-1", "y^4+1", "--method", "closed:cor19"

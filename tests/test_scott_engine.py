@@ -466,7 +466,6 @@ class TestRouteTable:
             return original(poly)
 
         monkeypatch.setattr(fes_engine, "classify_row_polynomial", counted)
-        monkeypatch.setattr(closed_catalog, "classify_row_polynomial", counted)
         verify(P, Q)
         assert calls == [P]
 
