@@ -41,6 +41,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 from .errors import BadParams, OutOfDomain
 from .exact_core import Polynomial
 from .fes_engine import all_ones_poly, power_minus_one
+from .numeric_oracle import involution_weighted_sum, unit_roots
 
 Params = dict[str, Any]
 
@@ -144,10 +145,6 @@ def _validate(entry: CatalogEntry, params: Mapping[str, Any]) -> Params:
 # Family builders shared by several entries.
 
 
-def _block_poly(pairs: Sequence[tuple[int, Fraction | int]]) -> Polynomial:
-    return Polynomial.from_pairs(pairs)
-
-
 def _arith_poly(length: int, a: Fraction, step_exp: int = 1) -> Polynomial:
     """sum_{l=0}^{length-1} (l + a) y^(l * step_exp)."""
     return Polynomial.from_pairs((l * step_exp, l + a) for l in range(length))
@@ -174,7 +171,7 @@ def _thm10_family(p: Params) -> tuple[Polynomial, Polynomial]:
     n, r = p["n"], p["r"]
     pairs = [(l * n, c) for l, c in enumerate(p["a"])]
     pairs += [(l * n + r, c) for l, c in enumerate(p["b"])]
-    return power_minus_one(n), _block_poly(pairs)
+    return power_minus_one(n), Polynomial.from_pairs(pairs)
 
 
 def _thm10_closed(p: Params) -> Fraction:
@@ -204,7 +201,7 @@ def _cor11_domain(p: Params) -> str | None:
 
 def _cor11_family(p: Params) -> tuple[Polynomial, Polynomial]:
     n = p["n"]
-    return power_minus_one(n), _block_poly([(l * n, c) for l, c in enumerate(p["a"])])
+    return power_minus_one(n), Polynomial.from_pairs([(l * n, c) for l, c in enumerate(p["a"])])
 
 
 def _cor11_closed(p: Params) -> Fraction:
@@ -220,7 +217,7 @@ def _cor11_closed(p: Params) -> Fraction:
 def _geometric_q(n: int, m: int, weight: Callable[[int], Fraction | int] = lambda l: 1,
                  exponent: Callable[[int], int] | None = None) -> Polynomial:
     exp = exponent or (lambda l: l * n)
-    return _block_poly([(exp(l), weight(l)) for l in range(m + 1)])
+    return Polynomial.from_pairs([(exp(l), weight(l)) for l in range(m + 1)])
 
 
 def _cor12_family(p: Params) -> tuple[Polynomial, Polynomial]:
@@ -265,7 +262,7 @@ def _cor15_closed(p: Params) -> Fraction:
 
 
 def _trinomial_q(n: int, m: int, r: int, a: Fraction, b: Fraction) -> Polynomial:
-    return _block_poly([(m * n, 1), (r * n, a), (0, b)])
+    return Polynomial.from_pairs([(m * n, 1), (r * n, a), (0, b)])
 
 
 def _cor16_domain(p: Params) -> str | None:
@@ -286,7 +283,7 @@ def _cor16_closed(p: Params) -> Fraction:
 
 
 def _cor17_family(p: Params) -> tuple[Polynomial, Polynomial]:
-    return power_minus_one(p["n"]), _block_poly([(p["m"] * p["n"], 1), (0, 1)])
+    return power_minus_one(p["n"]), Polynomial.from_pairs([(p["m"] * p["n"], 1), (0, 1)])
 
 
 def _cor18_domain(p: Params) -> str | None:
@@ -342,7 +339,7 @@ def _cor22_domain(p: Params) -> str | None:
 
 
 def _cor22_family(p: Params) -> tuple[Polynomial, Polynomial]:
-    return power_minus_one(p["n"]), _block_poly([(p["m"], 1), (0, p["b"])])
+    return power_minus_one(p["n"]), Polynomial.from_pairs([(p["m"], 1), (0, p["b"])])
 
 
 def _cor22_closed(p: Params) -> Fraction:
@@ -379,7 +376,7 @@ def _cor24_domain(p: Params) -> str | None:
 
 
 def _spread_ones(count: int, s: int) -> Polynomial:
-    return _block_poly([(l * s, 1) for l in range(count)])
+    return Polynomial.from_pairs([(l * s, 1) for l in range(count)])
 
 
 def _cor24_family(p: Params) -> tuple[Polynomial, Polynomial]:
@@ -421,7 +418,7 @@ def _cor26_domain(p: Params) -> str | None:
 
 
 def _cor26_family(p: Params) -> tuple[Polynomial, Polynomial]:
-    return power_minus_one(p["n"]), _block_poly([(p["m"], 1), (0, 1)])
+    return power_minus_one(p["n"]), Polynomial.from_pairs([(p["m"], 1), (0, 1)])
 
 
 def _cor26_closed(p: Params) -> Fraction:
@@ -435,7 +432,7 @@ def _cor27_domain(p: Params) -> str | None:
 
 
 def _cor27_family(p: Params) -> tuple[Polynomial, Polynomial]:
-    return power_minus_one(p["n"]), _block_poly([(p["n"] + 1, 1), (0, 1)])
+    return power_minus_one(p["n"]), Polynomial.from_pairs([(p["n"] + 1, 1), (0, 1)])
 
 
 def _cor27_closed(p: Params) -> Fraction:
@@ -454,7 +451,7 @@ def _cor28_domain(p: Params) -> str | None:
 
 def _cor28_family(p: Params) -> tuple[Polynomial, Polynomial]:
     n, r = p["n"], p["r"]
-    return power_minus_one(n), _block_poly([(n, 1), (r, p["a"]), (0, p["b"])])
+    return power_minus_one(n), Polynomial.from_pairs([(n, 1), (r, p["a"]), (0, p["b"])])
 
 
 def _cor28_closed(p: Params) -> Fraction:
@@ -489,7 +486,7 @@ def _cor29_closed(p: Params) -> Fraction:
 
 def _cor30_family(p: Params) -> tuple[Polynomial, Polynomial]:
     n = p["n"]
-    return power_minus_one(n), _block_poly([(n + 1, 1), (n, 1), (0, -1)])
+    return power_minus_one(n), Polynomial.from_pairs([(n + 1, 1), (n, 1), (0, -1)])
 
 
 def _cor30_closed(p: Params) -> Fraction:
@@ -505,7 +502,7 @@ def _cor31_domain(p: Params) -> str | None:
 
 def _cor31_family(p: Params) -> tuple[Polynomial, Polynomial]:
     n = p["n"]
-    return power_minus_one(n), _block_poly([(n, 1), (1, n), (0, -1)])
+    return power_minus_one(n), Polynomial.from_pairs([(n, 1), (1, n), (0, -1)])
 
 
 # thm32 family: arithmetic-progression coefficients ------------------------
@@ -558,7 +555,7 @@ def _cor34_closed(p: Params) -> Fraction:
 
 def _cor35_family(p: Params) -> tuple[Polynomial, Polynomial]:
     n, m = p["n"], p["m"]
-    return power_minus_one(n), _block_poly([(l, m * n - l) for l in range(m * n)])
+    return power_minus_one(n), Polynomial.from_pairs([(l, m * n - l) for l in range(m * n)])
 
 
 def _cor35_closed(p: Params) -> Fraction:
@@ -567,7 +564,7 @@ def _cor35_closed(p: Params) -> Fraction:
 
 def _cor36_family(p: Params) -> tuple[Polynomial, Polynomial]:
     n, m = p["n"], p["m"]
-    return power_minus_one(n), _block_poly([(l, m * n - l - 1) for l in range(m * n)])
+    return power_minus_one(n), Polynomial.from_pairs([(l, m * n - l - 1) for l in range(m * n)])
 
 
 def _cor36_closed(p: Params) -> Fraction:
@@ -681,14 +678,6 @@ _PROP_WEIGHTS: dict[str, Callable[[int, complex], complex]] = {
     "prop43": lambda n, x: (1 - n + (3 + n) * x) / (2 * (1 + x) * x),
 }
 
-_PROP_EXPECTED: dict[str, Callable[[int], Fraction]] = {
-    "prop40": lambda n: Fraction((-1) ** (n + 1) * math.factorial(n)),
-    "prop41": lambda n: Fraction(0),
-    "prop42": lambda n: Fraction(1),
-    "prop43": lambda n: Fraction(math.factorial(n + 1), 2),
-}
-
-
 @dataclass(frozen=True)
 class InvolutionIdentityReport:
     id: str
@@ -706,21 +695,15 @@ def involution_identity_check(
     """Evaluate one involution-sum identity over the numeric n-th roots of unity.
 
     The sum runs over all involutions with pair weight 1/(x_i - x_j)^2 and the
-    entry-specific fixed-point weight; it is compared against the stated
-    constant.  The gap is |sum - constant| scaled by max(1, |constant|), or by
+    entry-specific fixed-point weight; it is compared against the entry's
+    closed form, so an n outside the entry's domain is OutOfDomain.  The gap is |sum - constant| scaled by max(1, |constant|), or by
     n! when the constant is 0, matching how the error in a sum of n!-sized
     terms accumulates.
     """
-    from .numeric_oracle import involution_weighted_sum, unit_roots
-
     if entry_id not in _PROP_WEIGHTS:
         raise BadParams(f"unknown involution identity {entry_id!r}")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise BadParams("n must be a positive integer")
-    if entry_id == "prop43" and n % 2 == 0:
-        raise OutOfDomain("prop43: n must be odd (the weight has a pole at x = -1)")
+    expected = catalog_eval(entry_id, n=n)
     weight = _PROP_WEIGHTS[entry_id]
-    expected = _PROP_EXPECTED[entry_id](n)
     roots = unit_roots(n)
     value = involution_weighted_sum(roots, lambda k: weight(n, roots[k]))
     scale = float(math.factorial(n)) if expected == 0 else max(1.0, abs(float(expected)))
@@ -1369,7 +1352,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
         "sum over involutions of roots of x^n-1, fixed weight (2+(3-n)x)/(2x^2) = 1 for n >= 2",
         "n >= 2",
         _prop42_domain,
-        _prop_family(lambda n: _block_poly([(n, 1), (1, n), (0, -1)])),
+        _prop_family(lambda n: Polynomial.from_pairs([(n, 1), (1, n), (0, -1)])),
         lambda p: Fraction(1),
         _simple_grid(n=(2, 3, 4, 5)),
     )
@@ -1379,7 +1362,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
         "sum over involutions of roots of x^n-1 (n odd), fixed weight (1-n+(3+n)x)/(2(1+x)x) = (n+1)!/2",
         "n odd",
         _prop43_domain,
-        _prop_family(lambda n: _block_poly([(n + 1, 1), (0, 1)])),
+        _prop_family(lambda n: Polynomial.from_pairs([(n + 1, 1), (0, 1)])),
         _cor27_closed,
         _simple_grid(n=(3, 5)),
     )

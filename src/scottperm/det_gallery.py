@@ -21,12 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from .errors import BadParams
 from .exact_core import RationalMatrix
-
-GALLERY_IDS = ("prop6", "thm7", "thm8", "cor9")
 
 
 @dataclass
@@ -66,32 +64,6 @@ def _value_list(params: Mapping[str, Any], key: str, n: int) -> list[Fraction]:
     if any(v is None for v in values) or len(values) != n:
         raise BadParams(f"parameter {key!r} must be {n} ints or Fractions")
     return values
-
-
-def gallery_matrix(case: GalleryCase) -> RationalMatrix:
-    """Build the explicit matrix for a gallery case."""
-    if case.id == "prop6":
-        return _prop6_matrix(case.params)
-    if case.id == "thm7":
-        return _thm7_matrix(case.params)
-    if case.id == "thm8":
-        return _thm8_matrix(case.params)
-    if case.id == "cor9":
-        return _cor9_matrix(case.params)
-    raise BadParams(f"unknown gallery case {case.id!r}")
-
-
-def gallery_closed_form(case: GalleryCase) -> Fraction:
-    """Evaluate the factored determinant formula for a gallery case."""
-    if case.id == "prop6":
-        return _prop6_closed(case.params)
-    if case.id == "thm7":
-        return _thm7_closed(case.params)
-    if case.id == "thm8":
-        return _thm8_closed(case.params)
-    if case.id == "cor9":
-        return _cor9_closed(case.params)
-    raise BadParams(f"unknown gallery case {case.id!r}")
 
 
 # prop6: diagonal of x values plus an r-shifted cyclic diagonal of y values.
@@ -242,3 +214,32 @@ def _cor9_closed(params: Mapping[str, Any]) -> Fraction:
     for i in range(0, n - 1):
         prod *= i + a
     return Fraction(n) ** (n - 2) * prod
+
+
+_Case = tuple[Callable[[Mapping[str, Any]], RationalMatrix], Callable[[Mapping[str, Any]], Fraction]]
+
+# Case id -> (matrix builder, closed form), in GALLERY_IDS order.
+_CASES: dict[str, _Case] = {
+    "prop6": (_prop6_matrix, _prop6_closed),
+    "thm7": (_thm7_matrix, _thm7_closed),
+    "thm8": (_thm8_matrix, _thm8_closed),
+    "cor9": (_cor9_matrix, _cor9_closed),
+}
+GALLERY_IDS = tuple(_CASES)
+
+
+def _case(case: GalleryCase) -> _Case:
+    try:
+        return _CASES[case.id]
+    except KeyError:
+        raise BadParams(f"unknown gallery case {case.id!r}") from None
+
+
+def gallery_matrix(case: GalleryCase) -> RationalMatrix:
+    """Build the explicit matrix for a gallery case."""
+    return _case(case)[0](case.params)
+
+
+def gallery_closed_form(case: GalleryCase) -> Fraction:
+    """Evaluate the factored determinant formula for a gallery case."""
+    return _case(case)[1](case.params)

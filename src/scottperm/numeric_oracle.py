@@ -1,13 +1,13 @@
 """Floating-point reference implementations used to cross-check the exact path.
 
-Everything here works over complex numbers: polynomial root finding by the
-Durand-Kerner simultaneous iteration, the permanent by a dynamic program
-over row subsets (O(m * n * 2^n) for n rows and m columns), the
-involution-sum evaluation of the same permanent by a second subset DP
-(O(n * 2^n)), Ryser's formula as a square-case reference, and bordered
-Cauchy / Borchardt determinants.  None of these functions is used by the
-exact evaluators; they exist so independent routes can be compared
-numerically.
+Everything here works over complex numbers: polynomial roots as
+companion-matrix eigenvalues (LAPACK via numpy), Newton-polished; the
+permanent by a dynamic program over row subsets (O(m * n * 2^n) for n rows
+and m columns); the involution-sum evaluation of the same permanent by a
+second subset DP (O(n * 2^n)); Ryser's formula as a square-case reference;
+and bordered Cauchy / Borchardt determinants.  None of these functions is
+used by the exact evaluators; they exist so independent routes can be
+compared numerically.
 """
 from __future__ import annotations
 
@@ -38,47 +38,22 @@ def _horner(coeffs_desc: Sequence[complex], z: complex) -> complex:
     return acc
 
 
-def find_roots(p: Polynomial, max_iter: int = 1000) -> list[complex]:
-    """All complex roots of p, with multiplicity, by Durand-Kerner iteration.
+def find_roots(p: Polynomial) -> list[complex]:
+    """All complex roots of p, with multiplicity, as companion-matrix eigenvalues.
 
-    Each candidate root is polished by a couple of Newton steps and must pass
-    a relative residual check; otherwise DidNotConverge is raised.  Roots are
-    returned sorted by (real, imag) so repeated calls agree exactly.
+    numpy.roots (LAPACK) seeds the estimates; each is polished by a couple of
+    guarded Newton steps and must pass a relative residual check, otherwise
+    DidNotConverge is raised.  Roots are returned sorted by (real, imag) so
+    repeated calls agree exactly.
     """
     if p.degree is None or p.degree < 1:
         raise ZeroDegree("root finding needs degree >= 1")
     n = p.degree
-    monic_desc = [complex(float(c / p.leading)) for c in reversed(p.coeffs)]
+    monic_desc = [float(c / p.leading) for c in reversed(p.coeffs)]
     deriv_desc = [monic_desc[i] * (n - i) for i in range(n)]
 
-    # Start on a circle just outside the Cauchy root bound, with an angle step
-    # that is not a rational multiple of pi, so no two guesses coincide.
-    radius = 1.0 + max(abs(c) for c in monic_desc[1:])
-    step = complex(0.4, 0.9)
-    step /= abs(step)
-    roots = [radius * step**k for k in range(n)]
-
-    for _ in range(max_iter):
-        shift = 0.0
-        for k in range(n):
-            zk = roots[k]
-            denom = 1 + 0j
-            for j in range(n):
-                if j != k:
-                    denom *= zk - roots[j]
-            if denom == 0:
-                # Two iterates collided; nudge one and keep going.
-                roots[k] = zk + 1e-8 * (1 + 1j)
-                shift = float("inf")
-                continue
-            delta = _horner(monic_desc, zk) / denom
-            roots[k] = zk - delta
-            shift = max(shift, abs(delta))
-        if shift < 1e-14 * (1.0 + max(abs(z) for z in roots)):
-            break
-
     polished = []
-    for z in roots:
+    for z in np.roots(monic_desc).astype(complex).tolist():
         for _ in range(2):
             dp = _horner(deriv_desc, z)
             if dp == 0:

@@ -440,6 +440,12 @@ class TestInvolutionIdentities:
         with pytest.raises(OutOfDomain):
             involution_identity_check("prop43", 4)
 
+    def test_domain_is_the_catalog_entry_domain(self):
+        with pytest.raises(OutOfDomain, match="prop42: n >= 2 required"):
+            involution_identity_check("prop42", 1)
+        with pytest.raises(OutOfDomain, match=r"^prop43: n must be odd \(the weight has a pole at x = -1\)$"):
+            involution_identity_check("prop43", 4)
+
     def test_bad_requests(self):
         with pytest.raises(BadParams):
             involution_identity_check("prop99", 3)

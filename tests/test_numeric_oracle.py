@@ -5,12 +5,14 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from scottperm import (
     BadParams,
+    DidNotConverge,
     Polynomial,
     RepeatedXRoot,
     SingularEntry,
@@ -26,8 +28,9 @@ from scottperm import (
     ryser_permanent,
     unit_roots,
 )
+from scottperm import numeric_oracle
 from scottperm.errors import ZeroDegree
-from scottperm.numeric_oracle import delta, difference_product
+from scottperm.numeric_oracle import ROOT_RESIDUAL_TOL, delta, difference_product
 
 INVOLUTION_COUNTS = [1, 1, 2, 4, 10, 26, 76, 232]
 
@@ -107,6 +110,27 @@ class TestFindRoots:
             value = sum(complex(p.coeff(k)) * root**k for k in range(p.degree + 1))
             scale = 1 + abs(complex(p.leading)) * abs(root) ** p.degree
             assert abs(value) / scale < 1e-10
+
+    def test_bad_seed_fails_the_residual_check(self, monkeypatch):
+        # Newton cannot leave z = 0 on x^2 - 4 (p'(0) = 0), so only the
+        # residual check stands between the bad seed and the caller.
+        monkeypatch.setattr(numeric_oracle.np, "roots", lambda c: np.zeros(len(c) - 1, dtype=complex))
+        with pytest.raises(DidNotConverge):
+            find_roots(Polynomial([-4, 0, 1]))
+
+    @pytest.mark.parametrize("degree", [64, 128])
+    def test_high_degree_roots_pass_the_residual_check(self, degree):
+        rng = random.Random(degree)
+        p = Polynomial([rng.randint(-5, 5) for _ in range(degree)] + [1])
+        roots = find_roots(p)
+        assert len(roots) == degree
+        assert roots == sorted(roots, key=lambda z: (z.real, z.imag))
+        coeffs = [complex(c) for c in reversed(p.coeffs)]
+        for z in roots:
+            value = 0j
+            for c in coeffs:
+                value = value * z + c
+            assert abs(value) / (1 + abs(z) ** degree) <= ROOT_RESIDUAL_TOL
 
 
 class TestBrutePermanent:

@@ -327,6 +327,15 @@ class TestVerify:
         assert len(report.agreements) == 3
         assert report.all_agree
 
+    @pytest.mark.parametrize("n", [2, 10])
+    def test_float_routes_agree_on_skinny_pairs_with_m_128(self, n):
+        P, Q = random_coprime_pair(random.Random(n), n, 128)
+        report = verify(P, Q)
+        routes = {route.method: route for route in report.routes}
+        for method in ("oracle", "involution"):
+            assert routes[method].error is None and routes[method].value is not None
+        assert report.all_agree
+
     def test_roots_found_once_per_polynomial(self, monkeypatch):
         calls = []
 
