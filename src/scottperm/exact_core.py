@@ -5,8 +5,9 @@ arbitrary-precision fraction in canonical form), `Polynomial` (a dense
 coefficient tuple over `Rational`, low degree first, trailing zeros trimmed),
 and `RationalMatrix` (dense, row-major).  On top of those sit power-series
 inversion, one fraction-free integer determinant kernel (`_bareiss`), the
-resultant as a companion-matrix determinant, and the Sylvester matrix and
-Euclidean polynomial gcd that the tests use as references.
+resultant by the subresultant pseudo-remainder sequence over the integers,
+and the Sylvester matrix and Euclidean polynomial gcd that the tests use as
+references.
 
 No floating point enters any function in this module.
 """
@@ -319,56 +320,93 @@ def sylvester_matrix(p: Polynomial, q: Polynomial) -> RationalMatrix:
     return RationalMatrix.from_rows(rows) if rows else RationalMatrix(0, 0, [])
 
 
+def _primitive(values: Sequence[Fraction]) -> tuple[list[int], Fraction]:
+    """Integers c_i with no common factor and a rational s, so that values[i] == s * c_i."""
+    ints, den = _clear_denominators(values)
+    content = math.gcd(*ints)
+    if content != 1:
+        ints = [c // content for c in ints]
+    return ints, Fraction(content, den)
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """lc(b)^(deg a - deg b + 1) * a mod b, with trailing zeros trimmed.
+
+    The lazy form: a step whose top coefficient is already 0 does not
+    multiply by lc(b), and the powers it skipped are made up once at the end.
+    """
+    lead = b[-1]
+    low = b[:-1]
+    r = a[:]
+    skipped = 0
+    for shift in range(len(a) - len(b), -1, -1):
+        t = r.pop()
+        if not t:
+            skipped += 1
+            continue
+        if lead != 1:
+            r = [lead * c for c in r]
+        for i, d in enumerate(low, shift):
+            r[i] -= t * d
+    while r and not r[-1]:
+        r.pop()
+    if skipped and lead != 1:
+        factor = lead**skipped
+        r = [factor * c for c in r]
+    return r
+
+
+def _subresultant(a: list[int], b: list[int]) -> int:
+    """Res(a, b) of two integer coefficient lists of positive degree.
+
+    The subresultant pseudo-remainder sequence (Collins 1967; Brown and
+    Traub 1971): each pseudo-remainder is divided exactly by g * h^delta,
+    which keeps the coefficients as small as the subresultants themselves.
+    """
+    sign = 1
+    if len(a) < len(b):
+        a, b = b, a
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            sign = -1
+    g = h = 1
+    while True:
+        da, db = len(a) - 1, len(b) - 1
+        delta = da - db
+        if da % 2 and db % 2:
+            sign = -sign
+        r = _pseudo_remainder(a, b)
+        if not r:
+            return 0
+        divisor = g * h**delta
+        a, b = b, [c // divisor for c in r]
+        g = a[-1]
+        if delta:
+            h = g**delta // h ** (delta - 1)
+        if len(b) == 1:
+            da = len(a) - 1
+            return sign * b[0] ** da // h ** (da - 1)
+
+
 def resultant(p: Polynomial, q: Polynomial) -> Fraction:
     """Res(p, q) = lc(p)^deg(q) * lc(q)^deg(p) * prod (x_i - y_j).
 
-    Computed as lc(p)^deg(q) * det(q(C_p)) with p the factor of lower degree
-    (swapping the arguments multiplies the resultant by (-1)^(deg p * deg q)).
-    C_p is the companion matrix of p, and column j of q(C_p) holds the
-    coefficients of x^j * q mod p, so the determinant is min(deg p, deg q)
-    square where the Sylvester matrix (`sylvester_matrix`, whose determinant
-    is the same value) is deg p + deg q square.  For p = x^n - 1, q(C_p) is
-    the circulant of q mod (x^n - 1).
+    A constant side c gives c^(degree of the other side).  Otherwise each
+    side is written as a rational scale times a primitive integer
+    polynomial, Res(s * A, t * B) = s^deg(B) * t^deg(A) * Res(A, B), and
+    Res(A, B) is one subresultant pseudo-remainder sequence over the
+    integers (`_subresultant`); it is 0 as soon as a remainder vanishes.
+    The Sylvester matrix (`sylvester_matrix`) has the same determinant.
     """
     if p.is_zero or q.is_zero:
         raise ZeroPolynomial("resultant of the zero polynomial")
-    sign = 1
-    if p.degree > q.degree:
-        p, q = q, p
-        sign = -1 if p.degree * q.degree % 2 else 1
-    da, db = p.degree, q.degree
-    if da == 0:
-        return sign * p.leading**db
-    # A and B are integer multiples of p and q, with q = B / den_b.  Reducing
-    # modulo A is reducing modulo p; A = lead * x^da + low.
-    A, _ = _clear_denominators(p.coeffs)
-    B, den_b = _clear_denominators(q.coeffs)
-    lead = A[-1]
-    low = A[:da]
-    # Pseudo-remainder: B mod p == r / lead^e with integer r.
-    r, e = B, 0
-    for top in range(db, da - 1, -1):
-        t = r.pop()
-        if t:
-            if lead != 1:
-                r = [lead * c for c in r]
-                e += 1
-            shift = top - da
-            for i, c in enumerate(low):
-                r[shift + i] -= t * c
-    # x^j * B mod p == columns[j] / lead^(e + j): each step multiplies by x
-    # and reduces x^da = -low / lead.
-    columns = [r]
-    for _ in range(da - 1):
-        t = r[-1]
-        r = [0] + [lead * c for c in r[:-1]]
-        if t:
-            r = [c - t * a for c, a in zip(r, low)]
-        columns.append(r)
-    # det(q(C_p)) divides out den_b and lead^(e + j) from each column j; the
-    # determinant of the columns equals that of the rows.
-    scale = den_b**da * lead ** (e * da + da * (da - 1) // 2)
-    return sign * p.leading**db * Fraction(_bareiss(columns), scale)
+    dp, dq = p.degree, q.degree
+    if dp == 0:
+        return p.leading**dq
+    if dq == 0:
+        return q.leading**dp
+    a, scale_a = _primitive(p.coeffs)
+    b, scale_b = _primitive(q.coeffs)
+    return scale_a**dq * scale_b**dp * _subresultant(a, b)
 
 
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:

@@ -24,7 +24,14 @@ from operator import mul
 from typing import Callable, NamedTuple
 
 from . import closed_catalog, fes_engine, numeric_oracle
-from .errors import BadParams, OutOfDomain, ScottPermError, SharedRoot, ZeroDegree
+from .errors import (
+    BadParams,
+    OutOfDomain,
+    RepeatedXRoot,
+    ScottPermError,
+    SharedRoot,
+    ZeroDegree,
+)
 from .exact_core import (
     Polynomial,
     RationalMatrix,
@@ -154,15 +161,37 @@ def _exact_parts(z: Value) -> tuple[Fraction, Fraction]:
     return Fraction(z), Fraction(0)
 
 
+# Below this magnitude a gap computed in floats can neither overflow nor
+# lose more than rounding: |a - b| and max(|a|, |b|) stay far from 2**1024.
+_FLOAT_GAP_LIMIT = 2.0**400
+
+
 def relative_gap(a: Value, b: Value) -> float:
     """|a - b| scaled by max(1, |a|, |b|).
 
-    The square of the gap is computed exactly and rounded once, so values
-    far outside the range of a float compare correctly.  A value that is
-    not finite is infinitely far from every value.
+    When either value is a float or complex, and both are below
+    _FLOAT_GAP_LIMIT in magnitude, the gap is computed in floats.  Two exact
+    values, huge values and unequal values whose float gap rounds to 0 take
+    the exact path: the square of the gap is computed exactly and rounded
+    once, so values far outside the range of a float compare correctly, and
+    the gap is 0 only for equal values.  A value that is not finite is
+    infinitely far from every value.
     """
     if not (_finite(a) and _finite(b)):
         return math.inf
+    if a == b:
+        return 0.0
+    if isinstance(a, (float, complex)) or isinstance(b, (float, complex)):
+        try:
+            za, zb = complex(a), complex(b)
+        except OverflowError:  # an exact value beyond the float range
+            pass
+        else:
+            size = max(1.0, abs(za), abs(zb))
+            if size < _FLOAT_GAP_LIMIT:
+                gap = abs(za - zb) / size
+                if gap:
+                    return gap
     ar, ai = _exact_parts(a)
     br, bi = _exact_parts(b)
     gap_squared = ((ar - br) ** 2 + (ai - bi) ** 2) / max(
@@ -253,6 +282,11 @@ def _oracle(pair: Pair) -> EvalResult:
 
 
 def _involution(pair: Pair) -> EvalResult:
+    # The float roots of a multiple root come out too far apart for
+    # involution_weighted_sum's 1e-12 check to see, so P is tested exactly.
+    derivative = Polynomial([k * c for k, c in enumerate(pair.P.coeffs)][1:])
+    if resultant(pair.P, derivative) == 0:
+        raise RepeatedXRoot("the row polynomial has a repeated root")
     value = numeric_oracle.involution_sum(pair.roots(pair.P), pair.roots(pair.Q))
     return EvalResult(value, "involution", pair.n, pair.m)
 

@@ -188,6 +188,12 @@ class TestEvalCommand:
         payload = error_json(capsys, 1, "eval", "x^2-1", "y^3+1", "--method", "magic")
         assert payload["error"] == "BadParams"
 
+    def test_involution_route_rejects_a_repeated_row_root(self, capsys):
+        payload = error_json(
+            capsys, 1, "eval", "x^3 - 3x + 2", "y^4 + y^3 + 5", "--method", "involution"
+        )
+        assert payload["error"] == "RepeatedXRoot"
+
     def test_shared_root_exit_code(self, capsys):
         payload = error_json(capsys, 2, "eval", "x^2-1", "y^2-1")
         assert payload["error"] == "SharedRoot"

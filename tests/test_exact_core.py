@@ -229,6 +229,47 @@ class TestResultant:
         assert exact_det(matrix) == resultant(p, q)
 
 
+def sparse_polys(degree: int) -> st.SearchStrategy[Polynomial]:
+    """Degree exactly `degree`, nonzero leading and constant coefficients (a
+    non-unit leading one allowed), and middle coefficients often 0, so that
+    remainders drop by several degrees."""
+    nonzero = rationals.filter(bool)
+    if degree == 0:
+        return nonzero.map(lambda c: Polynomial([c]))
+    middle = st.lists(
+        st.one_of(st.just(Fraction(0)), nonzero), min_size=degree - 1, max_size=degree - 1
+    )
+    return st.tuples(nonzero, middle, nonzero).map(
+        lambda parts: Polynomial([parts[0], *parts[1], parts[2]])
+    )
+
+
+# Half the pairs have equal degrees, where the sequence's first step drops no degree.
+degrees = st.integers(min_value=0, max_value=7)
+degree_pairs = st.one_of(st.tuples(degrees, degrees), degrees.filter(bool).map(lambda d: (d, d)))
+
+
+class TestSubresultantResultant:
+    """`resultant` is one subresultant pseudo-remainder sequence; the Sylvester
+    determinant is the reference on inputs chosen to reach every branch."""
+
+    @given(degree_pairs.flatmap(lambda d: st.tuples(sparse_polys(d[0]), sparse_polys(d[1]))))
+    def test_matches_the_sylvester_determinant(self, pair):
+        p, q = pair
+        assert resultant(p, q) == exact_det(sylvester_matrix(p, q))
+        assert resultant(q, p) == exact_det(sylvester_matrix(q, p))
+
+    @given(
+        degree_pairs.flatmap(lambda d: st.tuples(sparse_polys(d[0]), sparse_polys(d[1]))),
+        rationals,
+        rationals.filter(bool),
+    )
+    def test_common_linear_factor_gives_exactly_zero(self, pair, root, scale):
+        linear = Polynomial([-root * scale, scale])
+        p, q = pair[0] * linear, pair[1] * linear
+        assert resultant(p, q) == resultant(q, p) == Fraction(0)
+
+
 def _cofactor_det(rows: list[list[Fraction]]) -> Fraction:
     if len(rows) == 1:
         return rows[0][0]

@@ -224,6 +224,27 @@ class TestRelativeGap:
         assert relative_gap(bad, 1) == math.inf
         assert relative_gap(Fraction(1), bad) == math.inf
 
+    def test_unequal_exact_values_have_a_nonzero_gap(self):
+        a = Fraction(10**30 + 1, 10**30)
+        assert relative_gap(a, Fraction(1)) == pytest.approx(1e-30)
+        assert relative_gap(a, 1.0) == pytest.approx(1e-30)
+
+    @given(
+        st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
+        st.one_of(
+            st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**9),
+            st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
+        ),
+    )
+    def test_float_path_agrees_with_the_exact_gap(self, a, b):
+        ar, ai = Fraction(a.real), Fraction(a.imag)
+        br, bi = (b, 0) if isinstance(b, Fraction) else (Fraction(b.real), Fraction(b.imag))
+        exact = math.sqrt(
+            ((ar - br) ** 2 + (ai - bi) ** 2) / max(1, ar * ar + ai * ai, br * br + bi * bi)
+        )
+        assert abs(relative_gap(a, b) - exact) <= 1e-15
+        assert relative_gap(b, a) == relative_gap(a, b)
+
 
 class TestVerify:
     def test_full_agreement_on_cube_case(self):
@@ -263,7 +284,9 @@ class TestVerify:
         report = verify(P, Q)
         assert [route.method for route in report.routes] == ["theorem1", "oracle", "involution"]
         assert report.all_agree
-        assert len(calls) == 1
+        # Res(P, Q) once, for theorem1's shared-root check, and Res(P, P') once,
+        # for the involution route's repeated-root check.
+        assert calls == [(P, Q), (P, Polynomial([1, 2]))]
 
     @pytest.mark.parametrize(
         "P,Q",
@@ -396,6 +419,16 @@ class TestVerify:
         monkeypatch.setattr(numeric_oracle, "brute_permanent", broken)
         with pytest.raises(TypeError, match="a bug"):
             verify(power_poly(3, -1), power_poly(3, 1))
+
+    def test_involution_route_rejects_a_repeated_row_root(self):
+        # x^3 - 3x + 2 = (x - 1)^2 (x + 2); its float roots near 1 come out
+        # about 1e-8 apart, so the involution sum would be garbage.
+        report = verify(Polynomial([2, -3, 0, 1]), Polynomial([5, 0, 0, 1, 1]))
+        routes = {route.method: route for route in report.routes}
+        assert routes["involution"].value is None
+        assert routes["involution"].error.startswith("RepeatedXRoot")
+        assert routes["theorem1"].value == Fraction(-162, 91)
+        assert report.all_agree
 
     def test_float_overflow_is_a_route_error(self):
         report = verify(Polynomial([-1, 1]), Polynomial([-(10**400), 1]))
