@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Any, Callable, Sequence
 
 from . import closed_catalog, numeric_oracle, scott_engine
-from .errors import BadParams, OutOfDomain, ParseError, ScottPermError, SharedRoot
+from .errors import BadParams, ParseError, ScottPermError
 from .exact_core import Polynomial
 
 
@@ -96,15 +96,24 @@ class _TokenStream:
         return tok
 
 
+def _int(tok: tuple[str, str, int]) -> int:
+    """The value of an integer token; one too long for int() is a ParseError."""
+    try:
+        return int(tok[1])
+    except ValueError:
+        raise ParseError(f"integer of {len(tok[1])} digits is too long", tok[2]) from None
+
+
 def _parse_rational_body(stream: _TokenStream) -> Fraction:
-    num_tok = stream.take("int", "an integer")
+    num = _int(stream.take("int", "an integer"))
     if stream.peek()[0] != "/":
-        return Fraction(int(num_tok[1]))
+        return Fraction(num)
     stream.take()
     den_tok = stream.take("int", "a denominator")
-    if int(den_tok[1]) == 0:
+    den = _int(den_tok)
+    if den == 0:
         raise ParseError("denominator must be nonzero", den_tok[2])
-    return Fraction(int(num_tok[1]), int(den_tok[1]))
+    return Fraction(num, den)
 
 
 def _parse_bracket(stream: _TokenStream) -> Polynomial:
@@ -133,7 +142,7 @@ def _parse_var(stream: _TokenStream, variable: str | None) -> tuple[int, str]:
     if stream.peek()[0] == "^":
         stream.take()
         exp_tok = stream.take("int", "a positive integer exponent")
-        exponent = int(exp_tok[1])
+        exponent = _int(exp_tok)
         if exponent < 1:
             raise ParseError("exponent must be a positive integer", exp_tok[2])
     return exponent, name_tok[1]
@@ -431,24 +440,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fail(kind: str, detail: str, code: int) -> int:
-    json.dump({"error": kind, "detail": detail}, sys.stderr)
-    sys.stderr.write("\n")
-    return code
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        return _fail("ParseError", str(exc), 3)
-    except SharedRoot as exc:
-        return _fail("SharedRoot", str(exc), 2)
-    except OutOfDomain as exc:
-        return _fail("OutOfDomain", str(exc), 4)
     except ScottPermError as exc:
-        return _fail(type(exc).__name__, str(exc), 1)
+        json.dump({"error": type(exc).__name__, "detail": str(exc)}, sys.stderr)
+        sys.stderr.write("\n")
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -6,8 +6,8 @@ whole catalog can be swept against the determinant engine, matched against a
 parsed (P, Q) pair, or listed by the command line.
 
 Recognition is data plus one check.  An entry's reader proposes candidate
-parameters for a concrete (P, Q): it is guarded by deg P, deg Q and the
-supports of P and Q, and it may read coefficients, but it builds no
+parameters for a concrete (P, Q): it is guarded by deg P, deg Q, P's sign
+and the supports of P and Q, and it may read coefficients, but it builds no
 polynomial.  `CatalogEntry.infer` validates each candidate, builds the entry's
 family there and keeps the first that equals (P, Q) up to scale, so a match
 is always a member of the family.  `find_matching` shares one pair's degrees,
@@ -722,12 +722,15 @@ def _prop_family(q_builder: Callable[[int], Polynomial]) -> Callable[[Params], t
 
 
 class _Shape:
-    """One (P, Q) as the readers see it: degrees and supports, then on first
-    use the monic forms, and the family comparisons already made for it."""
+    """One (P, Q) as the readers see it: degrees, supports and P's sign, then
+    on first use the monic forms, and the family comparisons already made for it."""
 
     def __init__(self, P: Polynomial, Q: Polynomial):
         self.P, self.Q, self.n, self.d = P, Q, P.degree, Q.degree
         self.sp = tuple(e for e, c in enumerate(P.coeffs) if c)
+        # +1 when P's constant term is its leading coefficient, -1 when it is minus that.
+        low, lead = (P.coeffs[0], P.coeffs[-1]) if P.coeffs else (0, 0)
+        self.sign = 1 if low == lead else -1 if low == -lead else 0
         self.sq = tuple(e for e, c in enumerate(Q.coeffs) if c)
         self.compared: dict[tuple, bool] = {}
 
@@ -756,9 +759,9 @@ Reader = Callable[[_Shape], Iterable[Params]]
 RowReader = Callable[[_Shape, int], Iterable[Params]]  # also given P's family parameter n
 
 
-def _pm_one(read: RowReader) -> Reader:
-    """A reader for P = x^n - 1 or x^n + 1, whose support is {0, n}."""
-    return lambda s: read(s, s.n) if s.sp == (0, s.n) else ()
+def _minus_one(read: RowReader) -> Reader:
+    """A reader for P = x^n - 1: support {0, n} and sign -1."""
+    return lambda s: read(s, s.n) if s.sp == (0, s.n) and s.sign == -1 else ()
 
 
 def _all_ones(read: RowReader) -> Reader:
@@ -768,8 +771,8 @@ def _all_ones(read: RowReader) -> Reader:
 
 def _when(support: Callable[[int, int], Iterable[int]],
           params: Callable[[int, int], Params]) -> Reader:
-    """A reader for P = x^n -/+ 1 and Q with support(n, deg Q) as its support."""
-    return _pm_one(lambda s, n: [params(n, s.d)] if s.sq == tuple(support(n, s.d)) else ())
+    """A reader for P = x^n - 1 and Q with support(n, deg Q) as its support."""
+    return _minus_one(lambda s, n: [params(n, s.d)] if s.sq == tuple(support(n, s.d)) else ())
 
 
 def _ap(read: Callable[[int, Fraction, int], Params | bool]) -> RowReader:
@@ -777,7 +780,7 @@ def _ap(read: Callable[[int, Fraction, int], Params | bool]) -> RowReader:
     return lambda s, n: filter(None, (read(n, a, L) for a, L in s.progressions))
 
 
-@_pm_one
+@_minus_one
 def _read_thm10(s: _Shape, n: int) -> Iterator[Params]:
     residues = {e % n for e in s.sq} - {0}
     if len(residues) == 1:
@@ -786,13 +789,13 @@ def _read_thm10(s: _Shape, n: int) -> Iterator[Params]:
                "b": tuple(s.Q.coeff(l * n + r) for l in blocks)}
 
 
-@_pm_one
+@_minus_one
 def _read_cor11(s: _Shape, n: int) -> Iterator[Params]:
     if all(e % n == 0 for e in s.sq):
         yield {"n": n, "a": s.Q.coeffs[::n]}
 
 
-@_pm_one
+@_minus_one
 def _read_cor16(s: _Shape, n: int) -> Iterator[Params]:  # and cor18, cor20
     middle = [e for e in s.sq if e not in (0, s.d)]
     if len(middle) == 1 and middle[0] % n == 0 == s.d % n:
@@ -800,27 +803,33 @@ def _read_cor16(s: _Shape, n: int) -> Iterator[Params]:  # and cor18, cor20
                "a": s.Q.coeff(middle[0]) / s.Q.leading, "b": s.Q.coeff(0) / s.Q.leading}
 
 
-@_pm_one
+@_minus_one
 def _read_cor19(s: _Shape, n: int) -> Iterator[Params]:
     if s.d == 2 * n and set(s.sq) <= {0, n, 2 * n}:
         yield {"n": n, "a": s.Q.coeff(n) / s.Q.leading}
 
 
-@_pm_one
+@_minus_one
 def _read_cor21(s: _Shape, n: int) -> Iterator[Params]:
     if s.d == 2 * n and set(s.sq) <= {0, n, 2 * n}:
         yield {"n": n, "b": s.Q.coeff(0) / s.Q.leading}
 
 
-@_pm_one
+@_minus_one
 def _read_cor22(s: _Shape, n: int) -> Iterator[Params]:  # and cor23
     if s.d and set(s.sq) <= {0, s.d}:
         yield {"n": n, "m": s.d, "b": s.Q.coeff(0) / s.Q.leading}
 
 
+def _read_cor13(s: _Shape) -> Iterator[Params]:
+    if s.sign == 1 and s.sp == (0, s.n) and s.sq == tuple(range(0, s.d + 1, s.n)):
+        yield {"n": s.n, "m": s.d // s.n}
+
+
 def _read_cor24(s: _Shape) -> Iterator[Params]:
     step = s.sp[1]
-    if s.sp == tuple(range(0, s.n + 1, step)) and s.sq == tuple(range(0, s.d + 1, step)):
+    if (s.sign == 1 and s.sp == tuple(range(0, s.n + 1, step))
+            and s.sq == tuple(range(0, s.d + 1, step))):
         yield {"n": len(s.sp), "m": len(s.sq), "s": step}
 
 
@@ -830,7 +839,7 @@ def _read_cor25(s: _Shape, n: int) -> Iterator[Params]:
         yield {"n": n, "m": s.d + 1}
 
 
-@_pm_one
+@_minus_one
 def _read_cor28(s: _Shape, n: int) -> Iterator[Params]:  # and cor29
     others = [e for e in s.sq if e not in (0, n)]
     if n in s.sq and len(others) == 1:
@@ -838,7 +847,7 @@ def _read_cor28(s: _Shape, n: int) -> Iterator[Params]:  # and cor29
         yield {"n": n, "r": r, "a": s.Q.coeff(r) / lead, "b": s.Q.coeff(0) / lead}
 
 
-@_pm_one
+@_minus_one
 def _read_thm37(s: _Shape, n: int) -> Iterator[Params]:
     for step in range(n // 2, 0, -1):
         if n % step == 0 and all(e % step == 0 for e in s.sq):
@@ -847,7 +856,6 @@ def _read_thm37(s: _Shape, n: int) -> Iterator[Params]:
                     yield {"n": n, "m": length * step // n, "a": a, "s": step}
 
 
-# cor13 shares cor12's reader: only P's constant term tells them apart.
 _read_cor12 = _when(lambda n, d: range(0, d + 1, n), lambda n, d: {"n": n, "m": d // n})
 _read_cor14 = _when(lambda n, d: range(n, d + 1, n), lambda n, d: {"n": n, "m": d // n})
 _read_cor15 = _when(lambda n, d: (l * l * n for l in range(1, math.isqrt(d // n) + 1)),
@@ -857,11 +865,11 @@ _read_cor26 = _when(lambda n, d: (0, d), lambda n, d: {"n": n, "m": d})
 _read_cor27 = _when(lambda n, d: (0, n + 1), lambda n, d: {"n": n})
 _read_cor30 = _when(lambda n, d: (0, n, n + 1), lambda n, d: {"n": n})
 _read_cor31 = _when(lambda n, d: (0, 1, n), lambda n, d: {"n": n})
-_read_thm32 = _pm_one(_ap(lambda n, a, L: L % n == 0 and {"n": n, "m": L // n, "a": a}))
-_read_cor33 = _pm_one(_ap(lambda n, a, L: a == 0 and L % n == 0 and {"n": n, "m": L // n}))
-_read_cor34 = _pm_one(_ap(lambda n, a, L: a == 1 and L % n == 0 and {"n": n, "m": L // n}))
-_read_cor35 = _pm_one(_ap(lambda n, a, L: L == -a and L % n == 0 and {"n": n, "m": L // n}))
-_read_cor36 = _pm_one(_ap(lambda n, a, L: L == 1 - a and L % n == 0 and {"n": n, "m": L // n}))
+_read_thm32 = _minus_one(_ap(lambda n, a, L: L % n == 0 and {"n": n, "m": L // n, "a": a}))
+_read_cor33 = _minus_one(_ap(lambda n, a, L: a == 0 and L % n == 0 and {"n": n, "m": L // n}))
+_read_cor34 = _minus_one(_ap(lambda n, a, L: a == 1 and L % n == 0 and {"n": n, "m": L // n}))
+_read_cor35 = _minus_one(_ap(lambda n, a, L: L == -a and L % n == 0 and {"n": n, "m": L // n}))
+_read_cor36 = _minus_one(_ap(lambda n, a, L: L == 1 - a and L % n == 0 and {"n": n, "m": L // n}))
 _read_thm38 = _all_ones(_ap(lambda n, a, L: L % n == 0 and {"n": n, "m": L // n, "a": a}))
 _read_thm39 = _all_ones(_ap(lambda n, a, L: (L + 1) % n == 0
                                 and {"n": n, "m": (L + 1) // n, "a": a}))
@@ -957,7 +965,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
         _cor13_family,
         _cor13_closed,
         _simple_grid(n=(1, 2, 3, 4, 5), m=(2, 4)),
-        _read_cor12,
+        _read_cor13,
     )
     add(
         "cor14",

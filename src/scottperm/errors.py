@@ -1,14 +1,16 @@
 """Exception types shared by every module of the package.
 
 Each exception names the precise contract violation rather than reusing a
-generic ValueError, so callers (and the CLI exit-code mapping) can react to
-the exact failure mode.
+generic ValueError, so callers can react to the exact failure mode; its
+`exit_code` is the command line's exit status for it.
 """
 from __future__ import annotations
 
 
 class ScottPermError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 1
 
 
 class ZeroConstantTerm(ScottPermError):
@@ -42,6 +44,8 @@ class RepeatedXRoot(ScottPermError):
 class SharedRoot(ScottPermError):
     """P and Q share a root, so the permanent of (1/(x_i - y_j)) is undefined."""
 
+    exit_code = 2
+
 
 class ZeroDegree(ScottPermError):
     """A polynomial of degree >= 1 was required."""
@@ -54,12 +58,16 @@ class BadParams(ScottPermError):
 class OutOfDomain(ScottPermError):
     """A catalog entry was evaluated at a parameter point violating its hypotheses."""
 
+    exit_code = 4
+
 
 class ParseError(ScottPermError):
     """Polynomial text could not be parsed.
 
     Carries the character position and a description of what was expected.
     """
+
+    exit_code = 3
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")

@@ -157,15 +157,6 @@ def special_resultant(
     return sign * core**g
 
 
-def _binomial_parts(Q: Polynomial) -> tuple[Fraction, Fraction] | None:
-    """If Q = C*y^M - D with M = deg Q >= 1, return (C, D)."""
-    if Q.degree is None or Q.degree < 1:
-        return None
-    if any(Q.coeff(k) != 0 for k in range(1, Q.degree)):
-        return None
-    return Q.leading, -Q.coeff(0)
-
-
 def per_via_fes(kind: RowFamily | str, n: int, Q: Polynomial) -> EvalResult:
     """Permanent of (1/(x_i - y_j)) with rows from one of the two families.
 
@@ -177,24 +168,15 @@ def per_via_fes(kind: RowFamily | str, n: int, Q: Polynomial) -> EvalResult:
     family = RowFamily(kind)
     if Q.is_zero:
         raise ZeroDegree("the column polynomial must be nonzero")
-    notes: list[str] = []
-
     if family is RowFamily.POWER_MINUS_ONE:
         P, banded = power_minus_one(n), fes
-        binomial = _binomial_parts(Q)
     else:
-        P, banded, binomial = all_ones_poly(n), fes_tilde, None
-    if binomial is not None:
-        c, d = binomial
-        denominator = special_resultant(1, 1, c, d, n, Q.degree)
-        notes.append("binomial resultant shortcut")
-    else:
-        denominator = resultant(P, Q)
+        P, banded = all_ones_poly(n), fes_tilde
+    denominator = resultant(P, Q)
     if denominator == 0:
         raise SharedRoot("the polynomials share a root")
     numerator = banded(Q, n)
 
     rows = P.degree
-    if rows > Q.degree:
-        notes.append("n > m: permanent vanishes")
-    return EvalResult(numerator / denominator, family.method, rows, Q.degree, tuple(notes))
+    notes = ("n > m: permanent vanishes",) if rows > Q.degree else ()
+    return EvalResult(numerator / denominator, family.method, rows, Q.degree, notes)

@@ -280,13 +280,12 @@ def random_coprime_pair(
     rng: random.Random,
     deg_p: int,
     deg_q: int,
-    distinct_x: bool = True,
 ) -> tuple[Polynomial, Polynomial]:
     """A random pair of monic integer polynomials with no common factor.
 
-    Coefficients are drawn uniformly from [-5, 5].  When distinct_x is set,
-    candidates whose roots for the first polynomial come closer than 1e-6
-    are rejected, so downstream 1/(x_i - x_j) terms stay well conditioned.
+    Coefficients are drawn uniformly from [-5, 5].  Candidates whose roots
+    for the first polynomial come closer than 1e-6 are rejected, so
+    downstream 1/(x_i - x_j) terms stay well conditioned.
     """
     if deg_p < 1 or deg_q < 1:
         raise BadParams("both degrees must be at least 1")
@@ -295,17 +294,16 @@ def random_coprime_pair(
         q = Polynomial([rng.randint(-5, 5) for _ in range(deg_q)] + [1])
         if resultant(p, q) == 0:
             continue
-        if distinct_x:
-            try:
-                roots = find_roots(p)
-            except DidNotConverge:
-                continue
-            if any(
-                abs(roots[i] - roots[j]) < 1e-6
-                for i in range(deg_p)
-                for j in range(i + 1, deg_p)
-            ):
-                continue
+        try:
+            roots = find_roots(p)
+        except DidNotConverge:
+            continue
+        if any(
+            abs(roots[i] - roots[j]) < 1e-6
+            for i in range(deg_p)
+            for j in range(i + 1, deg_p)
+        ):
+            continue
         return p, q
 
 

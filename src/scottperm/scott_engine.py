@@ -367,7 +367,10 @@ def verify(
     ROUTE_FAILURES, or returns a value that is not finite, contributes an
     error instead of a value; SharedRoot propagates from theorem1.  A float
     route is skipped when its DP work (m*n*2^n, n*2^n) exceeds oracle_cost_limit.
+    A tolerance that is not a finite number >= 0 is BadParams.
     """
+    if not 0 <= tolerance < math.inf:
+        raise BadParams(f"tolerance must be finite and >= 0, got {tolerance}")
     pair = Pair(P, Q)
     outcomes: list[RouteOutcome] = []
     for route in ROUTES:

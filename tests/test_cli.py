@@ -16,6 +16,10 @@ from scottperm.cli import DegreeZeroWarning, main, parse_poly, render_poly
 from test_closed_catalog import ALL_IDS
 
 
+# Longer than Python's default limit of 4300 digits for int() of a string.
+LONG_INT = "9" * 5000
+
+
 def run_cli(capsys, *argv: str):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -203,6 +207,23 @@ class TestEvalCommand:
         assert payload["error"] == "ParseError"
         assert "position" in payload["detail"]
 
+    @pytest.mark.parametrize(
+        "P,Q,position",
+        [
+            (f"x^{LONG_INT}", "y+1", 2),
+            (f"{LONG_INT}*x + 1", "y+1", 0),
+            (f"x + 1/{LONG_INT}", "y+1", 6),
+            (f"[{LONG_INT}, 1]", "y+1", 1),
+            (f"[1/{LONG_INT}, 1]", "y+1", 3),
+            ("x+1", f"y^{LONG_INT} + 2", 2),  # column polynomial
+        ],
+        ids=["exponent", "coefficient", "denominator", "list", "list-denominator", "column"],
+    )
+    def test_integer_past_the_digit_limit_is_a_parse_error(self, capsys, P, Q, position):
+        payload = error_json(capsys, 3, "eval", P, Q)
+        assert payload["error"] == "ParseError"
+        assert payload["detail"].endswith(f"(at position {position})")
+
     def test_vanishing_rectangular_case(self, capsys):
         payload = eval_json(capsys, "eval", "x^3-1", "y - 5")
         assert payload["value"] == {"num": "0", "den": "1"}
@@ -294,6 +315,12 @@ class TestVerifyCommand:
         payload = eval_json(capsys, "verify", "x^2-1", "y^3+2", "--tolerance", "1e-9")
         assert payload["tolerance"] == 1e-9
         assert payload["all_agree"] is True
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1"])
+    def test_tolerance_must_be_finite_and_not_negative(self, capsys, tolerance):
+        payload = error_json(capsys, 1, "verify", "x^2-1", "y^3+2", f"--tolerance={tolerance}")
+        assert payload["error"] == "BadParams"
+        assert "tolerance" in payload["detail"]
 
     def test_shared_root_exit_code(self, capsys):
         payload = error_json(capsys, 2, "verify", "x^3-1", "y^3-1")

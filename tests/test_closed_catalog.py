@@ -409,6 +409,22 @@ class TestRecognition:
         monkeypatch.setattr(fes_engine, "classify_row_polynomial", refuse)
         assert [find_matching(P, Q) for P, Q in pairs] == expected
 
+    def test_plus_one_rows_build_no_minus_one_family(self):
+        # P's sign tells x^3 + 1 from x^3 - 1 before any family is built.
+        minus_one = {e.family for e in catalog_entries() if e.family(e.grid[0])[0].coeff(0) < 0}
+        P = power_plus_one(3)
+        misses = compared = 0
+        for entry in catalog_entries():
+            for point in entry.grid:
+                shape = closed_catalog._Shape(P, entry.family(point)[1])
+                for reader in catalog_entries():
+                    closed_catalog._infer(reader, shape)
+                compared += len(shape.compared)
+                misses += sum(not hit for (family, *_), hit in shape.compared.items()
+                              if family in minus_one)
+        assert compared > 0
+        assert misses == 0
+
     def test_unrelated_pair_matches_nothing(self):
         assert find_matching(Polynomial([2, 0, 1]), Polynomial([1, 1, 1])) == []
 

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scottperm import (
@@ -35,6 +35,16 @@ rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
 def monomial(r: int, a) -> Polynomial:
     return Polynomial.from_pairs([(r, a)])
+
+
+# c*y^m - d with m up to 64; d = c or d = -c puts a root of unity among Q's roots.
+binomial_columns = st.builds(
+    lambda m, c, d, tie: Polynomial.from_pairs([(0, -(tie * c if tie else d)), (m, c)]),
+    st.integers(min_value=1, max_value=64),
+    rationals.filter(bool),
+    rationals,
+    st.sampled_from([0, 1, -1]),
+)
 
 
 class TestBrokenDiag:
@@ -206,7 +216,6 @@ class TestPerViaFes:
         result = per_via_fes(RowFamily.POWER_MINUS_ONE, 3, Polynomial([1, 0, 0, 1]))
         assert result.value == Fraction(-3, 8)
         assert result.method == "fes"
-        assert "binomial resultant shortcut" in result.notes
 
     def test_factorial_family(self):
         for n in range(2, 7):
@@ -253,12 +262,22 @@ class TestPerViaFes:
 
         monkeypatch.setattr(fes_engine, "_banded_rows", unreachable)
         for kind, n, Q in (
-            (RowFamily.POWER_MINUS_ONE, 3, Polynomial([-1, 0, 0, 1])),  # binomial shortcut
+            (RowFamily.POWER_MINUS_ONE, 3, Polynomial([-1, 0, 0, 1])),  # binomial Q
             (RowFamily.POWER_MINUS_ONE, 4, Polynomial([-2, 2, -1, 1])),  # (y - 1)(y^2 + 2)
             (RowFamily.ALL_ONES, 3, Polynomial([1, 1, 1])),
         ):
             with pytest.raises(SharedRoot):
                 per_via_fes(kind, n, Q)
+
+    def test_binomial_columns_take_the_general_resultant(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("per_via_fes took a second resultant path")
+
+        monkeypatch.setattr(fes_engine, "special_resultant", unreachable)
+        result = per_via_fes(RowFamily.POWER_MINUS_ONE, 3, Polynomial([1, 0, 0, 1]))
+        assert result.value == Fraction(-3, 8)
+        with pytest.raises(SharedRoot):
+            per_via_fes(RowFamily.POWER_MINUS_ONE, 4, Polynomial.from_pairs([(0, 3), (6, -3)]))
 
     def test_vanishes_with_more_rows_than_columns(self):
         result = per_via_fes(RowFamily.POWER_MINUS_ONE, 4, Polynomial([1, 0, 2]))
@@ -269,8 +288,9 @@ class TestPerViaFes:
     @given(
         st.sampled_from(list(RowFamily)),
         st.integers(min_value=2, max_value=12),
-        degree_polys(1, 14),
+        st.one_of(degree_polys(1, 14), binomial_columns),
     )
+    @settings(max_examples=100)  # half of the examples are binomial columns
     def test_route_equivalence_on_rational_columns(self, family, n, Q):
         # Q is rational and not monic, so fes divides out a power of its denominator.
         P = power_minus_one(n) if family is RowFamily.POWER_MINUS_ONE else all_ones_poly(n)

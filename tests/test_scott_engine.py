@@ -259,6 +259,14 @@ class TestVerify:
         assert len(report.agreements) == 10
         assert report.all_agree
 
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, -1e-9])
+    def test_tolerance_must_be_finite_and_not_negative(self, tolerance):
+        with pytest.raises(BadParams, match="tolerance"):
+            verify(power_poly(3, -1), power_poly(3, 1), tolerance=tolerance)
+
+    def test_zero_tolerance_is_accepted(self):
+        assert verify(power_poly(3, -1), power_poly(3, 1), tolerance=0).tolerance == 0
+
     def test_exact_routes_agree_exactly(self):
         report = verify(power_poly(3, -1), power_poly(4, 1))
         values = {route.method: route.value for route in report.routes}
