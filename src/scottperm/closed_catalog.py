@@ -111,34 +111,45 @@ class CatalogEntry:
         return _infer(self, _Shape(P, Q))
 
 
-def _validate(entry: CatalogEntry, params: Mapping[str, Any]) -> Params:
-    known = {name: (kind, minimum) for name, kind, minimum in entry.param_kinds}
+def _exact(value: Any) -> bool:
+    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+
+
+def _validate(owner: str, kinds: Sequence[tuple[str, str, int | None]],
+              params: Mapping[str, Any]) -> Params:
+    """Typed params of a catalog entry or gallery case `owner` with these
+    (name, kind, minimum) triples: a count is an int >= minimum, a rational an
+    int or Fraction, a vector at least minimum of them, never a bool; a
+    missing or unknown name is BadParams."""
+    known = {name: (kind, minimum) for name, kind, minimum in kinds}
     unknown = set(params) - set(known)
     if unknown:
-        raise BadParams(f"{entry.id}: unknown parameter(s) {sorted(unknown)}")
+        raise BadParams(f"{owner}: unknown parameter(s) {sorted(unknown)}")
     out: Params = {}
     for name, (kind, minimum) in known.items():
         if name not in params:
-            raise BadParams(f"{entry.id}: missing parameter {name!r}")
+            raise BadParams(f"{owner}: missing parameter {name!r}")
         value = params[name]
         if kind == "count":
             if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-                raise BadParams(f"{entry.id}: {name} must be an integer >= {minimum}")
+                raise BadParams(f"{owner}: {name} must be an integer >= {minimum}")
             out[name] = value
         elif kind == "rational":
-            if not isinstance(value, (int, Fraction)) or isinstance(value, bool):
-                raise BadParams(f"{entry.id}: {name} must be an int or Fraction")
+            if not _exact(value):
+                raise BadParams(f"{owner}: {name} must be an int or Fraction")
             out[name] = Fraction(value)
         elif kind == "vector":
             try:
-                vec = tuple(Fraction(v) for v in value)
-            except (TypeError, ValueError):
-                raise BadParams(f"{entry.id}: {name} must be a sequence of rationals") from None
+                vec = tuple(value)
+            except TypeError:
+                vec = None
+            if vec is None or not all(map(_exact, vec)):
+                raise BadParams(f"{owner}: {name} must be a sequence of ints or Fractions")
             if len(vec) < minimum:
-                raise BadParams(f"{entry.id}: {name} needs at least {minimum} entries")
-            out[name] = vec
+                raise BadParams(f"{owner}: {name} needs at least {minimum} entries")
+            out[name] = tuple(map(Fraction, vec))
         else:  # pragma: no cover - registry construction error
-            raise BadParams(f"{entry.id}: bad parameter kind {kind!r}")
+            raise BadParams(f"{owner}: bad parameter kind {kind!r}")
     return out
 
 
@@ -1396,23 +1407,25 @@ def get_entry(entry_id: str) -> CatalogEntry:
         raise BadParams(f"unknown catalog entry {entry_id!r}") from None
 
 
-def catalog_eval(entry_id: str, **params: Any) -> Fraction:
-    """Exact value of one catalog identity at a parameter point."""
+def _checked(entry_id: str, params: Mapping[str, Any]) -> tuple[CatalogEntry, Params]:
+    """The entry and its validated params, OutOfDomain outside its domain."""
     entry = get_entry(entry_id)
-    clean = _validate(entry, params)
+    clean = _validate(entry.id, entry.param_kinds, params)
     reason = entry.domain_check(clean)
     if reason is not None:
         raise OutOfDomain(f"{entry_id}: {reason}")
+    return entry, clean
+
+
+def catalog_eval(entry_id: str, **params: Any) -> Fraction:
+    """Exact value of one catalog identity at a parameter point."""
+    entry, clean = _checked(entry_id, params)
     return entry.closed_form(clean)
 
 
 def catalog_family(entry_id: str, **params: Any) -> tuple[Polynomial, Polynomial]:
     """The concrete (P, Q) pair of one catalog identity at a parameter point."""
-    entry = get_entry(entry_id)
-    clean = _validate(entry, params)
-    reason = entry.domain_check(clean)
-    if reason is not None:
-        raise OutOfDomain(f"{entry_id}: {reason}")
+    entry, clean = _checked(entry_id, params)
     return entry.family(clean)
 
 
@@ -1422,7 +1435,7 @@ def _infer(entry: CatalogEntry, shape: _Shape) -> Params | None:
         return None
     for raw in entry.read(shape):
         try:
-            params = _validate(entry, raw)
+            params = _validate(entry.id, entry.param_kinds, raw)
         except BadParams:
             continue
         key = (entry.family, *params.items())

@@ -5,7 +5,9 @@ determinant factors into, so the two can be checked against each other over
 parameter grids.  All four families are circulant-flavored: entries depend
 on i - j modulo n.
 
-Case ids and their parameters:
+Case ids and their parameters, each declared as (name, kind, minimum)
+triples and validated by the closed-form catalog's validator, so one module
+owns the parameter rules:
 
 * ``prop6``: n, r, x (n values), y (n values).  Diagonal x_i plus a cyclic
   diagonal of y values shifted by r; determinant splits over gcd(r, n)
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Mapping
 
+from .closed_catalog import Params, _validate
 from .errors import BadParams
 from .exact_core import RationalMatrix
 
@@ -35,47 +38,20 @@ class GalleryCase:
     params: Mapping[str, Any]
 
 
-def _rational(params: Mapping[str, Any], key: str) -> Fraction:
-    if key not in params:
-        raise BadParams(f"missing parameter {key!r}")
-    value = params[key]
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    raise BadParams(f"parameter {key!r} must be an int or Fraction, got {type(value).__name__}")
-
-
-def _count(params: Mapping[str, Any], key: str, minimum: int) -> int:
-    if key not in params:
-        raise BadParams(f"missing parameter {key!r}")
-    value = params[key]
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise BadParams(f"parameter {key!r} must be an integer >= {minimum}")
-    return value
-
-
-def _value_list(params: Mapping[str, Any], key: str, n: int) -> list[Fraction]:
-    if key not in params:
-        raise BadParams(f"missing parameter {key!r}")
-    seq = params[key]
-    try:
-        values = [Fraction(v) if isinstance(v, (int, Fraction)) else None for v in seq]
-    except TypeError:
-        raise BadParams(f"parameter {key!r} must be a sequence") from None
-    if any(v is None for v in values) or len(values) != n:
-        raise BadParams(f"parameter {key!r} must be {n} ints or Fractions")
-    return values
-
-
 # prop6: diagonal of x values plus an r-shifted cyclic diagonal of y values.
 
 
-def _prop6_matrix(params: Mapping[str, Any]) -> RationalMatrix:
-    n = _count(params, "n", 1)
-    r = _count(params, "r", 1)
+def _prop6_parts(p: Params) -> tuple[int, int, tuple[Fraction, ...], tuple[Fraction, ...]]:
+    n, r, x, y = p["n"], p["r"], p["x"], p["y"]
     if r > n:
-        raise BadParams("need 1 <= r <= n")
-    x = _value_list(params, "x", n)
-    y = _value_list(params, "y", n)
+        raise BadParams("prop6: need 1 <= r <= n")
+    if len(x) != n or len(y) != n:
+        raise BadParams(f"prop6: x and y must have {n} entries")
+    return n, r, x, y
+
+
+def _prop6_matrix(p: Params) -> RationalMatrix:
+    n, r, x, y = _prop6_parts(p)
     entries = [[Fraction(0)] * n for _ in range(n)]
     for i in range(1, n + 1):
         entries[i - 1][i - 1] += x[i - 1]
@@ -85,13 +61,8 @@ def _prop6_matrix(params: Mapping[str, Any]) -> RationalMatrix:
     return RationalMatrix.from_rows(entries)
 
 
-def _prop6_closed(params: Mapping[str, Any]) -> Fraction:
-    n = _count(params, "n", 1)
-    r = _count(params, "r", 1)
-    if r > n:
-        raise BadParams("need 1 <= r <= n")
-    x = _value_list(params, "x", n)
-    y = _value_list(params, "y", n)
+def _prop6_closed(p: Params) -> Fraction:
+    n, r, x, y = _prop6_parts(p)
     d = math.gcd(r, n)
     q = n // d
     total = Fraction(1)
@@ -108,9 +79,8 @@ def _prop6_closed(params: Mapping[str, Any]) -> Fraction:
 # thm7: entry (v+c)(va+b) + d - (j-1)(va+e) where v = 1 + ((i-j) mod n).
 
 
-def _thm7_matrix(params: Mapping[str, Any]) -> RationalMatrix:
-    n = _count(params, "n", 1)
-    a, b, c, d, e = (_rational(params, k) for k in "abcde")
+def _thm7_matrix(p: Params) -> RationalMatrix:
+    n, a, b, c, d, e = (p[k] for k in "nabcde")
     rows = []
     for i in range(1, n + 1):
         row = []
@@ -140,9 +110,8 @@ def _thm7_u(n: int, a: Fraction, b: Fraction, c: Fraction, d: Fraction, e: Fract
     )
 
 
-def _thm7_closed(params: Mapping[str, Any]) -> Fraction:
-    n = _count(params, "n", 1)
-    a, b, c, d, e = (_rational(params, k) for k in "abcde")
+def _thm7_closed(p: Params) -> Fraction:
+    n, a, b, c, d, e = (p[k] for k in "nabcde")
     u = _thm7_u(n, a, b, c, d, e)
     lead = Fraction(-n) ** (n - 1)
     if n == 1:
@@ -159,10 +128,8 @@ def _thm7_closed(params: Mapping[str, Any]) -> Fraction:
 # thm8: three residue branches on (i - j) mod n, size (n-1) x (n-1).
 
 
-def _thm8_matrix(params: Mapping[str, Any]) -> RationalMatrix:
-    n = _count(params, "n", 2)
-    m = _rational(params, "m")
-    a = _rational(params, "a")
+def _thm8_matrix(p: Params) -> RationalMatrix:
+    n, m, a = p["n"], p["m"], p["a"]
     rows = []
     for i in range(1, n):
         row = []
@@ -178,10 +145,8 @@ def _thm8_matrix(params: Mapping[str, Any]) -> RationalMatrix:
     return RationalMatrix.from_rows(rows)
 
 
-def _thm8_closed(params: Mapping[str, Any]) -> Fraction:
-    n = _count(params, "n", 2)
-    m = _rational(params, "m")
-    a = _rational(params, "a")
+def _thm8_closed(p: Params) -> Fraction:
+    n, m, a = p["n"], p["m"], p["a"]
     prod = Fraction(1)
     for i in range(2, n + 1):
         prod *= n * m - i * a
@@ -191,9 +156,8 @@ def _thm8_closed(params: Mapping[str, Any]) -> Fraction:
 # cor9: two branches, determinant n^(n-2) * rising product of a.
 
 
-def _cor9_matrix(params: Mapping[str, Any]) -> RationalMatrix:
-    n = _count(params, "n", 2)
-    a = _rational(params, "a")
+def _cor9_matrix(p: Params) -> RationalMatrix:
+    n, a = p["n"], p["a"]
     rows = []
     for i in range(1, n):
         row = []
@@ -207,39 +171,45 @@ def _cor9_matrix(params: Mapping[str, Any]) -> RationalMatrix:
     return RationalMatrix.from_rows(rows)
 
 
-def _cor9_closed(params: Mapping[str, Any]) -> Fraction:
-    n = _count(params, "n", 2)
-    a = _rational(params, "a")
+def _cor9_closed(p: Params) -> Fraction:
+    n, a = p["n"], p["a"]
     prod = Fraction(1)
     for i in range(0, n - 1):
         prod *= i + a
     return Fraction(n) ** (n - 2) * prod
 
 
-_Case = tuple[Callable[[Mapping[str, Any]], RationalMatrix], Callable[[Mapping[str, Any]], Fraction]]
+_Kinds = tuple[tuple[str, str, int | None], ...]
+_Case = tuple[_Kinds, Callable[[Params], RationalMatrix], Callable[[Params], Fraction]]
 
-# Case id -> (matrix builder, closed form), in GALLERY_IDS order.
+# Case id -> (parameter kinds, matrix builder, closed form), in GALLERY_IDS order.
 _CASES: dict[str, _Case] = {
-    "prop6": (_prop6_matrix, _prop6_closed),
-    "thm7": (_thm7_matrix, _thm7_closed),
-    "thm8": (_thm8_matrix, _thm8_closed),
-    "cor9": (_cor9_matrix, _cor9_closed),
+    "prop6": ((("n", "count", 1), ("r", "count", 1), ("x", "vector", 1), ("y", "vector", 1)),
+              _prop6_matrix, _prop6_closed),
+    "thm7": ((("n", "count", 1), *((k, "rational", None) for k in "abcde")),
+             _thm7_matrix, _thm7_closed),
+    "thm8": ((("n", "count", 2), ("m", "rational", None), ("a", "rational", None)),
+             _thm8_matrix, _thm8_closed),
+    "cor9": ((("n", "count", 2), ("a", "rational", None)), _cor9_matrix, _cor9_closed),
 }
 GALLERY_IDS = tuple(_CASES)
 
 
-def _case(case: GalleryCase) -> _Case:
+def _validated(case: GalleryCase) -> tuple[_Case, Params]:
     try:
-        return _CASES[case.id]
+        spec = _CASES[case.id]
     except KeyError:
         raise BadParams(f"unknown gallery case {case.id!r}") from None
+    return spec, _validate(case.id, spec[0], case.params)
 
 
 def gallery_matrix(case: GalleryCase) -> RationalMatrix:
     """Build the explicit matrix for a gallery case."""
-    return _case(case)[0](case.params)
+    (_, matrix, _), params = _validated(case)
+    return matrix(params)
 
 
 def gallery_closed_form(case: GalleryCase) -> Fraction:
     """Evaluate the factored determinant formula for a gallery case."""
-    return _case(case)[1](case.params)
+    (_, _, closed), params = _validated(case)
+    return closed(params)

@@ -314,6 +314,7 @@ ROUTES = (
 )
 _METHODS = {route.name: route for route in ROUTES}
 _METHODS["auto"] = Route("auto", lambda p: _METHODS["fes" if p.family else "theorem1"].evaluate(p))
+_DIVIDE_BY_RESULTANT = ("theorem1", "fes", "auto")
 
 
 def _shown(value: object) -> str:
@@ -345,11 +346,18 @@ def evaluate(P: Polynomial, Q: Polynomial, method: str = "auto") -> EvalResult:
     """The permanent by one route: a name in ROUTES, "auto" or "closed:<id>".
 
     "auto" takes fes for a row family and theorem1 otherwise.  An unknown
-    method is BadParams even for a bad pair; a route that does not take the
-    pair is BadParams.  Unlike in verify, no route is skipped for its cost.
+    method is BadParams even for a bad pair; a shared root is SharedRoot for
+    every method (for fes, once P is a row family); a route that does not
+    take the pair is BadParams.  Unlike in verify, no route is skipped for
+    its cost.
     """
     route = _METHODS.get(method) or _catalog_route(method)
     pair = Pair(P, Q)
+    # theorem1, fes and auto divide by Res(P, Q) and test it there; the float
+    # roots of a shared multiple root come out too far apart for the oracles'
+    # checks to see, so every other route is tested here, before `applies`.
+    if method not in _DIVIDE_BY_RESULTANT and resultant(P, Q) == 0:
+        raise SharedRoot("the polynomials share a root, so some entry 1/(x - y) is undefined")
     if not route.applies(pair):
         raise BadParams(f"method {method} needs {route.needs}")
     return route.evaluate(pair)

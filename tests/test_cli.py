@@ -158,8 +158,9 @@ class TestEvalCommand:
         assert payload["notes"] == ["matched with n=3, a=0"]
 
     def test_closed_route_reports_why_a_member_is_out_of_domain(self, capsys):
+        # y^2 + 1 shares no root with x^2 - 1; with y^3 + 1 the pair is SharedRoot.
         payload = error_json(
-            capsys, 4, "eval", "x^2-1", "y^3+1", "--method", "closed:cor26"
+            capsys, 4, "eval", "x^2-1", "y^2+1", "--method", "closed:cor26"
         )
         assert payload["error"] == "OutOfDomain"
         assert payload["detail"] == "cor26: n must be odd"
@@ -200,6 +201,19 @@ class TestEvalCommand:
 
     def test_shared_root_exit_code(self, capsys):
         payload = error_json(capsys, 2, "eval", "x^2-1", "y^2-1")
+        assert payload["error"] == "SharedRoot"
+
+    @pytest.mark.parametrize(
+        "P,Q,method",
+        [
+            # (y - 1)^2 (y - 3) shares its double root with x - 1.
+            *(("x-1", "y^3-5y^2+7y-3", method)
+              for method in ("oracle", "involution", "closed_form", "closed:cor12")),
+            ("x^2-1", "y^3+1", "closed:cor26"),  # a cor26 member outside its domain
+        ],
+    )
+    def test_shared_root_exit_code_for_every_method(self, capsys, P, Q, method):
+        payload = error_json(capsys, 2, "eval", P, Q, "--method", method)
         assert payload["error"] == "SharedRoot"
 
     def test_parse_error_exit_code(self, capsys):

@@ -222,6 +222,10 @@ class TestParamValidation:
             catalog_eval("cor11", n=2, a=())
         with pytest.raises(BadParams):
             catalog_eval("cor11", n=2, a="xy")
+        # A vector takes ints and Fractions only, as a rational does.
+        for bad in ((1.5, 2), ("1/2", 2), (True, 2)):
+            with pytest.raises(BadParams):
+                catalog_eval("cor11", n=2, a=bad)
 
 
 class TestShiftedFactorial:

@@ -153,5 +153,19 @@ class TestParameterValidation:
         with pytest.raises(BadParams):
             gallery_matrix(GalleryCase("prop6", {"n": 0, "r": 1, "x": [], "y": []}))
 
+    @pytest.mark.parametrize("build", [gallery_matrix, gallery_closed_form])
+    @pytest.mark.parametrize(
+        "case",
+        [
+            GalleryCase("cor9", {"n": 2, "a": Fraction(7, 2), "typo_b": 3}),
+            GalleryCase("cor9", {"n": 2, "a": True}),
+            GalleryCase("prop6", {"n": 2, "r": 1, "x": [1, True], "y": [3, 4]}),
+        ],
+        ids=["unknown-name", "bool-rational", "bool-in-vector"],
+    )
+    def test_unknown_names_and_bools_rejected(self, build, case):
+        with pytest.raises(BadParams):
+            build(case)
+
     def test_case_ids_catalog(self):
         assert GALLERY_IDS == ("prop6", "thm7", "thm8", "cor9")

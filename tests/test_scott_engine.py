@@ -527,6 +527,13 @@ class TestRouteTable:
         monkeypatch.setattr(fes_engine, "classify_row_polynomial", refuse)
         assert scott_engine.evaluate(power_poly(3, -1), power_poly(4, 1), method).n == 3
 
+    @pytest.mark.parametrize("method", ["oracle", "involution", "closed_form", "closed:cor12"])
+    def test_every_method_reports_a_shared_root(self, method):
+        # Q = (y - 1)^2 (y - 3): the float roots of the double root come out
+        # about 1e-8 apart, so only an exact test sees the root shared with P.
+        with pytest.raises(SharedRoot):
+            scott_engine.evaluate(Polynomial([-1, 1]), Polynomial([-3, 7, -5, 1]), method)
+
     def test_a_constant_polynomial_has_no_roots(self, monkeypatch):
         calls = []
 
