@@ -10,7 +10,8 @@ Commands:
   oracle against the polynomial-time determinant route.
 
 Exit codes: 0 success, 2 shared root, 3 parse error, 4 out of catalog domain, 1 anything
-else, such as ZeroDegree for a constant P or a zero Q.  Errors are JSON on stderr.
+else, such as ZeroDegree for a constant P or a zero Q, or a usage error (BadParams).
+Errors are JSON on stderr.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ import time
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NoReturn, Sequence
 
 from . import closed_catalog, numeric_oracle, scott_engine
 from .errors import BadParams, ParseError, ScottPermError
@@ -400,10 +401,17 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 # Entry point ---------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are BadParams, printed as JSON like every error."""
+
+    def error(self, message: str) -> NoReturn:
+        raise BadParams(message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and reused by later ones."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="scottperm",
         description="Exact permanents of reciprocal-difference matrices over polynomial root sets.",
     )
@@ -441,8 +449,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except ScottPermError as exc:
         json.dump({"error": type(exc).__name__, "detail": str(exc)}, sys.stderr)

@@ -8,9 +8,13 @@ obtained without ever computing a root: it equals
 
 where H is the n x (m+n-1) band of complete homogeneous symmetric functions
 of X, E is an (m+n-1) x n matrix of weighted elementary symmetric functions
-of Y, and Res is the resultant of the monic forms.  `ROUTES` is the one
-table of this and every other route (each returns an `EvalResult`, from the
-leaf module `results`): `evaluate` runs one by name, `verify` all that apply.
+of Y, and Res is the resultant of the monic forms.  The numerator is taken
+as det R, the same determinant with entries of about half the bits: column
+k of R holds the coefficients of x^(k-1) Q' - (k-1) x^(k-2) Q mod P, so
+neither H nor E is built.  For P = x^n - 1, R is fes's broken-diagonal
+matrix.  `ROUTES` is the one table of this and every other route (each
+returns an `EvalResult`, from the leaf module `results`): `evaluate` runs
+one by name, `verify` all that apply.
 """
 from __future__ import annotations
 
@@ -20,7 +24,6 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
 from typing import Callable, NamedTuple
 
 from . import closed_catalog, fes_engine, numeric_oracle
@@ -96,28 +99,36 @@ def build_E(Q: Polynomial, n: int) -> RationalMatrix:
     return RationalMatrix(height, n, entries)
 
 
-def _numerator_rows(h: list[int], q: list[int], n: int) -> list[list[int]]:
-    """The n x n integer matrix M with H @ E == M / (Lh * Lq).
+def _reduce(values: list[int], p: list[int]) -> list[int]:
+    """values (low degree first) modulo x^n + p[n-1] x^(n-1) + ... + p[0], as n integers."""
+    n = len(p)
+    rem = values + [0] * (n - len(values))
+    for top in range(len(rem) - 1, n - 1, -1):
+        t = rem[top]
+        if t:
+            base = top - n
+            rem[base:top] = [a - t * c for a, c in zip(rem[base:top], p)]
+    return rem[:n]
 
-    h holds Lh * h_k for k = 0..m+n-2 and q holds Lq * q_u for the monic
-    coefficients q_0..q_m of Q.  Since (-1)^s e_s = q_(m-s), the 1-based
-    entry is M[i][k] = sum_j h[j-i] (j-2k+2) q[j-k+1].  With u = j-k+1 and
-    d = k-1-i this is S1(d) - (k-1) S0(d), where S0(d) = sum_u h[u+d] q[u]
-    and S1(d) = sum_u h[u+d] u q[u] over the band where both factors are
-    nonzero, so only the 2n-1 distinct values of d are summed.
+
+def _theorem1_rows(p: list[int], q: list[int]) -> list[list[int]]:
+    """The n x n integer matrix R^T whose determinant is theorem1's numerator.
+
+    p holds the low coefficients p[0..n-1] of the monic x^n + ... + p[0] and
+    q the coefficients of an integer Q.  Row k (1-based) holds the
+    coefficients of f_k = x^(k-1) Q' - (k-1) x^(k-2) Q mod P, built from
+    f_1 = Q' mod P and g_1 = Q mod P by one shift modulo P per row:
+    f_(k+1) = x f_k - g_k and g_(k+1) = x g_k.
     """
-    m = len(q) - 1
-    uq = [u * c for u, c in enumerate(q)]
-    s0, s1 = [], []
-    for d in range(-n, n - 1):
-        lo = max(0, -d)
-        band = h[lo + d : m + d + 1]
-        s0.append(sum(map(mul, band, q[lo:])))
-        s1.append(sum(map(mul, band, uq[lo:])))
-    # s0[k - i - 1 + n] is S0(d) for the 0-based row i and column k.
-    return [
-        [s1[k - i - 1 + n] - k * s0[k - i - 1 + n] for k in range(n)] for i in range(n)
-    ]
+    f = _reduce([j * c for j, c in enumerate(q)][1:], p)
+    g = _reduce(q, p)
+    rows = [f]
+    for _ in range(len(p) - 1):
+        t, s = f[-1], g[-1]
+        f = [-t * p[0] - g[0]] + [a - t * c - b for a, c, b in zip(f, p[1:], g[1:])]
+        g = [-s * p[0]] + [a - s * c for a, c in zip(g, p[1:])]
+        rows.append(f)
+    return rows
 
 
 def scott_permanent(P: Polynomial, Q: Polynomial) -> EvalResult:
@@ -126,27 +137,34 @@ def scott_permanent(P: Polynomial, Q: Polynomial) -> EvalResult:
     P and Q must not share a root, which is tested once as Res(P, Q) == 0
     on the resultant the value divides by.  With more rows than columns
     (deg P > deg Q) the permanent is zero by convention, since no injective
-    row-to-column assignment exists.  det(H @ E) is taken over the integers
-    (`_numerator_rows`); neither H nor E is built.
+    row-to-column assignment exists.  The numerator det(H @ E) is taken as
+    det R over the integers (`_theorem1_rows`); neither H nor E is built.
     """
     if P.degree is None or P.degree < 1:
         raise ZeroDegree("the row polynomial must have degree >= 1")
     if Q.is_zero:
         raise ZeroDegree("the column polynomial must be nonzero")
-    p_monic, q_monic = P.monic(), Q.monic()
-    res = resultant(p_monic, q_monic)
+    p_monic = P.monic()
+    res = resultant(p_monic, Q.monic())
     if res == 0:
         raise SharedRoot("the polynomials share a root, so some entry 1/(x - y) is undefined")
     n = P.degree
     m = Q.degree
     if n > m:
         return EvalResult(Fraction(0), "theorem1", n, m, ("n > m: permanent vanishes",))
-    h, h_scale = _clear_denominators(
-        series_inverse(Polynomial(reversed(p_monic.coeffs)), m + n - 2)
-    )
-    q, q_scale = _clear_denominators(q_monic.coeffs)
-    det = _bareiss(_numerator_rows(h, q, n))
-    return EvalResult(det / ((h_scale * q_scale) ** n * res), "theorem1", n, m)
+    p, scale = _clear_denominators(p_monic.coeffs[:n])
+    q, _ = _clear_denominators(Q.coeffs)
+    lead = q[-1] ** n
+    # With L = scale, x = z / L turns P's monic form into the monic integer
+    # z^n + sum p_i L^(n-1-i) z^i and Q into sum q_j L^(m-j) z^j, whose roots
+    # are L times those of P and Q: that divides the permanent by L^n and
+    # multiplies the resultant of the monic forms by L^(nm).
+    if scale != 1:
+        p = [c * scale ** (n - 1 - i) for i, c in enumerate(p)]
+        q = [c * scale ** (m - j) for j, c in enumerate(q)]
+        lead *= scale ** (n * m - n)
+    det = _bareiss(_theorem1_rows(p, q))
+    return EvalResult(Fraction(det, lead) / res, "theorem1", n, m)
 
 
 def _finite(z: Value) -> bool:

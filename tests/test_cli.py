@@ -422,6 +422,28 @@ def _without_timings(payload):
     return payload
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (),
+        ("eval",),
+        ("verify", "x-1", "y", "--tolerance", "abc"),
+        ("bench", "1..2", "1..2", "--seed", "z"),
+        ("eval", "x-1", "y", "--bogus"),
+    ],
+)
+def test_usage_errors_are_bad_params(capsys, argv):
+    assert error_json(capsys, 1, *argv)["error"] == "BadParams"
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("eval", "--help")])
+def test_help_prints_usage_and_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc_info:
+        main(list(argv))
+    assert exc_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: scottperm")
+
+
 class TestModuleEntryPoint:
     def test_repeated_calls_in_one_process_match_fresh_processes(self, capsys):
         # main reuses one parser; no subcommand or option may leak into the next call.

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from scottperm import (
@@ -197,6 +197,62 @@ class TestScottPermanent:
             derivative = Polynomial([k * Q.coeff(k) for k in range(1, Q.degree + 1)])
             expected = poly_eval(derivative, a) / poly_eval(Q, a)
             assert scott_permanent(P, Q).value == expected
+
+
+def h_times_e_formula(P: Polynomial, Q: Polynomial) -> Fraction:
+    """det(H @ E) / Res over the rational matrices, the numerator before the integer kernel."""
+    res = resultant(P.monic(), Q.monic())
+    if res == 0:
+        raise SharedRoot("the polynomials share a root")
+    return exact_det(build_H(P, Q.degree) @ build_E(Q, P.degree)) / res
+
+
+class TestNumeratorKernel:
+    """det(H @ E) == det R, with R's columns f_k = x^(k-1) Q' - (k-1) x^(k-2) Q mod P."""
+
+    @given(degree_polys(1, 5), degree_polys(0, 6), st.one_of(st.none(), rationals))
+    @example(Polynomial([Fraction(-1, 2), 0, 3]), Polynomial([1, 0, 0, 2]), None)  # L = 6
+    @example(Polynomial([Fraction(-1, 2), 0, 3]), Polynomial([7]), None)  # constant Q
+    @example(Polynomial([1, 2, 0, Fraction(5, 3)]), Polynomial([2, 5]), None)  # n > m
+    def test_matches_the_h_times_e_formula(self, P, Q, shared):
+        if shared is not None:  # give P and Q the common root `shared`
+            linear = Polynomial([-shared, 1])
+            P, Q = P * linear, Q * linear
+        try:
+            expected = h_times_e_formula(P, Q)
+        except SharedRoot:
+            with pytest.raises(SharedRoot):
+                scott_permanent(P, Q)
+            return
+        assert shared is None
+        assert scott_permanent(P, Q).value == expected
+
+    def test_rows_are_the_broken_diagonals_at_x_to_the_n_minus_1(self):
+        rng = random.Random(43)
+        for _ in range(60):
+            n = rng.randint(1, 9)
+            low = [Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3))) for _ in range(12)]
+            Q = Polynomial(
+                low[: rng.randint(1, 12)] + [rng.choice((1, -1, 2, -5, Fraction(3, 4)))]
+            )
+            q, scale = exact_core._clear_denominators(Q.coeffs)
+            rows = scott_engine._theorem1_rows([-1] + [0] * (n - 1), q)
+            columns = [list(column) for column in zip(*rows)]
+            assert (columns, scale) == fes_engine._banded_rows(
+                fes_engine.RowFamily.POWER_MINUS_ONE, n, Q
+            )
+
+    def test_determinant_is_the_all_ones_banded_determinant(self):
+        rng = random.Random(44)
+        for _ in range(60):
+            n = rng.randint(2, 9)
+            Q = Polynomial(
+                [rng.randint(-9, 9) for _ in range(rng.randint(1, 12))] + [rng.choice((1, -3, 4))]
+            )
+            q, _ = exact_core._clear_denominators(Q.coeffs)
+            banded, _ = fes_engine._banded_rows(fes_engine.RowFamily.ALL_ONES, n, Q)
+            kernel = exact_core._bareiss(scott_engine._theorem1_rows([1] * (n - 1), q))
+            assert kernel == exact_core._bareiss(banded)
 
 
 class TestRelativeGap:
