@@ -334,28 +334,36 @@ def _parse_range(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def _timed_best(fn: Callable[[], Any]) -> tuple[Any, float]:
-    """Run fn; return its value and its best time in ms.
+def _timed_best(*fns: Callable[[], Any]) -> list[tuple[Any, float]]:
+    """Run the fns in turn; return each one's value and its best time in ms.
 
-    A call slower than 100 ms is not repeated, so the exponential oracle leg
-    is paid once; a faster one runs at least 3 times and until 20 ms are
-    spent, so one slow spell of the machine cannot set a fast leg's best time.
+    Each round runs every fn once, so a slow spell of the machine falls on
+    all of them alike and the ratio of their times holds.  A fn slower than
+    100 ms is not run again, so the exponential oracle leg is paid once; the
+    others run at least 3 rounds and until 20 ms are spent, so one slow spell
+    cannot set a fast leg's best time.
     """
-    best, spent, runs = float("inf"), 0.0, 0
-    while runs < 3 or spent < 20:
-        start = time.perf_counter()
-        value = fn()
-        elapsed = (time.perf_counter() - start) * 1000
-        best, spent, runs = min(best, elapsed), spent + elapsed, runs + 1
-        if elapsed > 100:
-            break
-    return value, best
+    values, best = [None] * len(fns), [float("inf")] * len(fns)
+    live, spent, rounds = list(range(len(fns))), 0.0, 0
+    while live and (rounds < 3 or spent < 20):
+        for i in list(live):
+            start = time.perf_counter()
+            values[i] = fns[i]()
+            elapsed = (time.perf_counter() - start) * 1000
+            best[i], spent = min(best[i], elapsed), spent + elapsed
+            if elapsed > 100:
+                live.remove(i)
+        rounds += 1
+    return list(zip(values, best))
 
 
 def bench_rows(
     n_values: Sequence[int], m_values: Sequence[int], seed: int, max_n: int
 ) -> list[dict[str, Any]]:
-    """Timing rows for seeded random coprime instances, one per (n, m)."""
+    """Timing rows for seeded random coprime instances, one per (n, m).
+
+    Where n <= max_n, the oracle and theorem1 legs of a row are timed together.
+    """
     if len(n_values) == 1 and len(m_values) > 1:
         n_values = list(n_values) * len(m_values)
     if len(m_values) == 1 and len(n_values) > 1:
@@ -366,7 +374,12 @@ def bench_rows(
     rows: list[dict[str, Any]] = []
     for n, m in zip(n_values, m_values):
         P, Q = numeric_oracle.random_coprime_pair(rng, n, m)
-        exact, theorem1_ms = _timed_best(lambda: scott_engine.scott_permanent(P, Q))
+        legs = [lambda: scott_engine.scott_permanent(P, Q)]
+        if n <= max_n:
+            X = numeric_oracle.find_roots(P)
+            Y = numeric_oracle.find_roots(Q)
+            legs.append(lambda: numeric_oracle.brute_permanent(X, Y))
+        (exact, theorem1_ms), *oracle = _timed_best(*legs)
         row: dict[str, Any] = {
             "n": n,
             "m": m,
@@ -374,10 +387,8 @@ def bench_rows(
             "theorem1_ms": round(theorem1_ms, 3),
             "agree": None,
         }
-        if n <= max_n:
-            X = numeric_oracle.find_roots(P)
-            Y = numeric_oracle.find_roots(Q)
-            value, oracle_ms = _timed_best(lambda: numeric_oracle.brute_permanent(X, Y))
+        if oracle:
+            value, oracle_ms = oracle[0]
             row["oracle_ms"] = round(oracle_ms, 3)
             row["agree"] = scott_engine.relative_gap(exact.value, value) <= 1e-6
         rows.append(row)

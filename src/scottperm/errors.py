@@ -75,4 +75,4 @@ class ParseError(ScottPermError):
 
 
 class ZeroLeadingCoefficient(ScottPermError):
-    """A binomial-resultant shortcut requires nonzero leading coefficients."""
+    """special_resultant's closed form received a zero leading coefficient."""

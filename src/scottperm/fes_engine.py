@@ -163,20 +163,22 @@ def per_via_fes(kind: RowFamily | str, n: int, Q: Polynomial) -> EvalResult:
     kind selects the row polynomial: x^n - 1 or 1 + x + ... + x^(n-1).
     The value is the banded determinant divided by the resultant of the row
     polynomial with Q itself (unnormalized; the scaling cancels).  That
-    resultant is computed first, and SharedRoot is raised when it is 0.
+    resultant is computed first, and SharedRoot is raised when it is 0.  The
+    fes route builds its value with the same `banded_permanent`.
     """
     family = RowFamily(kind)
     if Q.is_zero:
         raise ZeroDegree("the column polynomial must be nonzero")
-    if family is RowFamily.POWER_MINUS_ONE:
-        P, banded = power_minus_one(n), fes
-    else:
-        P, banded = all_ones_poly(n), fes_tilde
+    P = power_minus_one(n) if family is RowFamily.POWER_MINUS_ONE else all_ones_poly(n)
     denominator = resultant(P, Q)
     if denominator == 0:
         raise SharedRoot("the polynomials share a root")
-    numerator = banded(Q, n)
+    return banded_permanent(family, n, Q, denominator)
 
-    rows = P.degree
+
+def banded_permanent(family: RowFamily, n: int, Q: Polynomial, denominator: Fraction) -> EvalResult:
+    """The permanent for a row family: Q's banded determinant over denominator,
+    which is Res(row polynomial, Q) and nonzero."""
+    banded, rows = (fes, n) if family is RowFamily.POWER_MINUS_ONE else (fes_tilde, n - 1)
     notes = ("n > m: permanent vanishes",) if rows > Q.degree else ()
-    return EvalResult(numerator / denominator, family.method, rows, Q.degree, notes)
+    return EvalResult(banded(Q, n) / denominator, family.method, rows, Q.degree, notes)

@@ -134,26 +134,22 @@ def _theorem1_rows(p: list[int], q: list[int]) -> list[list[int]]:
 def scott_permanent(P: Polynomial, Q: Polynomial) -> EvalResult:
     """Exact permanent of (1/(x_i - y_j)) over the root sets of P and Q.
 
-    P and Q must not share a root, which is tested once as Res(P, Q) == 0
-    on the resultant the value divides by.  With more rows than columns
+    P and Q must not share a root, which `Pair` tests as Res(P, Q) == 0 on
+    the resultant the value divides by.  With more rows than columns
     (deg P > deg Q) the permanent is zero by convention, since no injective
     row-to-column assignment exists.  The numerator det(H @ E) is taken as
     det R over the integers (`_theorem1_rows`); neither H nor E is built.
     """
-    if P.degree is None or P.degree < 1:
-        raise ZeroDegree("the row polynomial must have degree >= 1")
-    if Q.is_zero:
-        raise ZeroDegree("the column polynomial must be nonzero")
-    p_monic = P.monic()
-    res = resultant(p_monic, Q.monic())
-    if res == 0:
-        raise SharedRoot("the polynomials share a root, so some entry 1/(x - y) is undefined")
-    n = P.degree
-    m = Q.degree
+    return _theorem1(Pair(P, Q))
+
+
+def _theorem1(pair: Pair) -> EvalResult:
+    """scott_permanent of a checked pair: det R over pair.resultant."""
+    n, m = pair.n, pair.m
     if n > m:
         return EvalResult(Fraction(0), "theorem1", n, m, ("n > m: permanent vanishes",))
-    p, scale = _clear_denominators(p_monic.coeffs[:n])
-    q, _ = _clear_denominators(Q.coeffs)
+    p, scale = _clear_denominators(pair.P.monic().coeffs[:n])
+    q, _ = _clear_denominators(pair.Q.coeffs)
     lead = q[-1] ** n
     # With L = scale, x = z / L turns P's monic form into the monic integer
     # z^n + sum p_i L^(n-1-i) z^i and Q into sum q_j L^(m-j) z^j, whose roots
@@ -164,7 +160,7 @@ def scott_permanent(P: Polynomial, Q: Polynomial) -> EvalResult:
         q = [c * scale ** (m - j) for j, c in enumerate(q)]
         lead *= scale ** (n * m - n)
     det = _bareiss(_theorem1_rows(p, q))
-    return EvalResult(Fraction(det, lead) / res, "theorem1", n, m)
+    return EvalResult(Fraction(det, lead) / pair.resultant, "theorem1", n, m)
 
 
 def _finite(z: Value) -> bool:
@@ -247,8 +243,10 @@ ROUTE_FAILURES = (ScottPermError, ArithmeticError)
 
 
 class Pair:
-    """(P, Q) checked once (ZeroDegree for a constant P or a zero Q), with P's row
-    family, the catalog matches and the roots each found once, on first use."""
+    """(P, Q) checked once, for every route: ZeroDegree for a constant P or a zero
+    Q, then SharedRoot when Res(P, Q) of the monic forms is 0 (float roots miss a
+    shared multiple root).  P's row family, the catalog matches, Res(P, P') and
+    the roots are each found once, on first use."""
 
     def __init__(self, P: Polynomial, Q: Polynomial):
         if P.degree is None or P.degree < 1:
@@ -256,8 +254,17 @@ class Pair:
         if Q.is_zero:
             raise ZeroDegree("the column polynomial must be nonzero")
         self.P, self.Q, self.n, self.m = P, Q, P.degree, Q.degree
+        self.resultant = resultant(P.monic(), Q.monic())
+        if self.resultant == 0:
+            raise SharedRoot("the polynomials share a root, so some entry 1/(x - y) is undefined")
         # Keyed by identity: hashing a Polynomial hashes every coefficient.
         self._roots: dict[int, list[complex] | Exception] = {}
+
+    @functools.cached_property
+    def squarefree(self) -> bool:
+        """Res(P, P') != 0: P has no repeated root."""
+        derivative = Polynomial([k * c for k, c in enumerate(self.P.coeffs)][1:])
+        return resultant(self.P, derivative) != 0
 
     @functools.cached_property
     def family(self) -> tuple[fes_engine.RowFamily, int] | None:
@@ -302,8 +309,7 @@ def _oracle(pair: Pair) -> EvalResult:
 def _involution(pair: Pair) -> EvalResult:
     # The float roots of a multiple root come out too far apart for
     # involution_weighted_sum's 1e-12 check to see, so P is tested exactly.
-    derivative = Polynomial([k * c for k, c in enumerate(pair.P.coeffs)][1:])
-    if resultant(pair.P, derivative) == 0:
+    if not pair.squarefree:
         raise RepeatedXRoot("the row polynomial has a repeated root")
     value = numeric_oracle.involution_sum(pair.roots(pair.P), pair.roots(pair.Q))
     return EvalResult(value, "involution", pair.n, pair.m)
@@ -315,16 +321,16 @@ def _closed_form(pair: Pair) -> EvalResult:
     return EvalResult(value, "closed_form", pair.n, pair.m, (f"matched {entry_id}",))
 
 
-# In verify's order.  theorem1 tests Res(P, Q) also when n > m, so its
-# SharedRoot is the one shared-root check of a report.  Each route calls its
-# engine through a module attribute at call time, so a wrapper or monkeypatch
-# installed there sees every call.  fes names its result fes or fes_tilde.
+# In verify's order.  Each route calls its engine through a module attribute at
+# call time, so a wrapper or monkeypatch installed there sees every call.  fes names its
+# result fes or fes_tilde and divides by Res(monic row polynomial, Q) = lc(Q)^n pair.resultant.
 ROUTES = (
-    Route("theorem1", lambda pair: scott_permanent(pair.P, pair.Q)),
+    Route("theorem1", lambda pair: _theorem1(pair)),
     Route("oracle", _oracle, work_text="m*n*2^n",
           work=lambda pair: 0 if pair.n > pair.m else pair.m * pair.n * 2**pair.n),
     Route("involution", _involution, work=lambda pair: pair.n * 2**pair.n, work_text="n*2^n"),
-    Route("fes", lambda pair: fes_engine.per_via_fes(*pair.family, pair.Q),
+    Route("fes", lambda pair: fes_engine.banded_permanent(
+              *pair.family, pair.Q, pair.resultant * pair.Q.leading**pair.n),
           applies=lambda pair: pair.family is not None,
           needs="a row polynomial of the form x^n - 1 or 1 + x + ... + x^(n-1)"),
     Route("closed_form", _closed_form, applies=lambda pair: bool(pair.matches),
@@ -332,7 +338,6 @@ ROUTES = (
 )
 _METHODS = {route.name: route for route in ROUTES}
 _METHODS["auto"] = Route("auto", lambda p: _METHODS["fes" if p.family else "theorem1"].evaluate(p))
-_DIVIDE_BY_RESULTANT = ("theorem1", "fes", "auto")
 
 
 def _shown(value: object) -> str:
@@ -365,17 +370,11 @@ def evaluate(P: Polynomial, Q: Polynomial, method: str = "auto") -> EvalResult:
 
     "auto" takes fes for a row family and theorem1 otherwise.  An unknown
     method is BadParams even for a bad pair; a shared root is SharedRoot for
-    every method (for fes, once P is a row family); a route that does not
-    take the pair is BadParams.  Unlike in verify, no route is skipped for
-    its cost.
+    every method, from `Pair`; a route that does not take the pair is
+    BadParams.  Unlike in verify, no route is skipped for its cost.
     """
     route = _METHODS.get(method) or _catalog_route(method)
     pair = Pair(P, Q)
-    # theorem1, fes and auto divide by Res(P, Q) and test it there; the float
-    # roots of a shared multiple root come out too far apart for the oracles'
-    # checks to see, so every other route is tested here, before `applies`.
-    if method not in _DIVIDE_BY_RESULTANT and resultant(P, Q) == 0:
-        raise SharedRoot("the polynomials share a root, so some entry 1/(x - y) is undefined")
     if not route.applies(pair):
         raise BadParams(f"method {method} needs {route.needs}")
     return route.evaluate(pair)
@@ -391,7 +390,7 @@ def verify(
 
     Each route reports its own timing.  A route that fails with one of
     ROUTE_FAILURES, or returns a value that is not finite, contributes an
-    error instead of a value; SharedRoot propagates from theorem1.  A float
+    error instead of a value; `Pair` raises SharedRoot before any runs.  A float
     route is skipped when its DP work (m*n*2^n, n*2^n) exceeds oracle_cost_limit.
     A tolerance that is not a finite number >= 0 is BadParams.
     """
@@ -409,8 +408,6 @@ def verify(
         start = time.perf_counter()
         try:
             result = route.evaluate(pair)
-        except SharedRoot:
-            raise
         except ROUTE_FAILURES as exc:
             error, method, value, notes = f"{type(exc).__name__}: {exc}", route.name, None, ()
         else:

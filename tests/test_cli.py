@@ -210,6 +210,8 @@ class TestEvalCommand:
             *(("x-1", "y^3-5y^2+7y-3", method)
               for method in ("oracle", "involution", "closed_form", "closed:cor12")),
             ("x^2-1", "y^3+1", "closed:cor26"),  # a cor26 member outside its domain
+            # x^3 + x^2 + 2x + 1 is no row family, and Q is it times (y + 3).
+            ("x^3+x^2+2x+1", "y^4+4y^3+5y^2+7y+3", "fes"),
         ],
     )
     def test_shared_root_exit_code_for_every_method(self, capsys, P, Q, method):

@@ -348,9 +348,20 @@ class TestVerify:
         report = verify(P, Q)
         assert [route.method for route in report.routes] == ["theorem1", "oracle", "involution"]
         assert report.all_agree
-        # Res(P, Q) once, for theorem1's shared-root check, and Res(P, P') once,
+        # Res(P, Q) once, for the pair's shared-root check, and Res(P, P') once,
         # for the involution route's repeated-root check.
         assert calls == [(P, Q), (P, Polynomial([1, 2]))]
+        # The fes route divides by the pair's Res(P, Q), so a row family takes no
+        # second one; with n > m the pair still makes its shared-root check.
+        for P, Q, derivative, method in (
+            (power_poly(3, -1), power_poly(4, 2), Polynomial([0, 0, 3]), "fes"),
+            (Polynomial([1, 2, 0, 1]), Polynomial([3, 1]), Polynomial([2, 0, 3]), "theorem1"),
+        ):
+            calls.clear()
+            report = verify(P, Q)
+            assert method in [route.method for route in report.routes]
+            assert report.all_agree
+            assert calls == [(P, Q), (P, derivative)]
 
     @pytest.mark.parametrize(
         "P,Q",
@@ -519,10 +530,10 @@ class TestRouteTable:
         # Each route reaches its engine through the module attribute, so a
         # patched engine is seen by both callers.
         engine = {
-            "theorem1": (scott_engine, "scott_permanent"),
+            "theorem1": (scott_engine, "_theorem1"),
             "oracle": (numeric_oracle, "brute_permanent"),
             "involution": (numeric_oracle, "involution_sum"),
-            "fes": (fes_engine, "per_via_fes"),
+            "fes": (fes_engine, "banded_permanent"),
             "closed_form": (closed_catalog, "catalog_eval"),
         }[method]
         calls = []
@@ -583,12 +594,16 @@ class TestRouteTable:
         monkeypatch.setattr(fes_engine, "classify_row_polynomial", refuse)
         assert scott_engine.evaluate(power_poly(3, -1), power_poly(4, 1), method).n == 3
 
-    @pytest.mark.parametrize("method", ["oracle", "involution", "closed_form", "closed:cor12"])
+    @pytest.mark.parametrize("method", ["oracle", "involution", "closed_form", "closed:cor12", "fes"])
     def test_every_method_reports_a_shared_root(self, method):
         # Q = (y - 1)^2 (y - 3): the float roots of the double root come out
         # about 1e-8 apart, so only an exact test sees the root shared with P.
+        P, Q = Polynomial([-1, 1]), Polynomial([-3, 7, -5, 1])
+        if method == "fes":  # x - 1 is a row family, x^3 + x^2 + 2x + 1 is none
+            P = Polynomial([1, 2, 1, 1])
+            Q = P * Polynomial([3, 1])
         with pytest.raises(SharedRoot):
-            scott_engine.evaluate(Polynomial([-1, 1]), Polynomial([-3, 7, -5, 1]), method)
+            scott_engine.evaluate(P, Q, method)
 
     def test_a_constant_polynomial_has_no_roots(self, monkeypatch):
         calls = []
