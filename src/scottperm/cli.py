@@ -24,7 +24,7 @@ import time
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, NoReturn, Sequence
+from typing import Any, Callable, NoReturn, Sequence, TextIO
 
 from . import closed_catalog, numeric_oracle, scott_engine
 from .errors import BadParams, ParseError, ScottPermError
@@ -242,6 +242,12 @@ def render_poly(p: Polynomial, variable: str = "x") -> str:
 # Evaluation plumbing -------------------------------------------------------
 
 
+def _write_json(stream: TextIO, payload: Any, indent: int | None = 2) -> None:
+    """One JSON document and a newline, in a single write: json.dump with an
+    indent encodes in pure Python and writes each small piece on its own."""
+    stream.write(json.dumps(payload, indent=indent) + "\n")
+
+
 def _value_json(value: Any) -> dict[str, Any] | None:
     if value is None:
         return None
@@ -265,8 +271,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         "elapsed_ms": round(elapsed_ms, 3),
         "notes": list(result.notes),
     }
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _write_json(sys.stdout, payload)
     return 0
 
 
@@ -294,8 +299,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             for a, b, gap, ok in report.agreements
         ],
     }
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _write_json(sys.stdout, payload)
     return 0
 
 
@@ -315,8 +319,7 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
         }
         for entry in entries
     ]
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _write_json(sys.stdout, payload)
     return 0
 
 
@@ -398,8 +401,7 @@ def bench_rows(
 def _cmd_bench(args: argparse.Namespace) -> int:
     rows = bench_rows(_parse_range(args.n_range), _parse_range(args.m_range), args.seed, args.max_n)
     if args.json:
-        json.dump(rows, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        _write_json(sys.stdout, rows)
         return 0
     sys.stdout.write("n,m,oracle_ms,theorem1_ms,agree\n")
     for row in rows:
@@ -464,8 +466,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
         return args.func(args)
     except ScottPermError as exc:
-        json.dump({"error": type(exc).__name__, "detail": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
+        _write_json(sys.stderr, {"error": type(exc).__name__, "detail": str(exc)}, indent=None)
         return exc.exit_code
 
 

@@ -10,8 +10,9 @@ parameters for a concrete (P, Q): it is guarded by deg P, deg Q, P's sign
 and the supports of P and Q, and it may read coefficients, but it builds no
 polynomial.  `CatalogEntry.infer` validates each candidate, builds the entry's
 family there and keeps the first that equals (P, Q) up to scale, so a match
-is always a member of the family.  `find_matching` shares one pair's degrees,
-supports, monic forms and already compared families among all readers.
+is always a member of the family.  `iter_matching` shares one pair's degrees,
+supports, monic forms and already compared families among all readers, and
+reads the entries lazily; `find_matching` lists all its matches.
 
 The four ``prop4x`` entries carry, in addition, identities for weighted sums
 over involutions of the n-th roots of unity; ``involution_identity_check``
@@ -1448,17 +1449,21 @@ def _infer(entry: CatalogEntry, shape: _Shape) -> Params | None:
     return None
 
 
-def find_matching(P: Polynomial, Q: Polynomial) -> list[tuple[str, Params]]:
-    """All catalog entries whose family contains (P, Q), in catalog order,
-    each with its parameters; entries whose domain excludes them are left out.
+def iter_matching(P: Polynomial, Q: Polynomial) -> Iterator[tuple[str, Params]]:
+    """The catalog entries whose family contains (P, Q), in catalog order, each
+    with its parameters; entries whose domain excludes them are left out.
 
     Matching is up to scalar multiples of P and Q, since the permanent
-    depends only on the zero sets.
+    depends only on the zero sets.  Each entry is read only when the next
+    match is asked for, so a caller that wants the first match stops there.
     """
     shape = _Shape(P, Q)
-    matches: list[tuple[str, Params]] = []
     for entry in _REGISTRY.values():
         params = _infer(entry, shape)
         if params is not None and entry.domain_check(params) is None:
-            matches.append((entry.id, params))
-    return matches
+            yield entry.id, params
+
+
+def find_matching(P: Polynomial, Q: Polynomial) -> list[tuple[str, Params]]:
+    """Every match of `iter_matching`, as a list."""
+    return list(iter_matching(P, Q))

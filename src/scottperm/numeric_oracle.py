@@ -7,15 +7,15 @@ and m columns); the involution-sum evaluation of the same permanent by a
 second subset DP (O(n * 2^n)); Ryser's formula as a square-case reference;
 and bordered Cauchy / Borchardt determinants.  None of these functions is
 used by the exact evaluators; they exist so independent routes can be
-compared numerically.
+compared numerically.  numpy is imported inside the functions that use it
+(find_roots and the bordered determinants), so importing this module, and
+the package, does not load it.
 """
 from __future__ import annotations
 
 import cmath
 import random
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import (
     BadParams,
@@ -25,6 +25,9 @@ from .errors import (
     ZeroDegree,
 )
 from .exact_core import Polynomial, resultant
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Entries 1/(x - y) blow up past any useful precision below this separation.
 SINGULAR_TOL = 1e-12
@@ -43,30 +46,34 @@ def find_roots(p: Polynomial) -> list[complex]:
 
     numpy.roots (LAPACK) seeds the estimates; each is polished by a couple of
     guarded Newton steps and must pass a relative residual check, otherwise
-    DidNotConverge is raised.  Roots are returned sorted by (real, imag) so
-    repeated calls agree exactly.
+    DidNotConverge is raised.  The value of p at the current estimate is
+    carried from step to step, so a root costs 3 evaluations of p and at most
+    2 of p'.  Roots are returned sorted by (real, imag) so repeated calls agree
+    exactly.
     """
     if p.degree is None or p.degree < 1:
         raise ZeroDegree("root finding needs degree >= 1")
+    import numpy as np
+
     n = p.degree
     monic_desc = [float(c / p.leading) for c in reversed(p.coeffs)]
     deriv_desc = [monic_desc[i] * (n - i) for i in range(n)]
 
     polished = []
     for z in np.roots(monic_desc).astype(complex).tolist():
+        value = _horner(monic_desc, z)
         for _ in range(2):
             dp = _horner(deriv_desc, z)
             if dp == 0:
                 break
-            candidate = z - _horner(monic_desc, z) / dp
-            if abs(_horner(monic_desc, candidate)) < abs(_horner(monic_desc, z)):
-                z = candidate
-        polished.append(z)
-
-    for z in polished:
-        residual = abs(_horner(monic_desc, z)) / (1.0 + abs(z) ** n)
+            candidate = z - value / dp
+            candidate_value = _horner(monic_desc, candidate)
+            if abs(candidate_value) < abs(value):
+                z, value = candidate, candidate_value
+        residual = abs(value) / (1.0 + abs(z) ** n)
         if residual > ROOT_RESIDUAL_TOL:
             raise DidNotConverge(f"residual {residual:.3e} at root estimate {z!r}")
+        polished.append(z)
     polished.sort(key=lambda z: (z.real, z.imag))
     return polished
 
@@ -241,6 +248,8 @@ def difference_product(X: Sequence[complex], Y: Sequence[complex]) -> complex:
 
 
 def _bordered(top: list[list[complex]], Y: Sequence[complex], n: int, m: int) -> np.ndarray:
+    import numpy as np
+
     mat = np.zeros((m, m), dtype=complex)
     for i in range(n):
         mat[i, :] = top[i]
@@ -263,6 +272,8 @@ def cauchy_matrix_det(X: Sequence[complex], Y: Sequence[complex]) -> complex:
     n, m = len(X), len(Y)
     if n > m:
         raise BadParams("need len(X) <= len(Y)")
+    import numpy as np
+
     return complex(np.linalg.det(_bordered(_reciprocal_difference_matrix(X, Y), Y, n, m)))
 
 
@@ -271,6 +282,8 @@ def borchardt_matrix_det(X: Sequence[complex], Y: Sequence[complex]) -> complex:
     n, m = len(X), len(Y)
     if n > m:
         raise BadParams("need len(X) <= len(Y)")
+    import numpy as np
+
     return complex(
         np.linalg.det(_bordered(_reciprocal_difference_matrix(X, Y, power=2), Y, n, m))
     )

@@ -245,7 +245,7 @@ ROUTE_FAILURES = (ScottPermError, ArithmeticError)
 class Pair:
     """(P, Q) checked once, for every route: ZeroDegree for a constant P or a zero
     Q, then SharedRoot when Res(P, Q) of the monic forms is 0 (float roots miss a
-    shared multiple root).  P's row family, the catalog matches, Res(P, P') and
+    shared multiple root).  P's row family, the first catalog match, Res(P, P') and
     the roots are each found once, on first use."""
 
     def __init__(self, P: Polynomial, Q: Polynomial):
@@ -271,8 +271,9 @@ class Pair:
         return fes_engine.classify_row_polynomial(self.P)
 
     @functools.cached_property
-    def matches(self) -> list[tuple[str, dict]]:
-        return closed_catalog.find_matching(self.P, self.Q)
+    def match(self) -> tuple[str, dict] | None:
+        """The first catalog match in catalog order, or None; no later entry is read."""
+        return next(closed_catalog.iter_matching(self.P, self.Q), None)
 
     def roots(self, poly: Polynomial) -> list[complex]:
         """The roots of P or Q (none for a constant); a failure is raised on every call."""
@@ -316,7 +317,7 @@ def _involution(pair: Pair) -> EvalResult:
 
 
 def _closed_form(pair: Pair) -> EvalResult:
-    entry_id, params = pair.matches[0]
+    entry_id, params = pair.match
     value = closed_catalog.catalog_eval(entry_id, **params)
     return EvalResult(value, "closed_form", pair.n, pair.m, (f"matched {entry_id}",))
 
@@ -333,7 +334,7 @@ ROUTES = (
               *pair.family, pair.Q, pair.resultant * pair.Q.leading**pair.n),
           applies=lambda pair: pair.family is not None,
           needs="a row polynomial of the form x^n - 1 or 1 + x + ... + x^(n-1)"),
-    Route("closed_form", _closed_form, applies=lambda pair: bool(pair.matches),
+    Route("closed_form", _closed_form, applies=lambda pair: pair.match is not None,
           needs="a pair that some closed-form catalog entry matches"),
 )
 _METHODS = {route.name: route for route in ROUTES}

@@ -473,3 +473,39 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0, proc.stderr
         payload = json.loads(proc.stdout)
         assert payload["value"] == {"num": "-3", "den": "8"}
+
+    def test_numpy_is_imported_only_by_a_float_route(self):
+        script = (
+            "import sys\n"
+            "import scottperm.cli as cli\n"
+            "assert 'numpy' not in sys.modules, 'import'\n"
+            "assert cli.main(['eval', 'x^3-1', 'y^4+2']) == 0\n"
+            "assert 'numpy' not in sys.modules, 'eval'\n"
+            "assert cli.main(['verify', 'x^3-1', 'y^4+2']) == 0\n"
+            "assert 'numpy' in sys.modules, 'verify'\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+
+class TestTextFormat:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "x^3-1", "y^4+2"),
+            ("verify", "x^3-1", "y^4+2"),
+            ("catalog",),
+            ("catalog", "--id", "cor11"),
+            ("bench", "2..3", "4", "--json"),
+        ],
+    )
+    def test_stdout_is_one_document_indented_by_two(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    def test_an_error_is_one_compact_line_on_stderr(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "x^^2", "y^3+1")
+        assert (code, out) == (3, "")
+        assert err == json.dumps(json.loads(err)) + "\n"
+        assert err.count("\n") == 1

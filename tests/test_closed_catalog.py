@@ -13,6 +13,7 @@ from scottperm import (
     BadParams,
     OutOfDomain,
     Polynomial,
+    SharedRoot,
     ShiftedFactorial,
     catalog_entries,
     catalog_eval,
@@ -27,6 +28,7 @@ from scottperm import (
 from scottperm import closed_catalog, fes_engine
 from scottperm.closed_catalog import falling, get_entry, power_plus_one
 from scottperm.fes_engine import power_minus_one
+from scottperm.scott_engine import Pair
 
 ALL_IDS = (
     "thm10", "cor11", "cor12", "cor13", "cor14", "cor15", "cor16", "cor17",
@@ -331,6 +333,17 @@ class TestRecognition:
                 )
                 checked += 1
         assert checked > 5000
+
+    def test_the_pair_reads_the_first_match_of_find_matching(self):
+        checked = 0
+        for P, Q in _gate_pairs():
+            try:
+                pair = Pair(P, Q)
+            except SharedRoot:
+                continue
+            assert pair.match == (find_matching(P, Q) or [None])[0], (P, Q)
+            checked += pair.match is not None
+        assert checked > 1500
 
     def test_constant_q_is_an_arithmetic_progression(self):
         # thm32 and cor36 at n = 2, m = 1 have Q = sum_{l<2} (l - 1) y^l = -1, up to scale.

@@ -114,9 +114,27 @@ class TestFindRoots:
     def test_bad_seed_fails_the_residual_check(self, monkeypatch):
         # Newton cannot leave z = 0 on x^2 - 4 (p'(0) = 0), so only the
         # residual check stands between the bad seed and the caller.
-        monkeypatch.setattr(numeric_oracle.np, "roots", lambda c: np.zeros(len(c) - 1, dtype=complex))
+        monkeypatch.setattr(np, "roots", lambda c: np.zeros(len(c) - 1, dtype=complex))
         with pytest.raises(DidNotConverge):
             find_roots(Polynomial([-4, 0, 1]))
+
+    @pytest.mark.parametrize("degree", [1, 2, 5, 9, 24])
+    def test_each_root_evaluates_p_at_most_three_times(self, degree, monkeypatch):
+        # Two guarded Newton steps and the residual check reuse the value of
+        # p at the current estimate: 3 evaluations of p and 2 of p' per root.
+        calls = {degree + 1: 0, degree: 0}
+        original = numeric_oracle._horner
+
+        def counted(coeffs_desc, z):
+            calls[len(coeffs_desc)] += 1
+            return original(coeffs_desc, z)
+
+        monkeypatch.setattr(numeric_oracle, "_horner", counted)
+        rng = random.Random(degree)
+        p = Polynomial([rng.randint(-5, 5) for _ in range(degree)] + [1])
+        assert len(find_roots(p)) == degree
+        assert 0 < calls[degree + 1] <= 3 * degree
+        assert calls[degree] <= 2 * degree
 
     @pytest.mark.parametrize("degree", [64, 128])
     def test_high_degree_roots_pass_the_residual_check(self, degree):

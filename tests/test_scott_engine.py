@@ -605,6 +605,26 @@ class TestRouteTable:
         with pytest.raises(SharedRoot):
             scott_engine.evaluate(P, Q, method)
 
+    def test_verify_stops_at_the_first_catalog_match(self, monkeypatch):
+        # Every cor11 grid pair is matched by thm10 or cor11, the first two
+        # entries, so the closed_form route reads no further; a full
+        # find_matching pass would read all 34.
+        read = []
+        original = closed_catalog._infer
+
+        def counted(entry, shape):
+            read.append(entry.id)
+            return original(entry, shape)
+
+        monkeypatch.setattr(closed_catalog, "_infer", counted)
+        entry = closed_catalog.get_entry("cor11")
+        for point in entry.grid:
+            read.clear()
+            report = verify(*entry.family(point))
+            closed = [route for route in report.routes if route.method == "closed_form"]
+            assert len(closed) == 1 and closed[0].error is None, point
+            assert 1 <= len(read) <= 2, (point, read)
+
     def test_a_constant_polynomial_has_no_roots(self, monkeypatch):
         calls = []
 
