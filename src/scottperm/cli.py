@@ -19,11 +19,13 @@ import argparse
 import functools
 import json
 import random
+import re
 import sys
 import time
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, NoReturn, Sequence, TextIO
 
 from . import closed_catalog, numeric_oracle, scott_engine
@@ -44,226 +46,227 @@ class PolyExpr:
     variable: str
 
 
-# Tokenizer / parser --------------------------------------------------------
+# Polynomial text -----------------------------------------------------------
 
-_PUNCT = set("+-*/^[],")
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens: list[tuple[str, str, int]] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("int", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < len(text) and text[j].isalpha():
-                j += 1
-            tokens.append(("name", text[i:j], i))
-            i = j
-            continue
-        if ch in _PUNCT:
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", "", len(text)))
-    return tokens
+# One term of a sum, or one entry of a list, in the groups 1 sign, 2 numerator,
+# 3 '/', 4 denominator, 5 '*', 6 name, 7 '^', 8 exponent; a group not there is
+# "".  So a token out of place still lands in its own group, for _reject.  \s
+# is str.isspace and \d what int() takes; [^\W\d_] is str.isalpha and digits
+# such as '²', which _fail reports as unexpected characters.
+_TERM = re.compile(r"\s*([+-]?)\s*(\d*)\s*(/?)\s*(\d*)\s*(\*?)\s*([^\W\d_]*)\s*(\^?)\s*(\d*)\s*")
+_PUNCT = "+-*/^[],"
+_ZERO = Fraction(0)  # the gaps of a sparse sum share one Fraction
+# The grammars that _read_sum and _read_list check term by term, for _reject:
+# the groups that may follow each group (0: the start of a term), what a term
+# needs where it cannot end, and what may follow a whole term.
+_SUM = (
+    {0: (2, 6), 2: (3, 5, 6), 3: (4,), 4: (5, 6), 5: (6,), 6: (7,), 7: (8,), 8: ()},
+    {0: "a coefficient or variable", 3: "a denominator", 5: "a variable name",
+     7: "a positive integer exponent"},
+    "'+', '-', or end of input",
+)
+_LIST = ({0: (2,), 2: (3,), 3: (4,), 4: ()}, {0: "an integer", 3: "a denominator"}, "',' or ']'")
 
 
-class _TokenStream:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.index = 0
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.index]
-
-    def take(self, kind: str | None = None, expected: str | None = None) -> tuple[str, str, int]:
-        tok = self.tokens[self.index]
-        if kind is not None and tok[0] != kind:
-            found = repr(tok[1]) if tok[1] else "end of input"
-            raise ParseError(f"expected {expected or kind}, found {found}", tok[2])
-        self.index += 1
-        return tok
+def _fail(text: str, message: str, position: int) -> NoReturn:
+    """Raise ParseError(message, position); but a character that can start no
+    token comes first, wherever it stands."""
+    for i, ch in enumerate(text):
+        if not (ch.isspace() or ch.isdecimal() or ch.isalpha() or ch in _PUNCT):
+            raise ParseError(f"unexpected character {ch!r}", i)
+    raise ParseError(message, position)
 
 
-def _int(tok: tuple[str, str, int]) -> int:
-    """The value of an integer token; one too long for int() is a ParseError."""
+def _found(text: str, position: int) -> str:
+    """The token at position, as an error message names it."""
+    token = re.match(r"(?s)\d+|[^\W\d_]+|.|$", text[position:]).group()
+    return repr(token) if token else "end of input"
+
+
+def _int(text: str, m: re.Match, group: int) -> int:
     try:
-        return int(tok[1])
-    except ValueError:
-        raise ParseError(f"integer of {len(tok[1])} digits is too long", tok[2]) from None
+        return int(m.group(group))
+    except ValueError:  # past sys.get_int_max_str_digits()
+        _fail(text, f"integer of {len(m.group(group))} digits is too long", m.start(group))
 
 
-def _parse_rational_body(stream: _TokenStream) -> Fraction:
-    num = _int(stream.take("int", "an integer"))
-    if stream.peek()[0] != "/":
-        return Fraction(num)
-    stream.take()
-    den_tok = stream.take("int", "a denominator")
-    den = _int(den_tok)
-    if den == 0:
-        raise ParseError("denominator must be nonzero", den_tok[2])
-    return Fraction(num, den)
-
-
-def _parse_bracket(stream: _TokenStream) -> Polynomial:
-    stream.take("[")
-    coeffs: list[Fraction] = []
-    if stream.peek()[0] != "]":
-        while True:
-            sign = 1
-            tok = stream.peek()
-            if tok[0] in ("+", "-"):
-                stream.take()
-                sign = -1 if tok[0] == "-" else 1
-            coeffs.append(sign * _parse_rational_body(stream))
-            if stream.peek()[0] != ",":
-                break
-            stream.take()
-    stream.take("]", "',' or ']'")
-    return Polynomial(coeffs)
-
-
-def _parse_var(stream: _TokenStream, variable: str | None) -> tuple[int, str]:
-    name_tok = stream.take("name", "a variable name")
-    if variable is not None and name_tok[1] != variable:
-        raise ParseError(f"expected variable {variable!r}, found {name_tok[1]!r}", name_tok[2])
-    exponent = 1
-    if stream.peek()[0] == "^":
-        stream.take()
-        exp_tok = stream.take("int", "a positive integer exponent")
-        exponent = _int(exp_tok)
-        if exponent < 1:
-            raise ParseError("exponent must be a positive integer", exp_tok[2])
-    return exponent, name_tok[1]
-
-
-def _parse_term(
-    stream: _TokenStream, variable: str | None
-) -> tuple[int, Fraction, str | None]:
-    tok = stream.peek()
-    if tok[0] == "int":
-        coeff = _parse_rational_body(stream)
-        nxt = stream.peek()
-        if nxt[0] == "*":
-            stream.take()
-            exponent, variable = _parse_var(stream, variable)
-            return exponent, coeff, variable
-        if nxt[0] == "name":
-            exponent, variable = _parse_var(stream, variable)
-            return exponent, coeff, variable
+def _term(text: str, m: re.Match, groups: tuple, variable: str | None) -> tuple:
+    """Exponent, coefficient and variable of a term, from those of its groups
+    that are in place; a bad value among them is a ParseError."""
+    sign, num, _, den, _, name, _, exp = groups
+    coeff = _int(text, m, 2) if num else 1
+    if den:
+        den_value = _int(text, m, 4)
+        if den_value == 0:
+            _fail(text, "denominator must be nonzero", m.start(4))
+        coeff = Fraction(coeff, den_value)
+    if sign == "-":
+        coeff = -coeff
+    if not name:
         return 0, coeff, variable
-    if tok[0] == "name":
-        exponent, variable = _parse_var(stream, variable)
-        return exponent, Fraction(1), variable
-    found = repr(tok[1]) if tok[1] else "end of input"
-    raise ParseError(f"expected a coefficient or variable, found {found}", tok[2])
+    # A name that is not alphabetic holds a character that _fail reports first.
+    if name != variable and (variable is not None or not name.isalpha()):
+        _fail(text, f"expected variable {variable!r}, found {name!r}", m.start(6))
+    exponent = _int(text, m, 8) if exp else 1
+    if exponent < 1:
+        _fail(text, "exponent must be a positive integer", m.start(8))
+    return exponent, coeff, name
 
 
-def _parse_sum(stream: _TokenStream) -> tuple[Polynomial, str | None]:
-    pairs: list[tuple[int, Fraction]] = []
-    variable: str | None = None
-    tok = stream.peek()
-    sign = 1
-    if tok[0] in ("+", "-"):
-        stream.take()
-        sign = -1 if tok[0] == "-" else 1
+def _reject(text: str, m: re.Match, grammar: tuple, variable: str | None) -> NoReturn:
+    """Raise the error of a term not in place: at the first token that the
+    grammar does not take, unless a value before it is bad."""
+    follows, needs, after = grammar
+    last, position = 0, m.end()
+    for group in range(2, 9):
+        if m.group(group):
+            if group not in follows[last]:
+                position = m.start(group)
+                break
+            last = group
+    in_place = tuple(g if m.start(i) < position else "" for i, g in enumerate(m.groups(), 1))
+    _term(text, m, in_place, variable)
+    _fail(text, f"expected {needs.get(last, after)}, found {_found(text, position)}", position)
+
+
+def _read_sum(text: str) -> tuple[Polynomial, str]:
+    table: dict[int, int | Fraction] = {}
+    variable, pos, end = None, 0, len(text)
     while True:
-        exponent, coeff, variable = _parse_term(stream, variable)
-        pairs.append((exponent, sign * coeff))
-        tok = stream.peek()
-        if tok[0] == "end":
+        m = _TERM.match(text, pos)
+        groups = sign, num, slash, den, star, name, caret, exp = m.groups()
+        pos = m.end()
+        if not ((num or name) and (not (slash or den) or num and slash and den)
+                and (not star or num and name) and (not (caret or exp) or name and caret and exp)
+                and (pos == end or text[pos] in "+-")):
+            _reject(text, m, _SUM, variable)
+        exponent, coeff, variable = _term(text, m, groups, variable)
+        table[exponent] = table.get(exponent, 0) + coeff
+        if pos == end:
             break
-        if tok[0] not in ("+", "-"):
-            raise ParseError(f"expected '+', '-', or end of input, found {tok[1]!r}", tok[2])
-        stream.take()
-        sign = -1 if tok[0] == "-" else 1
-    return Polynomial.from_pairs(pairs), variable
+    return Polynomial([table.get(k, _ZERO) for k in range(max(table) + 1)]), variable or "x"
+
+
+def _read_list(text: str, pos: int) -> Polynomial:
+    """The list whose '[' ends at pos; nothing but space may follow its ']'."""
+    coeffs: list[int | Fraction] = []
+    m = _TERM.match(text, pos)
+    pos = m.end()
+    while coeffs or m.group().strip() or not text.startswith("]", pos):  # "[ ]" is empty
+        groups = _, num, slash, den, *rest = m.groups()
+        if not (num and bool(slash) == bool(den) and not any(rest)
+                and text.startswith((",", "]"), pos)):
+            _reject(text, m, _LIST, None)
+        coeffs.append(_term(text, m, groups, None)[1])
+        if text[pos] == "]":
+            break
+        m = _TERM.match(text, pos + 1)
+        pos = m.end()
+    tail = text[pos + 1:].lstrip()
+    if tail:
+        pos = len(text) - len(tail)
+        _fail(text, f"expected end of input, found {_found(text, pos)}", pos)
+    return Polynomial(coeffs)
 
 
 def parse_poly(text: str) -> PolyExpr:
     """Parse a sum of monomials, or a bracketed low-to-high coefficient list.
 
-    Monomials: optional sign, integer or p/q coefficient, optional '*', a
-    variable name, optional '^' with a positive integer exponent.  A constant
-    result is reported through the DegreeZeroWarning channel, not an error.
+    One match of _TERM reads each term or entry; spaces may stand between tokens.
+    * sum: an optional sign, then terms joined by '+' or '-';
+    * term: a coefficient, a power, or a coefficient, an optional '*' and a power;
+    * coefficient: digits, or digits '/' nonzero digits;
+    * power: a name (a run of letters, the same in every term), then
+      optionally '^' and a positive integer exponent;
+    * list: '[', coefficients with optional signs separated by ',', then ']'.
+    Repeated exponents add.  A ParseError points at the first token out of place,
+    or before that at any character that starts no token.  A constant result
+    gives a DegreeZeroWarning, not an error.
     """
-    stream = _TokenStream(text)
-    if stream.peek()[0] == "[":
-        parsed = _parse_bracket(stream)
-        variable: str | None = None
+    start = len(text) - len(text.lstrip())
+    if text.startswith("[", start):
+        parsed, variable = _read_list(text, start + 1), "x"
     else:
-        parsed, variable = _parse_sum(stream)
-    tail = stream.peek()
-    if tail[0] != "end":
-        raise ParseError(f"expected end of input, found {tail[1]!r}", tail[2])
-    if parsed.degree is None or parsed.degree == 0:
-        warnings.warn(
-            f"constant polynomial parsed from {text!r}", DegreeZeroWarning, stacklevel=2
-        )
-    return PolyExpr(source=text, parsed=parsed, variable=variable or "x")
+        parsed, variable = _read_sum(text)
+    if not parsed.degree:  # zero, or None for the zero polynomial
+        warnings.warn(f"constant polynomial parsed from {text!r}", DegreeZeroWarning, stacklevel=2)
+    return PolyExpr(source=text, parsed=parsed, variable=variable)
 
 
 def render_poly(p: Polynomial, variable: str = "x") -> str:
     """Canonical text form; parse_poly(render_poly(p)).parsed == p."""
-    if p.is_zero:
-        return "0"
-    parts: list[tuple[str, str]] = []
-    for k in range(p.degree, -1, -1):
-        c = p.coeff(k)
-        if c == 0:
-            continue
-        sign = "-" if c < 0 else "+"
-        magnitude = abs(c)
-        if k == 0:
-            body = str(magnitude)
-        else:
-            var = variable if k == 1 else f"{variable}^{k}"
-            body = var if magnitude == 1 else f"{magnitude}*{var}"
-        parts.append((sign, body))
-    head_sign, head_body = parts[0]
-    rendered = ("-" if head_sign == "-" else "") + head_body
-    for sign, body in parts[1:]:
-        rendered += f" {sign} {body}"
-    return rendered
+    rendered = ""
+    for k in range(len(p.coeffs) - 1, -1, -1):
+        c, power = p.coeffs[k], variable if k == 1 else f"{variable}^{k}"
+        if c:
+            body = str(abs(c)) if k == 0 else power if abs(c) == 1 else f"{abs(c)}*{power}"
+            rendered += (" - " if c < 0 else " + ") + body
+    return ("-" if rendered[1] == "-" else "") + rendered[3:] if rendered else "0"
 
 
 # Evaluation plumbing -------------------------------------------------------
 
 
-def _write_json(stream: TextIO, payload: Any, indent: int | None = 2) -> None:
-    """One JSON document and a newline, in a single write: json.dump with an
-    indent encodes in pure Python and writes each small piece on its own."""
-    stream.write(json.dumps(payload, indent=indent) + "\n")
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _write_json(stream: TextIO, payload: Any) -> None:
+    """Write payload and a newline in one write, byte for byte as json.dumps(payload,
+    indent=2) would, which encodes piece by piece in pure Python.  Here a dict or
+    list is one join, and a str goes through json's C string encoder."""
+    stream.write(_json(payload, "\n") + "\n")
+
+
+def _json(value: Any, newline: str) -> str:
+    """value as JSON, its inner lines indented two spaces past newline; keys are str."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return _JSON_CONSTANTS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _JSON_NONFINITE.get(text, text)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in value.items()]
+        ends = "{}"
+    elif isinstance(value, (list, tuple)):
+        items, ends = [_json(v, inner) for v in value], "[]"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return ends[0] + inner + ("," + inner).join(items) + newline + ends[1] if items else ends
+
+
+def _decimal(n: int) -> str:
+    """n in base 10 at any size: str() refuses more digits than the process-wide
+    sys.get_int_max_str_digits(), so a larger n is split with divmod."""
+    try:
+        return str(n)
+    except ValueError:
+        half = n.bit_length() * 3 // 20  # about half its digits: log10(2) > 0.3
+        high, low = divmod(abs(n), 10**half)
+        return ("-" if n < 0 else "") + _decimal(high) + _decimal(low).zfill(half)
 
 
 def _value_json(value: Any) -> dict[str, Any] | None:
     if value is None:
         return None
     if isinstance(value, Fraction):
-        return {"num": str(value.numerator), "den": str(value.denominator)}
+        return {"num": _decimal(value.numerator), "den": _decimal(value.denominator)}
     z = complex(value)
     return {"re": z.real, "im": z.imag}
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
+def _cmd_eval(args: argparse.Namespace) -> Any:
     P = parse_poly(args.P).parsed
     Q = parse_poly(args.Q).parsed
     start = time.perf_counter()
     result = scott_engine.evaluate(P, Q, args.method)
     elapsed_ms = (time.perf_counter() - start) * 1000
-    payload = {
+    return {
         "n": result.n,
         "m": result.m,
         "method": result.method,
@@ -271,15 +274,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         "elapsed_ms": round(elapsed_ms, 3),
         "notes": list(result.notes),
     }
-    _write_json(sys.stdout, payload)
-    return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> Any:
     P = parse_poly(args.P).parsed
     Q = parse_poly(args.Q).parsed
     report = scott_engine.verify(P, Q, tolerance=args.tolerance)
-    payload = {
+    return {
         "n": report.n,
         "m": report.m,
         "tolerance": report.tolerance,
@@ -299,17 +300,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             for a, b, gap, ok in report.agreements
         ],
     }
-    _write_json(sys.stdout, payload)
-    return 0
 
 
-def _cmd_catalog(args: argparse.Namespace) -> int:
+def _cmd_catalog(args: argparse.Namespace) -> Any:
     entries = closed_catalog.catalog_entries()
     if args.id is not None:
         entries = tuple(e for e in entries if e.id == args.id)
         if not entries:
             raise BadParams(f"unknown catalog entry {args.id!r}")
-    payload = [
+    return [
         {
             "id": entry.id,
             "params": list(entry.param_names),
@@ -319,8 +318,6 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
         }
         for entry in entries
     ]
-    _write_json(sys.stdout, payload)
-    return 0
 
 
 def _parse_range(text: str) -> list[int]:
@@ -398,17 +395,16 @@ def bench_rows(
     return rows
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
+def _cmd_bench(args: argparse.Namespace) -> Any:
     rows = bench_rows(_parse_range(args.n_range), _parse_range(args.m_range), args.seed, args.max_n)
     if args.json:
-        _write_json(sys.stdout, rows)
-        return 0
+        return rows
     sys.stdout.write("n,m,oracle_ms,theorem1_ms,agree\n")
     for row in rows:
         oracle = "" if row["oracle_ms"] is None else f"{row['oracle_ms']}"
         agree = "" if row["agree"] is None else str(row["agree"]).lower()
         sys.stdout.write(f"{row['n']},{row['m']},{oracle},{row['theorem1_ms']},{agree}\n")
-    return 0
+    return None
 
 
 # Entry point ---------------------------------------------------------------
@@ -464,10 +460,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        payload = args.func(args)
     except ScottPermError as exc:
-        _write_json(sys.stderr, {"error": type(exc).__name__, "detail": str(exc)}, indent=None)
+        sys.stderr.write(json.dumps({"error": type(exc).__name__, "detail": str(exc)}) + "\n")
         return exc.exit_code
+    if payload is not None:
+        _write_json(sys.stdout, payload)
+    return 0
 
 
 if __name__ == "__main__":

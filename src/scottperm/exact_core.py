@@ -29,10 +29,11 @@ Coefficient = Union[int, Fraction]
 
 
 def _to_rational(value: Coefficient) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
+    # int first: isinstance(value, Fraction) goes through ABCMeta for an int.
     if isinstance(value, int):
         return Fraction(value)
+    if isinstance(value, Fraction):
+        return value
     raise TypeError(f"expected an int or Fraction, got {type(value).__name__}")
 
 

@@ -56,7 +56,12 @@ def find_roots(p: Polynomial) -> list[complex]:
     import numpy as np
 
     n = p.degree
-    monic_desc = [float(c / p.leading) for c in reversed(p.coeffs)]
+    # float(c / lead) as one correctly rounded int / int, without a Fraction;
+    # the divisor is kept positive, so a zero c gives 0.0, not -0.0.
+    scale, divisor = p.leading.denominator, p.leading.numerator
+    if divisor < 0:
+        scale, divisor = -scale, -divisor
+    monic_desc = [c.numerator * scale / (c.denominator * divisor) for c in reversed(p.coeffs)]
     deriv_desc = [monic_desc[i] * (n - i) for i in range(n)]
 
     polished = []

@@ -1,17 +1,30 @@
 """Polynomial text handling and the four CLI subcommands."""
 from __future__ import annotations
 
+import argparse
+import io
 import json
+import re
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scottperm import ParseError, Polynomial
-from scottperm.cli import DegreeZeroWarning, main, parse_poly, render_poly
+from scottperm import ParseError, Polynomial, cli
+from scottperm.cli import (
+    DegreeZeroWarning,
+    PolyExpr,
+    _cmd_verify,
+    _write_json,
+    main,
+    parse_poly,
+    _value_json,
+    render_poly,
+)
 
 from test_closed_catalog import ALL_IDS
 
@@ -82,6 +95,112 @@ class TestParsePoly:
     def test_constant_input_warns(self, text):
         with pytest.warns(DegreeZeroWarning, match="constant"):
             parse_poly(text)
+
+
+# Pinned parse results: each accepted text with its coefficients (low degree
+# first) and variable, each rejected text with the position of its error.
+PARSED = [
+    ("x^5 - 1", "-1 0 0 0 0 1", "x"),
+    ("y^4 + 3/2*y - 7", "-7 3/2 0 0 1", "y"),
+    ("[1, 2, 3]", "1 2 3", "x"),
+    ("[ -1, 0, 0, 1 ]", "-1 0 0 1", "x"),
+    ("[+1, -3/4]", "1 -3/4", "x"),
+    ("[1/2, 3/4, -5/6]", "1/2 3/4 -5/6", "x"),
+    ("2x^2 - 2", "-2 0 2", "x"),
+    ("x + x + 1", "1 2", "x"),
+    ("3 / 2 * x ^ 2", "0 0 3/2", "x"),
+    ("007x", "0 7", "x"),
+    ("-x", "0 -1", "x"),
+    ("  +  x  ", "0 1", "x"),
+    ("x\t-\n1", "-1 1", "x"),
+    ("-3/6 z^3 + 2/4z", "0 1/2 0 -1/2", "z"),
+    ("x^10 + x^10", "0 0 0 0 0 0 0 0 0 0 2", "x"),
+    ("0x + 1", "1", "x"),
+    ("xy^2 + xy", "0 1 1", "xy"),
+    ("α^2 - 1", "-1 0 1", "α"),
+    ("x^2 + ٣x", "0 3 1", "x"),  # int() takes every decimal digit
+    ("x^٣", "0 0 0 1", "x"),
+    ("5", "5", "x"),
+    ("0", "", "x"),
+    ("x - x", "", "x"),
+    ("[0]", "", "x"),
+    ("[]", "", "x"),
+    ("[ ]", "", "x"),
+]
+REJECTED = [
+    ("", 0), ("x^0", 2), ("x^-1", 2), ("x + y", 4), ("[1, 2", 5), ("1/0*x", 2), ("x x", 2),
+    ("@", 0), ("x^^2", 2), ("x - -1", 4), ("2 3", 2), ("1/2/3", 3), ("3/x", 2), ("3/*x", 2),
+    ("2*", 2), ("2*3", 2), ("x^", 2), ("x^2 3", 4), ("x^2 y", 4), ("x 2", 2), ("[1, ]", 4),
+    ("[,]", 1), ("[1 x]", 3), ("[1] x", 4), ("[1/0]", 3), ("[-]", 2), ("x + [1]", 4), ("+", 1),
+    ("x +", 3), ("--1", 1), ("*x", 0), ("/3", 0), ("2/3/x", 3), ("x^1/2", 3), ("1/0 2", 2),
+    ("2 0", 2), ("x ^ 0 + 1", 4), ("x^2 + 1 @", 8), ("x + + @", 6), ("x*2", 1), ("2x*", 2),
+    ("2**x", 2), ("x y", 2), ("x_1", 1), ("x^2_", 3), ("[1,2]]", 5), ("[1,2] 3", 6), ("]", 0),
+    ("½x", 0), (f"x^{LONG_INT}", 2), (f"{LONG_INT}*x + 1", 0), (f"x + 1/{LONG_INT}", 6),
+    (f"[{LONG_INT}, 1]", 1), (f"[1/{LONG_INT}, 1]", 3), (f"y^{LONG_INT} + 2", 2),
+    (f"{LONG_INT}x + @", 5004), (f"x + y + {LONG_INT}", 4),
+]
+# Characters that no token starts, such as '@' and the digit '²' that int()
+# refuses, are reported first, wherever they stand.
+NON_DECIMAL_DIGITS = [("x^²", 2), ("²x", 0), ("x²", 1), ("x + y²", 5)]
+# Text from these characters makes any kind of token, in or out of place.
+TEXT_ALPHABET = "0123456789abxyzXY+-*/^[], \t\n²٣α½"
+
+
+class TestParseCorpus:
+    @pytest.mark.filterwarnings("ignore::scottperm.cli.DegreeZeroWarning")
+    @pytest.mark.parametrize("text,coeffs,variable", PARSED)
+    def test_accepted_text(self, text, coeffs, variable):
+        expr = parse_poly(text)
+        assert expr.parsed == Polynomial([Fraction(c) for c in coeffs.split()])
+        assert all(type(c) is Fraction for c in expr.parsed.coeffs)
+        assert (expr.variable, expr.source) == (variable, text)
+
+    @pytest.mark.parametrize("text,position", REJECTED, ids=[t[:20] for t, _ in REJECTED])
+    def test_rejected_text(self, text, position):
+        with pytest.raises(ParseError) as exc_info:
+            parse_poly(text)
+        assert exc_info.value.position == position
+        assert str(exc_info.value).endswith(f"(at position {position})")
+
+    @pytest.mark.parametrize("text,position", NON_DECIMAL_DIGITS)
+    def test_a_digit_that_int_refuses_is_an_unexpected_character(self, text, position):
+        with pytest.raises(ParseError) as exc_info:
+            parse_poly(text)
+        assert exc_info.value.position == position
+        assert str(exc_info.value).startswith("unexpected character '²'")
+
+    @pytest.mark.filterwarnings("ignore::scottperm.cli.DegreeZeroWarning")
+    @pytest.mark.parametrize("grammar,form", [(cli._SUM, "{}"), (cli._LIST, "[{}]")])
+    def test_the_readers_take_the_terms_that_the_grammar_table_takes(self, grammar, form):
+        # _read_sum and _read_list test a term by conditions on its groups, and
+        # _reject walks the same grammar as a table; they must agree on every
+        # sequence of the tokens of groups 2-8.
+        follows, needs, _ = grammar
+        tokens = ["2", "/", "3", "*", "x", "^", "4"]
+        for mask in range(1, 128):
+            body = " ".join(token for i, token in enumerate(tokens) if mask >> i & 1)
+            m = cli._TERM.fullmatch(body)  # the digit runs land in groups 2, 4, 8 in turn
+            last, whole = 0, True
+            for group in (g for g in range(2, 9) if m.group(g)):
+                whole = whole and group in follows[last]
+                last = group
+            try:
+                parse_poly(form.format(body))
+                parsed = True
+            except ParseError:
+                parsed = False
+            assert parsed == (whole and last not in needs), body
+
+    @settings(max_examples=400)
+    @given(st.text(TEXT_ALPHABET, max_size=16).filter(lambda t: not re.search(r"\^\s*\d{4}", t)))
+    def test_any_text_parses_or_is_a_parse_error(self, text):
+        # Exponents stay below 10^3: a larger one is a long list of zeros.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegreeZeroWarning)
+            try:
+                assert isinstance(parse_poly(text), PolyExpr)
+            except ParseError as exc:
+                assert 0 <= exc.position <= len(text)
 
 
 class TestRenderPoly:
@@ -509,3 +628,69 @@ class TestTextFormat:
         assert (code, out) == (3, "")
         assert err == json.dumps(json.loads(err)) + "\n"
         assert err.count("\n") == 1
+
+
+class TestJsonWriter:
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {},
+            [],
+            {"a": {}, "b": [], "c": [[], {}], "d": {"e": {"f": []}}},
+            [[[]], [{}], 1],
+            ("a", ("b",)),
+            {"naïve ∑": "é \U0001f600   \"quoted\" back\\slash /", "ctrl": "\x00\x1f\t\n\r\x7f"},
+            [-0.0, 0.0, 1e-06, 5e-324, 1e300, 0.1, 2.5, -1e16, float("nan"), float("inf"), float("-inf")],
+            [True, False, None, 0, -7, 10**30],
+            {"true": True, "none": None, "nested": [None, {"x": False}]},
+        ],
+    )
+    def test_bytes_are_those_of_json_dumps_with_indent_2(self, payload):
+        stream = io.StringIO()
+        _write_json(stream, payload)
+        assert stream.getvalue() == json.dumps(payload, indent=2) + "\n"
+
+    def test_verify_report_with_an_error_route_and_a_skipped_route(self):
+        payload = _cmd_verify(argparse.Namespace(P="x^18 - 6x^9 + 9", Q="y^18 + 2", tolerance=1e-6))
+        routes = {route["method"]: route for route in payload["routes"]}
+        assert routes["involution"]["error"].startswith("RepeatedXRoot")
+        assert routes["oracle"]["notes"][0].startswith("skipped")
+        stream = io.StringIO()
+        _write_json(stream, payload)
+        assert stream.getvalue() == json.dumps(payload, indent=2) + "\n"
+
+    def test_unknown_type_is_a_type_error(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            _write_json(io.StringIO(), {"value": Fraction(1, 2)})
+
+
+class TestExactValuesOfAnySize:
+    # The value's denominator (c + 1)^2 has 6000 digits, more than str() of an
+    # int gives by default.
+    Q = "y^2 - " + "7" * 3000
+
+    @staticmethod
+    def read_back(value):
+        # Reading the digits back needs the limit raised, here only.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return Fraction(int(value["num"]), int(value["den"]))
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+    @pytest.mark.parametrize("command", ["eval", "verify"])
+    def test_value_prints_in_full(self, capsys, command):
+        payload = eval_json(capsys, command, "x^2 + 1", self.Q)
+        value = payload["value"] if command == "eval" else payload["routes"][0]["value"]
+        c = int("7" * 3000)
+        assert len(value["den"]) == 6000
+        # With rows +-i and columns +-s, s^2 = c, the permanent is
+        # -1/(i - s)^2 - 1/(i + s)^2 = -2(c - 1)/(c + 1)^2.
+        assert self.read_back(value) == Fraction(-2 * (c - 1), (c + 1) ** 2)
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+    @pytest.mark.parametrize("value", [Fraction(-(10**9000) + 7, 10**4400 + 1), Fraction(10**4300)])
+    def test_value_json_splits_large_ints(self, value):
+        assert self.read_back(_value_json(value)) == value

@@ -4,6 +4,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -117,6 +118,32 @@ class TestFindRoots:
         monkeypatch.setattr(np, "roots", lambda c: np.zeros(len(c) - 1, dtype=complex))
         with pytest.raises(DidNotConverge):
             find_roots(Polynomial([-4, 0, 1]))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_float_coefficients_are_those_of_c_over_the_leading_one(self, seed, monkeypatch):
+        # Bitwise, -0.0 included: the integer division in find_roots rounds the
+        # same rational as float(c / p.leading).
+        seen = []
+        monkeypatch.setattr(np, "roots", lambda c: seen.append(list(c)) or np.zeros(0))
+        rng = random.Random(seed)
+
+        def rational(digits: int) -> Fraction:
+            denominator = rng.randint(1, 10 ** rng.randint(1, digits))
+            return Fraction(rng.randint(-(10**digits), 10**digits), denominator)
+
+        for _ in range(200):
+            lower = [rational(40) * rng.randint(0, 1) for _ in range(rng.randint(1, 6))]
+            p = Polynomial(lower + [rational(30) or 1])
+            find_roots(p)
+            expected = [float(c / p.leading) for c in reversed(p.coeffs)]
+            assert [x.hex() for x in seen.pop()] == [x.hex() for x in expected]
+
+    def test_coefficients_past_float_range_overflow(self):
+        p = Polynomial([10**400, Fraction(1, 3)])
+        with pytest.raises(OverflowError):
+            float(p.coeffs[0] / p.leading)
+        with pytest.raises(OverflowError):
+            find_roots(p)
 
     @pytest.mark.parametrize("degree", [1, 2, 5, 9, 24])
     def test_each_root_evaluates_p_at_most_three_times(self, degree, monkeypatch):
