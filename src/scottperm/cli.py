@@ -29,7 +29,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, NoReturn, Sequence, TextIO
 
 from . import closed_catalog, numeric_oracle, scott_engine
-from .errors import BadParams, ParseError, ScottPermError
+from .errors import BadParams, ParseError
 from .exact_core import Polynomial
 
 
@@ -305,9 +305,7 @@ def _cmd_verify(args: argparse.Namespace) -> Any:
 def _cmd_catalog(args: argparse.Namespace) -> Any:
     entries = closed_catalog.catalog_entries()
     if args.id is not None:
-        entries = tuple(e for e in entries if e.id == args.id)
-        if not entries:
-            raise BadParams(f"unknown catalog entry {args.id!r}")
+        entries = (closed_catalog.get_entry(args.id),)
     return [
         {
             "id": entry.id,
@@ -461,9 +459,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         payload = args.func(args)
-    except ScottPermError as exc:
+    except scott_engine.ROUTE_FAILURES as exc:
         sys.stderr.write(json.dumps({"error": type(exc).__name__, "detail": str(exc)}) + "\n")
-        return exc.exit_code
+        return getattr(exc, "exit_code", 1)
     if payload is not None:
         _write_json(sys.stdout, payload)
     return 0

@@ -295,7 +295,7 @@ def _cor16_closed(p: Params) -> Fraction:
 
 
 def _cor17_family(p: Params) -> tuple[Polynomial, Polynomial]:
-    return power_minus_one(p["n"]), Polynomial.from_pairs([(p["m"] * p["n"], 1), (0, 1)])
+    return power_minus_one(p["n"]), power_plus_one(p["m"] * p["n"])
 
 
 def _cor18_domain(p: Params) -> str | None:
@@ -430,7 +430,7 @@ def _cor26_domain(p: Params) -> str | None:
 
 
 def _cor26_family(p: Params) -> tuple[Polynomial, Polynomial]:
-    return power_minus_one(p["n"]), Polynomial.from_pairs([(p["m"], 1), (0, 1)])
+    return power_minus_one(p["n"]), power_plus_one(p["m"])
 
 
 def _cor26_closed(p: Params) -> Fraction:
@@ -444,7 +444,7 @@ def _cor27_domain(p: Params) -> str | None:
 
 
 def _cor27_family(p: Params) -> tuple[Polynomial, Polynomial]:
-    return power_minus_one(p["n"]), Polynomial.from_pairs([(p["n"] + 1, 1), (0, 1)])
+    return power_minus_one(p["n"]), power_plus_one(p["n"] + 1)
 
 
 def _cor27_closed(p: Params) -> Fraction:
@@ -669,12 +669,6 @@ def _thm39_closed(p: Params) -> Fraction:
 def _prop40_closed(p: Params) -> Fraction:
     n = p["n"]
     return Fraction((-1) ** (n + 1) * math.factorial(n))
-
-
-def _prop42_domain(p: Params) -> str | None:
-    if p["n"] < 2:
-        return "n >= 2 required (at n = 1 the sum is 2, not 1)"
-    return None
 
 
 def _prop43_domain(p: Params) -> str | None:
@@ -1035,7 +1029,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
         "m > r >= 1; m + ra = a + b + 1 != 0",
         _cor18_domain,
         _cor16_family,
-        lambda p: _prop40_closed(p),
+        _prop40_closed,
         tuple(
             {"n": n, "m": m, "r": r, "a": Fraction(a), "b": Fraction(m + r * a - a - 1)}
             for n in (1, 2, 3, 4)
@@ -1050,7 +1044,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
         "a != -2",
         _cor19_domain,
         _cor19_family,
-        lambda p: _prop40_closed(p),
+        _prop40_closed,
         tuple(
             {"n": n, "a": Fraction(a)}
             for n in (1, 2, 3, 4, 5)
@@ -1371,8 +1365,8 @@ def _build_registry() -> dict[str, CatalogEntry]:
         (("n", "count", 1),),
         "sum over involutions of roots of x^n-1, fixed weight (2+(3-n)x)/(2x^2) = 1 for n >= 2",
         "n >= 2",
-        _prop42_domain,
-        _prop_family(lambda n: Polynomial.from_pairs([(n, 1), (1, n), (0, -1)])),
+        _cor31_domain,
+        _cor31_family,
         lambda p: Fraction(1),
         _simple_grid(n=(2, 3, 4, 5)),
     )
@@ -1382,7 +1376,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
         "sum over involutions of roots of x^n-1 (n odd), fixed weight (1-n+(3+n)x)/(2(1+x)x) = (n+1)!/2",
         "n odd",
         _prop43_domain,
-        _prop_family(lambda n: Polynomial.from_pairs([(n + 1, 1), (0, 1)])),
+        _cor27_family,
         _cor27_closed,
         _simple_grid(n=(3, 5)),
     )

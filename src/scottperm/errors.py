@@ -52,7 +52,8 @@ class ZeroDegree(ScottPermError):
 
 
 class BadParams(ScottPermError):
-    """A matrix builder or closed form received parameters outside its contract."""
+    """Parameters outside a contract: a matrix builder's or closed form's, a usage error,
+    an unknown method or catalog entry, or a tolerance that is not finite and >= 0."""
 
 
 class OutOfDomain(ScottPermError):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import cmath
 import random
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 from .errors import (
     BadParams,
@@ -25,9 +25,6 @@ from .errors import (
     ZeroDegree,
 )
 from .exact_core import Polynomial, resultant
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Entries 1/(x - y) blow up past any useful precision below this separation.
 SINGULAR_TOL = 1e-12
@@ -252,9 +249,13 @@ def difference_product(X: Sequence[complex], Y: Sequence[complex]) -> complex:
     return out
 
 
-def _bordered(top: list[list[complex]], Y: Sequence[complex], n: int, m: int) -> np.ndarray:
+def _bordered_det(X: Sequence[complex], Y: Sequence[complex], power: int) -> complex:
+    n, m = len(X), len(Y)
+    if n > m:
+        raise BadParams("need len(X) <= len(Y)")
     import numpy as np
 
+    top = _reciprocal_difference_matrix(X, Y, power)
     mat = np.zeros((m, m), dtype=complex)
     for i in range(n):
         mat[i, :] = top[i]
@@ -264,7 +265,7 @@ def _bordered(top: list[list[complex]], Y: Sequence[complex], n: int, m: int) ->
     # det B / det C is independent of the shared border order.
     for k in range(m - n):
         mat[n + k, :] = [y ** (m - n - 1 - k) for y in Y]
-    return mat
+    return complex(np.linalg.det(mat))
 
 
 def cauchy_matrix_det(X: Sequence[complex], Y: Sequence[complex]) -> complex:
@@ -274,24 +275,12 @@ def cauchy_matrix_det(X: Sequence[complex], Y: Sequence[complex]) -> complex:
     the Cauchy entries and the remaining rows are the Vandermonde rows
     y_j^0, ..., y_j^(m-n-1).
     """
-    n, m = len(X), len(Y)
-    if n > m:
-        raise BadParams("need len(X) <= len(Y)")
-    import numpy as np
-
-    return complex(np.linalg.det(_bordered(_reciprocal_difference_matrix(X, Y), Y, n, m)))
+    return _bordered_det(X, Y, 1)
 
 
 def borchardt_matrix_det(X: Sequence[complex], Y: Sequence[complex]) -> complex:
     """Determinant of the squared-entry matrix 1/(x_i - y_j)^2 with the same border."""
-    n, m = len(X), len(Y)
-    if n > m:
-        raise BadParams("need len(X) <= len(Y)")
-    import numpy as np
-
-    return complex(
-        np.linalg.det(_bordered(_reciprocal_difference_matrix(X, Y, power=2), Y, n, m))
-    )
+    return _bordered_det(X, Y, 2)
 
 
 def random_coprime_pair(

@@ -40,6 +40,7 @@ from .exact_core import (
     RationalMatrix,
     _bareiss,
     _clear_denominators,
+    _pseudo_remainder,
     resultant,
     series_inverse,
 )
@@ -99,18 +100,6 @@ def build_E(Q: Polynomial, n: int) -> RationalMatrix:
     return RationalMatrix(height, n, entries)
 
 
-def _reduce(values: list[int], p: list[int]) -> list[int]:
-    """values (low degree first) modulo x^n + p[n-1] x^(n-1) + ... + p[0], as n integers."""
-    n = len(p)
-    rem = values + [0] * (n - len(values))
-    for top in range(len(rem) - 1, n - 1, -1):
-        t = rem[top]
-        if t:
-            base = top - n
-            rem[base:top] = [a - t * c for a, c in zip(rem[base:top], p)]
-    return rem[:n]
-
-
 def _theorem1_rows(p: list[int], q: list[int]) -> list[list[int]]:
     """The n x n integer matrix R^T whose determinant is theorem1's numerator.
 
@@ -120,10 +109,13 @@ def _theorem1_rows(p: list[int], q: list[int]) -> list[list[int]]:
     f_1 = Q' mod P and g_1 = Q mod P by one shift modulo P per row:
     f_(k+1) = x f_k - g_k and g_(k+1) = x g_k.
     """
-    f = _reduce([j * c for j, c in enumerate(q)][1:], p)
-    g = _reduce(q, p)
+    n, monic = len(p), p + [1]  # a monic divisor: the pseudo-remainder takes no lc power
+    f = _pseudo_remainder([j * c for j, c in enumerate(q)][1:], monic)
+    g = _pseudo_remainder(q, monic)
+    f += [0] * (n - len(f))
+    g += [0] * (n - len(g))
     rows = [f]
-    for _ in range(len(p) - 1):
+    for _ in range(n - 1):
         t, s = f[-1], g[-1]
         f = [-t * p[0] - g[0]] + [a - t * c - b for a, c, b in zip(f, p[1:], g[1:])]
         g = [-s * p[0]] + [a - s * c for a, c in zip(g, p[1:])]
@@ -238,7 +230,7 @@ class VerifyReport:
 
 # The route table ------------------------------------------------------------
 
-# What verify records as a route's failure; anything else is a bug and propagates.
+# What verify records as a route's failure and cli.main as an error; anything else is a bug.
 ROUTE_FAILURES = (ScottPermError, ArithmeticError)
 
 

@@ -477,6 +477,34 @@ class TestVerifyCommand:
         assert {pair["gap"] for pair in payload["agreements"]} == {0.0}
 
 
+# Q = y - 10^400 has a coefficient beyond the float range, and the roots of
+# Q = y^2 + 10^299 y + 1 take the residual check in find_roots past it: both
+# float routes fail with OverflowError.
+OVERFLOWING_Q = {"coefficient": f"y - {10**400}", "root": f"y^2 + {10**299}*y + 1"}
+
+
+class TestFloatRouteOverflow:
+    @pytest.mark.parametrize("q_text", OVERFLOWING_Q.values(), ids=OVERFLOWING_Q)
+    @pytest.mark.parametrize("method", ["oracle", "involution"])
+    def test_eval_exits_1_with_a_json_error(self, method, q_text):
+        proc = subprocess.run(
+            [sys.executable, "-m", "scottperm", "eval", "x - 1", q_text, "--method", method],
+            capture_output=True,
+            text=True,
+        )
+        assert "Traceback" not in proc.stderr
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.count("\n") == 1
+        assert json.loads(proc.stderr)["error"] == "OverflowError"
+
+    @pytest.mark.parametrize("q_text", OVERFLOWING_Q.values(), ids=OVERFLOWING_Q)
+    def test_verify_reports_them_as_route_errors(self, capsys, q_text):
+        payload = eval_json(capsys, "verify", "x - 1", q_text)
+        errors = {route["method"]: route["error"] for route in payload["routes"] if route["error"]}
+        assert set(errors) == {"oracle", "involution"}
+        assert all(error.startswith("OverflowError: ") for error in errors.values())
+
+
 class TestCatalogCommand:
     def test_lists_every_entry(self, capsys):
         payload = eval_json(capsys, "catalog")

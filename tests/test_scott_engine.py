@@ -254,6 +254,29 @@ class TestNumeratorKernel:
             kernel = exact_core._bareiss(scott_engine._theorem1_rows([1] * (n - 1), q))
             assert kernel == exact_core._bareiss(banded)
 
+    def test_rows_are_the_remainders_mod_any_monic_p(self):
+        rng = random.Random(45)
+        shapes = set()
+        while len(shapes) < 80:
+            n, m = rng.randint(1, 8), rng.randint(0, 12)
+            p = [rng.randint(-9, 9) for _ in range(n)]
+            P = Polynomial(p + [1])
+            if fes_engine.classify_row_polynomial(P) is not None:
+                continue
+            q = [rng.randint(-9, 9) for _ in range(m)] + [rng.choice((1, -1, 3, -7))]
+            Q = Polynomial(q)
+            derivative = Polynomial([j * c for j, c in enumerate(q)][1:])
+            rows = scott_engine._theorem1_rows(p, q)
+            assert len(rows) == n
+            for k, row in enumerate(rows, 1):
+                f = Polynomial.from_pairs([(k - 1, 1)]) * derivative
+                if k > 1:
+                    f = f - Polynomial.from_pairs([(k - 2, k - 1)]) * Q
+                remainder = list(exact_core.poly_divmod(f, P)[1].coeffs)
+                assert row == remainder + [0] * (n - len(remainder))
+            shapes.add((n, m))
+        assert any(n <= m for n, m in shapes) and any(n > m for n, m in shapes)
+
 
 class TestRelativeGap:
     def test_floor_at_one(self):
