@@ -207,34 +207,55 @@ def render_poly(p: Polynomial, variable: str = "x") -> str:
 # Evaluation plumbing -------------------------------------------------------
 
 
-_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(value: float) -> str:
+    text = float.__repr__(value)
+    return _JSON_NONFINITE.get(text, text)
+
+
+# The scalar encoders, by exact type, all in C but _json_float; a subclass such as
+# a str Enum takes _json's isinstance tests.
+_JSON_SCALARS: dict[type, Callable[[Any], str]] = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _json_float,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
 
 
 def _write_json(stream: TextIO, payload: Any) -> None:
     """Write payload and a newline in one write, byte for byte as json.dumps(payload,
     indent=2) would, which encodes piece by piece in pure Python.  Here a dict or
-    list is one join, and a str goes through json's C string encoder."""
+    list is one join, and each scalar in it is written in place, not by a call of _json."""
     stream.write(_json(payload, "\n") + "\n")
 
 
 def _json(value: Any, newline: str) -> str:
-    """value as JSON, its inner lines indented two spaces past newline; keys are str."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None or value is True or value is False:
-        return _JSON_CONSTANTS[value]
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        text = float.__repr__(value)
-        return _JSON_NONFINITE.get(text, text)
-    inner = newline + "  "
+    """value as JSON, its inner lines indented two spaces past newline; keys are str.
+    Only containers recurse: each scalar in one is written by its _JSON_SCALARS entry."""
+    encode = _JSON_SCALARS.get(type(value))
+    if encode:
+        return encode(value)
+    inner, items = newline + "  ", []
     if isinstance(value, dict):
-        items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in value.items()]
+        for k, v in value.items():
+            encode = _JSON_SCALARS.get(type(v))
+            items.append(encode_basestring_ascii(k) + ": " + (encode(v) if encode else _json(v, inner)))
         ends = "{}"
     elif isinstance(value, (list, tuple)):
-        items, ends = [_json(v, inner) for v in value], "[]"
+        for v in value:
+            encode = _JSON_SCALARS.get(type(v))
+            items.append(encode(v) if encode else _json(v, inner))
+        ends = "[]"
+    elif isinstance(value, str):
+        return encode_basestring_ascii(value)
+    elif isinstance(value, int):
+        return int.__repr__(value)
+    elif isinstance(value, float):
+        return _json_float(value)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
     return ends[0] + inner + ("," + inner).join(items) + newline + ends[1] if items else ends

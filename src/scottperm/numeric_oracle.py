@@ -43,7 +43,8 @@ def find_roots(p: Polynomial) -> list[complex]:
 
     numpy.roots (LAPACK) seeds the estimates; each is polished by a couple of
     guarded Newton steps and must pass a relative residual check, otherwise
-    DidNotConverge is raised.  The value of p at the current estimate is
+    DidNotConverge is raised; a root past the float range for that check is
+    an OverflowError that names it.  The value of p at the current estimate is
     carried from step to step, so a root costs 3 evaluations of p and at most
     2 of p'.  Roots are returned sorted by (real, imag) so repeated calls agree
     exactly.
@@ -72,7 +73,12 @@ def find_roots(p: Polynomial) -> list[complex]:
             candidate_value = _horner(monic_desc, candidate)
             if abs(candidate_value) < abs(value):
                 z, value = candidate, candidate_value
-        residual = abs(value) / (1.0 + abs(z) ** n)
+        try:
+            residual = abs(value) / (1.0 + abs(z) ** n)
+        except OverflowError:  # the errno text of float ** names neither the root nor the check
+            raise OverflowError(
+                f"|z|^{n} overflows in the residual check at root estimate {z!r}"
+            ) from None
         if residual > ROOT_RESIDUAL_TOL:
             raise DidNotConverge(f"residual {residual:.3e} at root estimate {z!r}")
         polished.append(z)

@@ -180,13 +180,13 @@ def relative_gap(a: Value, b: Value) -> float:
     values, huge values and unequal values whose float gap rounds to 0 take
     the exact path: the square of the gap is computed exactly and rounded
     once, so values far outside the range of a float compare correctly, and
-    the gap is 0 only for equal values.  A value that is not finite is
-    infinitely far from every value.
+    the gap is 0 only for equal values.  The float path comes first, so a
+    Fraction is compared with a float or complex only when their float gap
+    rounds to 0.  A value that is not finite is infinitely far from every
+    value.
     """
     if not (_finite(a) and _finite(b)):
         return math.inf
-    if a == b:
-        return 0.0
     if isinstance(a, (float, complex)) or isinstance(b, (float, complex)):
         try:
             za, zb = complex(a), complex(b)
@@ -198,6 +198,8 @@ def relative_gap(a: Value, b: Value) -> float:
                 gap = abs(za - zb) / size
                 if gap:
                     return gap
+    if a == b:
+        return 0.0
     ar, ai = _exact_parts(a)
     br, bi = _exact_parts(b)
     gap_squared = ((ar - br) ** 2 + (ai - bi) ** 2) / max(
@@ -238,7 +240,9 @@ class Pair:
     """(P, Q) checked once, for every route: ZeroDegree for a constant P or a zero
     Q, then SharedRoot when Res(P, Q) of the monic forms is 0 (float roots miss a
     shared multiple root).  P's row family, the first catalog match, Res(P, P') and
-    the roots are each found once, on first use."""
+    the roots are each found once, on first use.  A row family fixes P's float
+    facts: its roots are roots of unity in closed form, and they are distinct, so
+    it takes neither find_roots nor Res(P, P')."""
 
     def __init__(self, P: Polynomial, Q: Polynomial):
         if P.degree is None or P.degree < 1:
@@ -254,7 +258,9 @@ class Pair:
 
     @functools.cached_property
     def squarefree(self) -> bool:
-        """Res(P, P') != 0: P has no repeated root."""
+        """P has no repeated root: true for a row family, else Res(P, P') != 0."""
+        if self.family is not None:
+            return True
         derivative = Polynomial([k * c for k, c in enumerate(self.P.coeffs)][1:])
         return resultant(self.P, derivative) != 0
 
@@ -268,11 +274,21 @@ class Pair:
         return next(closed_catalog.iter_matching(self.P, self.Q), None)
 
     def roots(self, poly: Polynomial) -> list[complex]:
-        """The roots of P or Q (none for a constant); a failure is raised on every call."""
+        """The roots of P or Q (none for a constant); a failure is raised on every call.
+
+        A row family P takes the n-th roots of unity, without 1 for the all-ones
+        row; Q and any other P take find_roots."""
         key = id(poly)
         if key not in self._roots:
             try:
-                self._roots[key] = numeric_oracle.find_roots(poly) if poly.degree else []
+                if poly is self.P and self.family is not None:
+                    family, n = self.family
+                    roots = numeric_oracle.unit_roots(n)
+                    if family is fes_engine.RowFamily.ALL_ONES:
+                        roots = roots[1:]  # unit_roots(n)[0] is 1
+                    self._roots[key] = roots
+                else:
+                    self._roots[key] = numeric_oracle.find_roots(poly) if poly.degree else []
             except ROUTE_FAILURES as exc:
                 self._roots[key] = exc
         if isinstance(self._roots[key], Exception):

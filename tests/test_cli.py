@@ -11,7 +11,7 @@ import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scottperm import ParseError, Polynomial, cli
@@ -25,6 +25,7 @@ from scottperm.cli import (
     _value_json,
     render_poly,
 )
+from scottperm.fes_engine import RowFamily
 
 from test_closed_catalog import ALL_IDS
 
@@ -481,6 +482,8 @@ class TestVerifyCommand:
 # Q = y^2 + 10^299 y + 1 take the residual check in find_roots past it: both
 # float routes fail with OverflowError.
 OVERFLOWING_Q = {"coefficient": f"y - {10**400}", "root": f"y^2 + {10**299}*y + 1"}
+# The estimate's last digits are LAPACK's.
+ROOT_OVERFLOW = "|z|^2 overflows in the residual check at root estimate (-"
 
 
 class TestFloatRouteOverflow:
@@ -495,7 +498,10 @@ class TestFloatRouteOverflow:
         assert "Traceback" not in proc.stderr
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr.count("\n") == 1
-        assert json.loads(proc.stderr)["error"] == "OverflowError"
+        error = json.loads(proc.stderr)
+        assert error["error"] == "OverflowError"
+        if q_text == OVERFLOWING_Q["root"]:
+            assert error["detail"].startswith(ROOT_OVERFLOW)
 
     @pytest.mark.parametrize("q_text", OVERFLOWING_Q.values(), ids=OVERFLOWING_Q)
     def test_verify_reports_them_as_route_errors(self, capsys, q_text):
@@ -503,6 +509,9 @@ class TestFloatRouteOverflow:
         errors = {route["method"]: route["error"] for route in payload["routes"] if route["error"]}
         assert set(errors) == {"oracle", "involution"}
         assert all(error.startswith("OverflowError: ") for error in errors.values())
+        if q_text == OVERFLOWING_Q["root"]:
+            prefix = f"OverflowError: {ROOT_OVERFLOW}"
+            assert all(error.startswith(prefix) for error in errors.values())
 
 
 class TestCatalogCommand:
@@ -658,6 +667,28 @@ class TestTextFormat:
         assert err.count("\n") == 1
 
 
+# Scalars of every type json writes, a str Enum among them, in nested dicts,
+# lists and tuples; ints past the 4300-digit limit of int.__repr__ included.
+JSON_KEYS = st.one_of(st.text(), st.sampled_from(RowFamily))
+JSON_VALUES = st.recursive(
+    st.one_of(
+        st.text(),
+        st.sampled_from(RowFamily),
+        st.integers(),
+        st.booleans(),
+        st.builds(lambda sign, k: sign * 10**4400 + k, st.sampled_from([1, -1]), st.integers()),
+        st.floats(),
+        st.none(),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(JSON_KEYS, children, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
 class TestJsonWriter:
     @pytest.mark.parametrize(
         "payload",
@@ -690,6 +721,42 @@ class TestJsonWriter:
     def test_unknown_type_is_a_type_error(self):
         with pytest.raises(TypeError, match="not JSON serializable"):
             _write_json(io.StringIO(), {"value": Fraction(1, 2)})
+
+    @pytest.mark.parametrize("payload", [Fraction(1, 2), [1, Fraction(1, 2)], ("a", {"b": [{1j}]})])
+    def test_unknown_type_anywhere_is_a_type_error(self, payload):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            _write_json(io.StringIO(), payload)
+
+    @staticmethod
+    def outcome(write):
+        """The text written, or the type and message of the error raised."""
+        try:
+            return write()
+        except ValueError as exc:  # an int past sys.get_int_max_str_digits()
+            return type(exc), str(exc)
+
+    @settings(max_examples=300)
+    @given(JSON_VALUES)
+    @example([[], {}, (), {"": ()}, "", "naïve ∑ \U0001f600", RowFamily.ALL_ONES, {RowFamily.ALL_ONES: 1}])
+    @example([True, False, None, 0, -1, 10**4400 + 3, -(10**4400)])
+    @example([float("nan"), float("inf"), float("-inf"), -0.0, 5e-324])
+    def test_bytes_are_those_of_json_dumps_for_any_payload(self, payload):
+        def written():
+            stream = io.StringIO()
+            _write_json(stream, payload)
+            return stream.getvalue()
+
+        def dumped():
+            return json.dumps(payload, indent=2) + "\n"
+
+        assert self.outcome(written) == self.outcome(dumped)
+        if hasattr(sys, "set_int_max_str_digits"):
+            limit = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(0)
+            try:
+                assert written() == dumped()
+            finally:
+                sys.set_int_max_str_digits(limit)
 
 
 class TestExactValuesOfAnySize:

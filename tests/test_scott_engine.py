@@ -303,6 +303,13 @@ class TestRelativeGap:
         assert relative_gap(bad, 1) == math.inf
         assert relative_gap(Fraction(1), bad) == math.inf
 
+    def test_a_fraction_and_a_float_whose_float_gap_rounds_to_0(self):
+        # The float path sees no gap in either pair; only the equal values have gap 0.
+        assert relative_gap(Fraction(1, 3), 1 / 3) > 0
+        assert relative_gap(complex(1 / 3, 0), Fraction(1, 3)) > 0
+        assert relative_gap(Fraction(1, 2), 0.5) == 0.0
+        assert relative_gap(complex(0.5, 0), Fraction(1, 2)) == 0.0
+
     def test_unequal_exact_values_have_a_nonzero_gap(self):
         a = Fraction(10**30 + 1, 10**30)
         assert relative_gap(a, Fraction(1)) == pytest.approx(1e-30)
@@ -374,17 +381,23 @@ class TestVerify:
         # Res(P, Q) once, for the pair's shared-root check, and Res(P, P') once,
         # for the involution route's repeated-root check.
         assert calls == [(P, Q), (P, Polynomial([1, 2]))]
-        # The fes route divides by the pair's Res(P, Q), so a row family takes no
-        # second one; with n > m the pair still makes its shared-root check.
-        for P, Q, derivative, method in (
-            (power_poly(3, -1), power_poly(4, 2), Polynomial([0, 0, 3]), "fes"),
-            (Polynomial([1, 2, 0, 1]), Polynomial([3, 1]), Polynomial([2, 0, 3]), "theorem1"),
+        # The fes route divides by the pair's Res(P, Q), and a row family's roots
+        # are distinct roots of unity, so a row family takes Res(P, Q) alone while
+        # the involution route still runs; with n > m the pair still makes its
+        # shared-root check, and a P outside the row families its Res(P, P').
+        for P, Q, squarefree_check, method in (
+            (power_poly(3, -1), power_poly(4, 2), [], "fes"),
+            (Polynomial([1, 1, 1]), power_poly(3, 2), [], "fes_tilde"),
+            (Polynomial([1, 2, 0, 1]), Polynomial([3, 1]),
+             [(Polynomial([1, 2, 0, 1]), Polynomial([2, 0, 3]))], "theorem1"),
         ):
             calls.clear()
             report = verify(P, Q)
-            assert method in [route.method for route in report.routes]
+            routes = {route.method: route for route in report.routes}
+            assert method in routes
+            assert routes["involution"].error is None
             assert report.all_agree
-            assert calls == [(P, Q), (P, derivative)]
+            assert calls == [(P, Q)] + squarefree_check
 
     @pytest.mark.parametrize(
         "P,Q",
@@ -609,13 +622,34 @@ class TestRouteTable:
         verify(P, Q)
         assert calls == [P]
 
-    @pytest.mark.parametrize("method", ["theorem1", "oracle", "involution"])
+    @pytest.mark.parametrize("method", ["theorem1"])
     def test_methods_that_ignore_the_row_family_do_not_recognize_it(self, method, monkeypatch):
         def refuse(poly):
             raise AssertionError("P's row family was recognized")
 
         monkeypatch.setattr(fes_engine, "classify_row_polynomial", refuse)
         assert scott_engine.evaluate(power_poly(3, -1), power_poly(4, 1), method).n == 3
+
+    @pytest.mark.parametrize("method", ["oracle", "involution"])
+    def test_float_routes_take_a_row_familys_roots_from_the_family(self, method, monkeypatch):
+        classified, found = [], []
+        classify, find = fes_engine.classify_row_polynomial, numeric_oracle.find_roots
+
+        def counted_classify(poly):
+            classified.append(poly)
+            return classify(poly)
+
+        def counted_find(poly):
+            found.append(poly)
+            return find(poly)
+
+        monkeypatch.setattr(fes_engine, "classify_row_polynomial", counted_classify)
+        monkeypatch.setattr(numeric_oracle, "find_roots", counted_find)
+        P, Q = power_poly(3, -1), power_poly(4, 1)
+        result = scott_engine.evaluate(P, Q, method)
+        assert relative_gap(result.value, 12) <= 1e-12
+        assert classified == [P]
+        assert found == [Q]
 
     @pytest.mark.parametrize("method", ["oracle", "involution", "closed_form", "closed:cor12", "fes"])
     def test_every_method_reports_a_shared_root(self, method):
@@ -659,9 +693,48 @@ class TestRouteTable:
         P, Q = power_poly(2, -1), Polynomial([5])
         pair = scott_engine.Pair(P, Q)
         assert pair.roots(Q) == []
-        assert len(pair.roots(P)) == 2
+        assert sorted(pair.roots(P), key=lambda z: z.real) == pytest.approx([-1, 1], abs=1e-15)
+        assert pair.roots(P) is pair.roots(P)
+        assert calls == []  # x^2 - 1 is a row family: its roots come in closed form
+        P = power_poly(2, -2)
+        pair = scott_engine.Pair(P, Q)
+        assert pair.roots(Q) == []
         assert pair.roots(P) is pair.roots(P)
         assert calls == [P]
+
+
+ROW_FAMILY_PS = {f"x^{n}-1": fes_engine.power_minus_one(n) for n in range(1, 65)} | {
+    f"all_ones_{n}": fes_engine.all_ones_poly(n) for n in range(2, 65)
+}
+
+
+class TestRowFamilyRoots:
+    @pytest.mark.parametrize("P", ROW_FAMILY_PS.values(), ids=ROW_FAMILY_PS)
+    def test_closed_form_roots_are_those_of_find_roots(self, P):
+        closed = scott_engine.Pair(P, Polynomial([-2, 1])).roots(P)
+        found = find_roots(P)
+        assert len(closed) == len(found) == P.degree
+        for z in closed:  # the roots are at least 2 sin(pi/64) ~ 0.098 apart
+            nearest = min(found, key=lambda w: abs(w - z))
+            assert abs(nearest - z) <= 1e-12
+            found.remove(nearest)
+
+    def test_verify_agrees_on_row_family_pairs(self):
+        rng = random.Random(16)
+        small = [P for P in ROW_FAMILY_PS.values() if P.degree <= 9]
+        checked = 0
+        while checked < 12:
+            P = rng.choice(small)
+            m = P.degree + rng.randrange(3)
+            Q = Polynomial([rng.randint(-5, 5) for _ in range(m)] + [1])
+            try:
+                report = verify(P, Q)
+            except SharedRoot:
+                continue
+            routes = {route.method: route for route in report.routes}
+            assert routes["oracle"].error is None and routes["involution"].error is None, (P, Q)
+            assert report.all_agree, (P, Q)
+            checked += 1
 
 
 class TestEvalResult:
