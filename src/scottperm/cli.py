@@ -11,7 +11,7 @@ Commands:
 
 Exit codes: 0 success, 2 shared root, 3 parse error, 4 out of catalog domain, 1 anything
 else, such as ZeroDegree for a constant P or a zero Q, or a usage error (BadParams).
-Errors are JSON on stderr.
+Errors are JSON on stderr, and so is each warning shown, such as DegreeZeroWarning.
 """
 from __future__ import annotations
 
@@ -476,13 +476,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report(key: str, kind: type, detail: object) -> None:
+    """One JSON line on stderr: {key: the name of kind, "detail": detail as text}."""
+    sys.stderr.write(json.dumps({key: kind.__name__, "detail": str(detail)}) + "\n")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    try:
-        args = _build_parser().parse_args(argv)
-        payload = args.func(args)
-    except scott_engine.ROUTE_FAILURES as exc:
-        sys.stderr.write(json.dumps({"error": type(exc).__name__, "detail": str(exc)}) + "\n")
-        return getattr(exc, "exit_code", 1)
+    payload = failure = None
+    # The caller's filters still pick the warnings; each one they let through
+    # becomes one JSON line on stderr, as an error does.
+    with warnings.catch_warnings(record=True) as shown:
+        try:
+            args = _build_parser().parse_args(argv)
+            payload = args.func(args)
+        except scott_engine.ROUTE_FAILURES as exc:
+            failure = exc
+    for warning in shown:
+        _report("warning", warning.category, warning.message)
+    if failure is not None:
+        _report("error", type(failure), failure)
+        return getattr(failure, "exit_code", 1)
     if payload is not None:
         _write_json(sys.stdout, payload)
     return 0

@@ -47,26 +47,15 @@ from .numeric_oracle import involution_weighted_sum, unit_roots
 Params = dict[str, Any]
 
 
-@dataclass(frozen=True)
-class ShiftedFactorial:
-    """Rising factorial (base)(base+1)...(base+length-1); empty product is 1."""
-
-    base: Fraction
-    length: int
-
-    @property
-    def value(self) -> Fraction:
-        if self.length < 0:
-            raise BadParams("length must be nonnegative")
-        out = Fraction(1)
-        for t in range(self.length):
-            out *= self.base + t
-        return out
-
-
 def poch(base: Fraction | int, length: int) -> Fraction:
-    """Shifted factorial (base)_length."""
-    return ShiftedFactorial(Fraction(base), length).value
+    """Shifted factorial (base)_length = base(base+1)...(base+length-1); the empty product is 1."""
+    if length < 0:
+        raise BadParams("length must be nonnegative")
+    base = Fraction(base)
+    out = Fraction(1)
+    for t in range(length):
+        out *= base + t
+    return out
 
 
 def falling(base: Fraction | int, length: int) -> Fraction:
@@ -162,6 +151,11 @@ def _arith_poly(length: int, a: Fraction, step_exp: int = 1) -> Polynomial:
     return Polynomial.from_pairs((l * step_exp, l + a) for l in range(length))
 
 
+def _spread_ones(count: int, s: int) -> Polynomial:
+    """sum_{l=0}^{count-1} y^(l * s)."""
+    return Polynomial.from_pairs([(l * s, 1) for l in range(count)])
+
+
 # thm10 ---------------------------------------------------------------------
 
 
@@ -226,14 +220,8 @@ def _cor11_closed(p: Params) -> Fraction:
 # Geometric-block families cor12..cor21 ------------------------------------
 
 
-def _geometric_q(n: int, m: int, weight: Callable[[int], Fraction | int] = lambda l: 1,
-                 exponent: Callable[[int], int] | None = None) -> Polynomial:
-    exp = exponent or (lambda l: l * n)
-    return Polynomial.from_pairs([(exp(l), weight(l)) for l in range(m + 1)])
-
-
 def _cor12_family(p: Params) -> tuple[Polynomial, Polynomial]:
-    return power_minus_one(p["n"]), _geometric_q(p["n"], p["m"])
+    return power_minus_one(p["n"]), _spread_ones(p["m"] + 1, p["n"])
 
 
 def _cor12_closed(p: Params) -> Fraction:
@@ -247,7 +235,7 @@ def _cor13_domain(p: Params) -> str | None:
 
 
 def _cor13_family(p: Params) -> tuple[Polynomial, Polynomial]:
-    return power_plus_one(p["n"]), _geometric_q(p["n"], p["m"])
+    return power_plus_one(p["n"]), _spread_ones(p["m"] + 1, p["n"])
 
 
 def _cor13_closed(p: Params) -> Fraction:
@@ -255,7 +243,7 @@ def _cor13_closed(p: Params) -> Fraction:
 
 
 def _cor14_family(p: Params) -> tuple[Polynomial, Polynomial]:
-    return power_minus_one(p["n"]), _geometric_q(p["n"], p["m"], weight=lambda l: l)
+    return power_minus_one(p["n"]), _arith_poly(p["m"] + 1, Fraction(0), step_exp=p["n"])
 
 
 def _cor14_closed(p: Params) -> Fraction:
@@ -264,9 +252,7 @@ def _cor14_closed(p: Params) -> Fraction:
 
 def _cor15_family(p: Params) -> tuple[Polynomial, Polynomial]:
     n = p["n"]
-    return power_minus_one(n), _geometric_q(
-        n, p["m"], weight=lambda l: l, exponent=lambda l: l * l * n
-    )
+    return power_minus_one(n), Polynomial.from_pairs([(l * l * n, l) for l in range(p["m"] + 1)])
 
 
 def _cor15_closed(p: Params) -> Fraction:
@@ -385,10 +371,6 @@ def _cor24_domain(p: Params) -> str | None:
     if math.gcd(p["m"], p["n"]) != 1:
         return "requires gcd(m, n) = 1"
     return None
-
-
-def _spread_ones(count: int, s: int) -> Polynomial:
-    return Polynomial.from_pairs([(l * s, 1) for l in range(count)])
 
 
 def _cor24_family(p: Params) -> tuple[Polynomial, Polynomial]:
@@ -715,13 +697,6 @@ def involution_identity_check(
     scale = float(math.factorial(n)) if expected == 0 else max(1.0, abs(float(expected)))
     gap = abs(value - complex(expected)) / scale
     return InvolutionIdentityReport(entry_id, n, value, expected, gap, gap <= tolerance, tolerance)
-
-
-def _prop_family(q_builder: Callable[[int], Polynomial]) -> Callable[[Params], tuple[Polynomial, Polynomial]]:
-    def build(p: Params) -> tuple[Polynomial, Polynomial]:
-        return power_minus_one(p["n"]), q_builder(p["n"])
-
-    return build
 
 
 # Readers --------------------------------------------------------------------
@@ -1346,7 +1321,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
         "sum over involutions of roots of x^n-1, fixed weight (n+1)/(2x) = (-1)^(n+1) n!",
         "none",
         _no_domain,
-        _prop_family(lambda n: _trinomial_q(n, 2, 1, Fraction(1), Fraction(1))),
+        lambda p: _cor19_family({**p, "a": Fraction(1)}),
         _prop40_closed,
         _simple_grid(n=(2, 3, 4, 5)),
     )
@@ -1356,7 +1331,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
         "sum over involutions of roots of x^n-1, fixed weight (n-1)/(2x) = 0",
         "none",
         _no_domain,
-        _prop_family(lambda n: _trinomial_q(n, 2, 1, Fraction(-2), Fraction(0))),
+        lambda p: _cor21_family({**p, "b": Fraction(0)}),
         lambda p: Fraction(0),
         _simple_grid(n=(2, 3, 4, 5)),
     )

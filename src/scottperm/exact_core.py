@@ -19,7 +19,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence, Union
 
-from .errors import BothZero, NonSquare, ZeroConstantTerm, ZeroPolynomial
+from .errors import BothZero, NonSquare, SharedRoot, ZeroConstantTerm, ZeroPolynomial
 
 # Canonical exact scalar: numerator/denominator in lowest terms, denominator > 0.
 # fractions.Fraction maintains exactly these invariants after every operation.
@@ -408,6 +408,14 @@ def resultant(p: Polynomial, q: Polynomial) -> Fraction:
     a, scale_a = _primitive(p.coeffs)
     b, scale_b = _primitive(q.coeffs)
     return scale_a**dq * scale_b**dp * _subresultant(a, b)
+
+
+def _coprime_resultant(p: Polynomial, q: Polynomial) -> Fraction:
+    """Res(p, q), or SharedRoot when it is 0: the one shared-root check."""
+    value = resultant(p, q)
+    if value == 0:
+        raise SharedRoot("the polynomials share a root, so some entry 1/(x - y) is undefined")
+    return value
 
 
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:

@@ -15,14 +15,14 @@ import enum
 import math
 from fractions import Fraction
 
-from .errors import SharedRoot, ZeroDegree, ZeroLeadingCoefficient
+from .errors import ZeroDegree, ZeroLeadingCoefficient
 from .exact_core import (
     Coefficient,
     Polynomial,
     RationalMatrix,
     _bareiss,
     _clear_denominators,
-    resultant,
+    _coprime_resultant,
 )
 from .results import EvalResult
 
@@ -163,17 +163,15 @@ def per_via_fes(kind: RowFamily | str, n: int, Q: Polynomial) -> EvalResult:
     kind selects the row polynomial: x^n - 1 or 1 + x + ... + x^(n-1).
     The value is the banded determinant divided by the resultant of the row
     polynomial with Q itself (unnormalized; the scaling cancels).  That
-    resultant is computed first, and SharedRoot is raised when it is 0.  The
-    fes route builds its value with the same `banded_permanent`.
+    resultant is computed first, by the shared-root check that `Pair` makes
+    too, so a shared root is `Pair`'s SharedRoot, with its message.  The fes
+    route builds its value with the same `banded_permanent`.
     """
     family = RowFamily(kind)
     if Q.is_zero:
         raise ZeroDegree("the column polynomial must be nonzero")
     P = power_minus_one(n) if family is RowFamily.POWER_MINUS_ONE else all_ones_poly(n)
-    denominator = resultant(P, Q)
-    if denominator == 0:
-        raise SharedRoot("the polynomials share a root")
-    return banded_permanent(family, n, Q, denominator)
+    return banded_permanent(family, n, Q, _coprime_resultant(P, Q))
 
 
 def banded_permanent(family: RowFamily, n: int, Q: Polynomial, denominator: Fraction) -> EvalResult:

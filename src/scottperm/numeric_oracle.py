@@ -227,11 +227,8 @@ def involution_sum(X: Sequence[complex], Y: Sequence[complex]) -> complex:
         for i, x in enumerate(X):
             if i != k:
                 acc += 1.0 / (x - s)
-        for y in Y:
-            diff = s - y
-            if abs(diff) < SINGULAR_TOL:
-                raise SingularEntry(f"x={s!r} and y={y!r} nearly coincide")
-            acc += 1.0 / diff
+        for term in _reciprocal_difference_matrix([s], Y)[0]:
+            acc += term
         return acc
 
     return involution_weighted_sum(X, charge)

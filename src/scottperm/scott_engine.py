@@ -32,7 +32,6 @@ from .errors import (
     OutOfDomain,
     RepeatedXRoot,
     ScottPermError,
-    SharedRoot,
     ZeroDegree,
 )
 from .exact_core import (
@@ -40,6 +39,7 @@ from .exact_core import (
     RationalMatrix,
     _bareiss,
     _clear_denominators,
+    _coprime_resultant,
     _pseudo_remainder,
     resultant,
     series_inverse,
@@ -250,9 +250,7 @@ class Pair:
         if Q.is_zero:
             raise ZeroDegree("the column polynomial must be nonzero")
         self.P, self.Q, self.n, self.m = P, Q, P.degree, Q.degree
-        self.resultant = resultant(P.monic(), Q.monic())
-        if self.resultant == 0:
-            raise SharedRoot("the polynomials share a root, so some entry 1/(x - y) is undefined")
+        self.resultant = _coprime_resultant(P.monic(), Q.monic())
         # Keyed by identity: hashing a Polynomial hashes every coefficient.
         self._roots: dict[int, list[complex] | Exception] = {}
 

@@ -644,6 +644,49 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0, proc.stderr
 
 
+def constant_warning(text: str) -> dict:
+    return {"warning": "DegreeZeroWarning", "detail": f"constant polynomial parsed from {text!r}"}
+
+
+class TestWarningLines:
+    @pytest.mark.parametrize(
+        "argv,code,lines",
+        [
+            (("verify", "--", "x - 1", "3"), 0, [constant_warning("3")]),
+            (("eval", "x^2 - 1", "7"), 0, [constant_warning("7")]),
+            (
+                ("eval", "5", "3"),
+                1,
+                [
+                    constant_warning("5"),
+                    constant_warning("3"),
+                    {"error": "ZeroDegree", "detail": "the row polynomial must have degree >= 1"},
+                ],
+            ),
+        ],
+    )
+    def test_every_stderr_line_is_json_with_warnings_first(self, capsys, argv, code, lines):
+        got, _, err = run_cli(capsys, *argv)
+        assert got == code
+        assert [json.loads(line) for line in err.splitlines()] == lines
+
+    def test_a_callers_filter_still_decides_what_shows(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", cli.DegreeZeroWarning)
+            code, out, err = run_cli(capsys, "verify", "--", "x - 1", "3")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["all_agree"]
+
+    def test_the_interpreter_writes_the_same_json_lines(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "scottperm", "verify", "--", "x - 1", "3"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        assert [json.loads(line) for line in proc.stderr.splitlines()] == [constant_warning("3")]
+
+
 class TestTextFormat:
     @pytest.mark.parametrize(
         "argv",

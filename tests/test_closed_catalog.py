@@ -14,7 +14,6 @@ from scottperm import (
     OutOfDomain,
     Polynomial,
     SharedRoot,
-    ShiftedFactorial,
     catalog_entries,
     catalog_eval,
     catalog_family,
@@ -114,6 +113,24 @@ class TestKnownFamilies:
         P, Q = catalog_family("thm39", n=3, m=2, a=1)
         assert P == Polynomial([1, 1, 1])
         assert Q == Polynomial([1, 2, 3, 4, 5])
+
+    # (P, Q) as (exponent, coefficient) pairs, written out from each statement.
+    WRITTEN_OUT = {
+        "cor12": lambda n, m: ([(n, 1), (0, -1)], [(l * n, 1) for l in range(m + 1)]),
+        "cor13": lambda n, m: ([(n, 1), (0, 1)], [(l * n, 1) for l in range(m + 1)]),
+        "cor14": lambda n, m: ([(n, 1), (0, -1)], [(l * n, l) for l in range(m + 1)]),
+        "cor15": lambda n, m: ([(n, 1), (0, -1)], [(l * l * n, l) for l in range(m + 1)]),
+        "prop40": lambda n: ([(n, 1), (0, -1)], [(2 * n, 1), (n, 1), (0, 1)]),
+        "prop41": lambda n: ([(n, 1), (0, -1)], [(2 * n, 1), (n, -2)]),
+    }
+
+    @pytest.mark.parametrize("entry_id", sorted(WRITTEN_OUT))
+    def test_family_is_the_pair_its_statement_writes_out(self, entry_id):
+        entry = get_entry(entry_id)
+        assert entry.grid
+        for point in entry.grid:
+            P, Q = self.WRITTEN_OUT[entry_id](**point)
+            assert entry.family(point) == (Polynomial.from_pairs(P), Polynomial.from_pairs(Q)), point
 
     def test_power_plus_one_helper(self):
         assert power_plus_one(4) == Polynomial([1, 0, 0, 0, 1])
@@ -230,7 +247,7 @@ class TestParamValidation:
                 catalog_eval("cor11", n=2, a=bad)
 
 
-class TestShiftedFactorial:
+class TestPoch:
     def test_small_values(self):
         assert poch(3, 0) == 1
         assert poch(3, 2) == 12
@@ -250,11 +267,13 @@ class TestShiftedFactorial:
     def test_recurrence(self, base, length):
         assert poch(base, length) == poch(base, length - 1) * (base + length - 1)
 
-    def test_dataclass_value(self):
-        assert ShiftedFactorial(Fraction(-3), 4).value == 0
-        assert ShiftedFactorial(Fraction(2), 3).value == poch(2, 3)
+    def test_fraction_base_and_negative_length(self):
+        assert poch(Fraction(-3), 4) == 0
+        assert poch(Fraction(2), 3) == 24
         with pytest.raises(BadParams):
-            ShiftedFactorial(Fraction(2), -1).value
+            poch(Fraction(2), -1)
+        # An int base still gives a Fraction, also for the empty product.
+        assert type(poch(2, 3)) is Fraction and type(poch(2, 0)) is Fraction
 
     @given(
         st.fractions(min_value=-6, max_value=6, max_denominator=4),

@@ -28,6 +28,7 @@ from scottperm import (
 from scottperm import fes_engine
 from scottperm.errors import ZeroDegree
 from scottperm.fes_engine import all_ones_poly, power_minus_one
+from scottperm.scott_engine import evaluate
 from test_exact_core import degree_polys
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -233,6 +234,22 @@ class TestPerViaFes:
             per_via_fes(RowFamily.POWER_MINUS_ONE, 3, Polynomial([-1, 0, 0, 1]))
         with pytest.raises(SharedRoot):
             per_via_fes(RowFamily.ALL_ONES, 3, Polynomial([1, 1, 1]))
+
+    @pytest.mark.parametrize(
+        "kind,n,Q",
+        [
+            (RowFamily.POWER_MINUS_ONE, 3, Polynomial([-1, 0, 0, 1])),
+            (RowFamily.POWER_MINUS_ONE, 4, Polynomial([-2, 2, -1, 1])),
+            (RowFamily.ALL_ONES, 3, Polynomial([1, 1, 1])),
+        ],
+    )
+    def test_shared_root_is_pairs_error_with_its_message(self, kind, n, Q):
+        P = power_minus_one(n) if kind is RowFamily.POWER_MINUS_ONE else all_ones_poly(n)
+        with pytest.raises(SharedRoot) as direct:
+            per_via_fes(kind, n, Q)
+        with pytest.raises(SharedRoot) as routed:
+            evaluate(P, Q, "fes")
+        assert str(direct.value) == str(routed.value)
 
     @given(st.integers(min_value=1, max_value=8), degree_polys(0, 4))
     def test_shared_root_rejected_power_family(self, n, cofactor):

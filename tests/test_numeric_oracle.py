@@ -293,6 +293,36 @@ class TestInvolutionSum:
         with pytest.raises(RepeatedXRoot):
             involution_sum([1.0, 1.0 + 1e-13], [5.0])
 
+    def test_singular_entry_rejected_with_brute_permanents_message(self):
+        with pytest.raises(SingularEntry) as brute:
+            brute_permanent([1.0], [1.0 + 1e-13])
+        with pytest.raises(SingularEntry) as involution:
+            involution_sum([1.0], [1.0 + 1e-13])
+        assert str(involution.value) == str(brute.value)
+
+    def test_repeated_x_roots_are_found_before_a_singular_entry(self):
+        with pytest.raises(RepeatedXRoot):
+            involution_sum([1.0, 1.0 + 1e-13], [1.0])
+
+    def test_fixed_point_weight_adds_its_terms_in_order(self):
+        # sum over other x of 1/(x - x_k), then over y of 1/(x_k - y), term by
+        # term from 0j: the value is bitwise that of the weight written out.
+        rng = random.Random(11)
+        for _ in range(20):
+            P, Q = random_coprime_pair(rng, rng.randint(1, 5), rng.randint(1, 6))
+            X, Y = find_roots(P), find_roots(Q)
+
+            def written_out(k):
+                acc = 0j
+                for i, x in enumerate(X):
+                    if i != k:
+                        acc += 1.0 / (x - X[k])
+                for y in Y:
+                    acc += 1.0 / (X[k] - y)
+                return acc
+
+            assert involution_sum(X, Y) == involution_weighted_sum(X, written_out)
+
     def test_agrees_with_brute_on_random_instances(self):
         rng = random.Random(7)
         for _ in range(40):
