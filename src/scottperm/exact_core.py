@@ -4,10 +4,11 @@ Every quantity on the exact evaluation path lives here: `Rational` (an
 arbitrary-precision fraction in canonical form), `Polynomial` (a dense
 coefficient tuple over `Rational`, low degree first, trailing zeros trimmed),
 and `RationalMatrix` (dense, row-major).  On top of those sit power-series
-inversion, one fraction-free integer determinant kernel (`_bareiss`), the
-resultant by the subresultant pseudo-remainder sequence over the integers,
-and the Sylvester matrix and Euclidean polynomial gcd that the tests use as
-references.
+inversion, one fraction-free integer determinant kernel (`_bareiss`, Bareiss's
+two-step elimination: two columns per pass, one exact division per entry
+per pass), the resultant by the subresultant pseudo-remainder sequence over
+the integers, and the Sylvester matrix and Euclidean polynomial gcd that the
+tests use as references.
 
 No floating point enters any function in this module.
 """
@@ -248,17 +249,27 @@ class RationalMatrix:
 
 
 def _bareiss(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free Bareiss elimination.
+    """Determinant of a square integer matrix by Bareiss's two-step elimination.
 
-    Works in place on `rows`.  Every division is exact by Sylvester's
-    identity, so the elimination never leaves the integers.
+    Works in place on `rows`.  Each pass removes two columns (E. H. Bareiss,
+    "Sylvester's identity and multistep integer-preserving Gaussian
+    elimination", Math. Comp. 22, 1968).  With p the previous pivot (1 at
+    the start) and A the remaining block, the 2x2 minors
+    c2 = A00*A11 - A10*A01, c0_j = A01*A1j - A11*A0j and
+    c1_j = A00*A1j - A10*A0j are each p times a bordered minor, and every
+    entry below the first two rows becomes
+    (A_i0*c0_j - A_i1*c1_j + c2*A_ij) / p^2.  Sylvester's identity makes
+    each division exact, so the elimination never leaves the integers.
+    Dividing the c's by p first keeps every product to two entry-sized
+    integers and leaves one division by p per entry per two columns; c2 / p
+    is the next pivot.  An even n ends with one one-step update of the last
+    2x2 block.
     """
     n = len(rows)
     if n == 0:
         return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
+    sign = prev = 1
+    for k in range(0, n - 2, 2):
         if rows[k][k] == 0:
             for r in range(k + 1, n):
                 if rows[r][k] != 0:
@@ -267,24 +278,42 @@ def _bareiss(rows: list[list[int]]) -> int:
                     break
             else:
                 return 0
-        row_k = rows[k]
-        pivot = row_k[k]
-        tail_k = row_k[k + 1 :]
-        for i in range(k + 1, n):
-            row_i = rows[i]
-            left = row_i[k]
-            if left:
-                row_i[k + 1 :] = [
-                    (a * pivot - left * b) // prev for a, b in zip(row_i[k + 1 :], tail_k)
+        row0 = rows[k]
+        a00, a01 = row0[k], row0[k + 1]
+        # The first lower row whose 2x2 minor with row0 is nonzero; with none,
+        # column k + 1 vanishes below row0 after one step, and so does det.
+        for r in range(k + 1, n):
+            c2 = a00 * rows[r][k + 1] - rows[r][k] * a01
+            if c2:
+                if r != k + 1:
+                    rows[k + 1], rows[r] = rows[r], rows[k + 1]
+                    sign = -sign
+                break
+        else:
+            return 0
+        row1 = rows[k + 1]
+        a10, a11 = row1[k], row1[k + 1]
+        tail0, tail1 = row0[k + 2 :], row1[k + 2 :]
+        pivot = c2 // prev
+        c0 = [(a01 * b - a11 * a) // prev for a, b in zip(tail0, tail1)]
+        c1 = [(a00 * b - a10 * a) // prev for a, b in zip(tail0, tail1)]
+        for row_i in rows[k + 2 :]:
+            l0, l1 = row_i[k], row_i[k + 1]
+            if l0 or l1:
+                row_i[k + 2 :] = [
+                    (l0 * u - l1 * v + pivot * a) // prev for a, u, v in zip(row_i[k + 2 :], c0, c1)
                 ]
             elif pivot != prev:
-                row_i[k + 1 :] = [a * pivot // prev for a in row_i[k + 1 :]]
+                row_i[k + 2 :] = [pivot * a // prev for a in row_i[k + 2 :]]
         prev = pivot
-    return sign * rows[n - 1][n - 1]
+    if n % 2:
+        return sign * rows[n - 1][n - 1]
+    (a, b), (c, d) = rows[n - 2][n - 2 :], rows[n - 1][n - 2 :]
+    return sign * ((a * d - c * b) // prev)
 
 
 def exact_det(m: RationalMatrix) -> Fraction:
-    """Exact determinant by fraction-free Bareiss elimination.
+    """Exact determinant by Bareiss's fraction-free two-step elimination (`_bareiss`).
 
     Rows are first scaled to integers (the scale is divided back out at the
     end) so the elimination runs entirely over arbitrary-precision integers.

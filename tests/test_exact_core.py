@@ -1,6 +1,7 @@
 """Exact rational substrate: polynomial ring, series, determinants, resultants."""
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,9 @@ from scottperm import (
     series_inverse,
     sylvester_matrix,
 )
+from scottperm.exact_core import _bareiss
+from scottperm.fes_engine import RowFamily, _banded_rows
+from scottperm.scott_engine import _theorem1_rows
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=6)
 
@@ -271,8 +275,8 @@ class TestSubresultantResultant:
 
 
 def _cofactor_det(rows: list[list[Fraction]]) -> Fraction:
-    if len(rows) == 1:
-        return rows[0][0]
+    if not rows:
+        return Fraction(1)
     total = Fraction(0)
     for j, head in enumerate(rows[0]):
         if head == 0:
@@ -316,6 +320,90 @@ class TestExactDet:
         a = RationalMatrix.from_rows(rows_a)
         b = RationalMatrix.from_rows(rows_b)
         assert exact_det(a @ b) == exact_det(a) * exact_det(b)
+
+
+def _one_step_bareiss(rows: list[list[int]]) -> int:
+    """Textbook one-step Bareiss elimination: the reference for `_bareiss`.
+
+    Works on a copy, swaps in the first lower row with a nonzero pivot, and
+    checks that every division is exact.
+    """
+    a = [list(row) for row in rows]
+    n = len(a)
+    sign = prev = 1
+    for k in range(n - 1):
+        swap = next((r for r in range(k, n) if a[r][k]), None)
+        if swap is None:
+            return 0
+        if swap != k:
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                quotient, remainder = divmod(a[i][j] * a[k][k] - a[i][k] * a[k][j], prev)
+                assert remainder == 0
+                a[i][j] = quotient
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
+
+
+def _kernel_det(rows: list[list[int]]) -> int:
+    return _bareiss([list(row) for row in rows])
+
+
+def _small_ints(rng: random.Random, count: int) -> list[int]:
+    return [rng.randint(-5, 5) for _ in range(count)]
+
+
+class TestBareissKernel:
+    """`_bareiss` against a one-step reference that shares no code with it."""
+
+    def test_random_sparse_matrices(self):
+        rng = random.Random(1968)
+        for n in range(13):
+            for _ in range(40):
+                rows = [
+                    [rng.choice((0, 0, 0, 1, -1, rng.randint(-9, 9))) for _ in range(n)]
+                    for _ in range(n)
+                ]
+                det = _kernel_det(rows)
+                assert det == _one_step_bareiss(rows)
+                if n <= 6:
+                    assert det == _cofactor_det(rows)
+
+    @pytest.mark.parametrize(
+        "rows, det",
+        [
+            pytest.param([[0, 2, 1], [3, 1, 4], [1, 5, 9]], -32, id="zero-corner"),
+            pytest.param(
+                [[0, 1, 2, 3], [0, 4, 5, 6], [7, 8, 9, 1], [2, 3, 5, 7]], -54, id="zero-column-head"
+            ),
+            pytest.param([[1, 2, 3], [2, 4, 5], [1, 0, 1]], -2, id="zero-leading-minor"),
+            pytest.param(
+                [[1, 2, 3, 4], [2, 4, 1, 0], [3, 6, 5, 2], [-1, -2, 7, 1]], 0, id="dependent-columns"
+            ),
+            pytest.param([], 1, id="n0"),
+            pytest.param([[7]], 7, id="n1"),
+            pytest.param([[0, 3], [5, 4]], -15, id="n2"),
+            pytest.param([[2, 0, 1], [1, 3, 2], [1, 1, 2]], 6, id="n3"),
+        ],
+    )
+    def test_named_cases(self, rows, det):
+        assert _cofactor_det(rows) == det
+        assert _one_step_bareiss(rows) == det
+        assert _kernel_det(rows) == det
+
+    @pytest.mark.parametrize("n, m", [(24, 24), (32, 32), (10, 128)])
+    def test_theorem1_rows(self, n, m):
+        rng = random.Random(f"{n}/{m}")
+        rows = _theorem1_rows(_small_ints(rng, n), _small_ints(rng, m) + [1])
+        assert _kernel_det(rows) == _one_step_bareiss(rows)
+
+    @pytest.mark.parametrize("family", list(RowFamily))
+    def test_banded_rows(self, family):
+        rng = random.Random(family.value)
+        rows, _ = _banded_rows(family, 64, Polynomial(_small_ints(rng, 40) + [1]))
+        assert _kernel_det(rows) == _one_step_bareiss(rows)
 
 
 class TestPolyGcd:
