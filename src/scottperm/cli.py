@@ -451,7 +451,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument(
         "--method",
         default="auto",
-        help="auto, theorem1, fes, oracle, involution, closed_form, or closed:<id>",
+        help=scott_engine._METHOD_NAMES,
     )
     p_eval.set_defaults(func=_cmd_eval)
 

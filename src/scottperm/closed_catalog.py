@@ -259,10 +259,6 @@ def _cor15_closed(p: Params) -> Fraction:
     return -poch(Fraction(-p["n"] * p["m"] * (p["m"] + 1), 2), p["n"])
 
 
-def _trinomial_q(n: int, m: int, r: int, a: Fraction, b: Fraction) -> Polynomial:
-    return Polynomial.from_pairs([(m * n, 1), (r * n, a), (0, b)])
-
-
 def _cor16_domain(p: Params) -> str | None:
     if p["r"] >= p["m"]:
         return "need m > r >= 1"
@@ -272,16 +268,13 @@ def _cor16_domain(p: Params) -> str | None:
 
 
 def _cor16_family(p: Params) -> tuple[Polynomial, Polynomial]:
-    return power_minus_one(p["n"]), _trinomial_q(p["n"], p["m"], p["r"], p["a"], p["b"])
+    n, m, r = p["n"], p["m"], p["r"]
+    return power_minus_one(n), Polynomial.from_pairs([(m * n, 1), (r * n, p["a"]), (0, p["b"])])
 
 
 def _cor16_closed(p: Params) -> Fraction:
     base = -(p["m"] + p["r"] * p["a"]) * p["n"] / (p["a"] + p["b"] + 1)
     return -poch(base, p["n"])
-
-
-def _cor17_family(p: Params) -> tuple[Polynomial, Polynomial]:
-    return power_minus_one(p["n"]), power_plus_one(p["m"] * p["n"])
 
 
 def _cor18_domain(p: Params) -> str | None:
@@ -302,10 +295,6 @@ def _cor19_domain(p: Params) -> str | None:
     return None
 
 
-def _cor19_family(p: Params) -> tuple[Polynomial, Polynomial]:
-    return power_minus_one(p["n"]), _trinomial_q(p["n"], 2, 1, p["a"], Fraction(1))
-
-
 def _cor20_domain(p: Params) -> str | None:
     if p["r"] >= p["m"]:
         return "need m > r >= 1"
@@ -320,10 +309,6 @@ def _cor21_domain(p: Params) -> str | None:
     if p["b"] == 1:
         return "b = 1: Q = (y^n - 1)^2 shares every root with x^n - 1"
     return None
-
-
-def _cor21_family(p: Params) -> tuple[Polynomial, Polynomial]:
-    return power_minus_one(p["n"]), _trinomial_q(p["n"], 2, 1, Fraction(-2), p["b"])
 
 
 # cor22/cor23: binomial Q of arbitrary degree ------------------------------
@@ -390,10 +375,6 @@ def _cor24_closed(p: Params) -> Fraction:
     return total / Fraction(m * n * s) ** s
 
 
-def _cor25_family(p: Params) -> tuple[Polynomial, Polynomial]:
-    return all_ones_poly(p["n"]), _spread_ones(p["m"], 1)
-
-
 def _cor25_closed(p: Params) -> Fraction:
     n, m = p["n"], p["m"]
     sign = -1 if n % 2 == 0 else 1
@@ -411,10 +392,6 @@ def _cor26_domain(p: Params) -> str | None:
     return None
 
 
-def _cor26_family(p: Params) -> tuple[Polynomial, Polynomial]:
-    return power_minus_one(p["n"]), power_plus_one(p["m"])
-
-
 def _cor26_closed(p: Params) -> Fraction:
     return falling(p["m"], p["n"]) / 2
 
@@ -423,10 +400,6 @@ def _cor27_domain(p: Params) -> str | None:
     if p["n"] % 2 == 0:
         return "n must be odd"
     return None
-
-
-def _cor27_family(p: Params) -> tuple[Polynomial, Polynomial]:
-    return power_minus_one(p["n"]), power_plus_one(p["n"] + 1)
 
 
 def _cor27_closed(p: Params) -> Fraction:
@@ -494,11 +467,6 @@ def _cor31_domain(p: Params) -> str | None:
     return None
 
 
-def _cor31_family(p: Params) -> tuple[Polynomial, Polynomial]:
-    n = p["n"]
-    return power_minus_one(n), Polynomial.from_pairs([(n, 1), (1, n), (0, -1)])
-
-
 # thm32 family: arithmetic-progression coefficients ------------------------
 
 
@@ -515,11 +483,6 @@ def _thm32_domain(p: Params) -> str | None:
     return None
 
 
-def _thm32_family(p: Params) -> tuple[Polynomial, Polynomial]:
-    n, m = p["n"], p["m"]
-    return power_minus_one(n), _arith_poly(m * n, p["a"])
-
-
 def _thm32_closed(p: Params) -> Fraction:
     n, m, a = p["n"], p["m"], p["a"]
     sign = -1 if n % 2 == 0 else 1
@@ -527,18 +490,10 @@ def _thm32_closed(p: Params) -> Fraction:
     return sign * lead * poch(a + (m - 1) * n + 1, n - 2)
 
 
-def _cor33_family(p: Params) -> tuple[Polynomial, Polynomial]:
-    return power_minus_one(p["n"]), _arith_poly(p["m"] * p["n"], Fraction(0))
-
-
 def _cor33_closed(p: Params) -> Fraction:
     n, m = p["n"], p["m"]
     sign = -1 if n % 2 == 0 else 1
     return sign * Fraction(4 * m * n - n - 1, 6) * poch(m * n - n, n - 1)
-
-
-def _cor34_family(p: Params) -> tuple[Polynomial, Polynomial]:
-    return power_minus_one(p["n"]), _arith_poly(p["m"] * p["n"], Fraction(1))
 
 
 def _cor34_closed(p: Params) -> Fraction:
@@ -886,7 +841,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
         closed_form,
         raw_grid: tuple[Params, ...],
         read=None,
-    ) -> None:
+    ) -> CatalogEntry:
         grid = tuple(p for p in raw_grid if domain_check(p) is None)
         entries.append(
             CatalogEntry(
@@ -894,6 +849,10 @@ def _build_registry() -> dict[str, CatalogEntry]:
                 family, closed_form, grid, read,
             )
         )
+        return entries[-1]
+
+    # An entry that is another's family at fixed parameters builds its pair
+    # through that family; only its domain, closed form and reader are its own.
 
     add(
         "thm10",
@@ -992,7 +951,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
         "PER(x^n-1, y^(mn) + 1) = -(-mn/2)_n",
         "none",
         _no_domain,
-        _cor17_family,
+        lambda p: _cor22_family({"n": p["n"], "m": p["m"] * p["n"], "b": Fraction(1)}),
         _cor12_closed,
         _simple_grid(n=(1, 2, 3, 4, 5), m=(1, 2, 3, 4)),
         _read_cor17,
@@ -1012,13 +971,13 @@ def _build_registry() -> dict[str, CatalogEntry]:
         ),
         _read_cor16,
     )
-    add(
+    cor19 = add(
         "cor19",
         (("n", "count", 1), ("a", "rational", None)),
         "PER(x^n-1, y^(2n) + a y^n + 1) = (-1)^(n+1) n! for a != -2",
         "a != -2",
         _cor19_domain,
-        _cor19_family,
+        lambda p: _cor16_family({**p, "m": 2, "r": 1, "b": Fraction(1)}),
         _prop40_closed,
         tuple(
             {"n": n, "a": Fraction(a)}
@@ -1043,13 +1002,13 @@ def _build_registry() -> dict[str, CatalogEntry]:
         ),
         _read_cor16,
     )
-    add(
+    cor21 = add(
         "cor21",
         (("n", "count", 1), ("b", "rational", None)),
         "PER(x^n-1, y^(2n) - 2 y^n + b) = 0 for b != 1",
         "b != 1",
         _cor21_domain,
-        _cor21_family,
+        lambda p: _cor16_family({**p, "m": 2, "r": 1, "a": Fraction(-2)}),
         lambda p: Fraction(0),
         tuple(
             {"n": n, "b": Fraction(b)} for n in (1, 2, 3, 4, 5) for b in (-1, 0, 2, 3)
@@ -1112,7 +1071,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
         "PER(1+x+...+x^(n-1), 1+y+...+y^(m-1)) = (-1)^(n+1) (m-1)...(m-n+1) / n for gcd(m,n) = 1",
         "gcd(m, n) = 1",
         _cor24_domain,
-        _cor25_family,
+        lambda p: _cor24_family({**p, "s": 1}),
         _cor25_closed,
         tuple(
             {"n": n, "m": m}
@@ -1128,7 +1087,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
         "PER(x^n-1, y^m + 1) = m(m-1)...(m-n+1) / 2 for odd n, gcd(m,n) = 1",
         "n odd; gcd(m, n) = 1",
         _cor26_domain,
-        _cor26_family,
+        lambda p: _cor22_family({**p, "b": Fraction(1)}),
         _cor26_closed,
         tuple(
             {"n": n, "m": m}
@@ -1138,13 +1097,13 @@ def _build_registry() -> dict[str, CatalogEntry]:
         ),
         _read_cor26,
     )
-    add(
+    cor27 = add(
         "cor27",
         (("n", "count", 1),),
         "PER(x^n-1, y^(n+1) + 1) = (n+1)!/2 for odd n",
         "n odd",
         _cor27_domain,
-        _cor27_family,
+        lambda p: _cor22_family({**p, "m": p["n"] + 1, "b": Fraction(1)}),
         _cor27_closed,
         _simple_grid(n=(1, 3, 5)),
         _read_cor27,
@@ -1193,13 +1152,13 @@ def _build_registry() -> dict[str, CatalogEntry]:
         _simple_grid(n=(1, 2, 3, 4, 5)),
         _read_cor30,
     )
-    add(
+    cor31 = add(
         "cor31",
         (("n", "count", 1),),
         "PER(x^n-1, y^n + n y - 1) = 1 for n >= 2",
         "n >= 2",
         _cor31_domain,
-        _cor31_family,
+        lambda p: _cor28_family({**p, "r": 1, "a": Fraction(p["n"]), "b": Fraction(-1)}),
         lambda p: Fraction(1),
         _simple_grid(n=(2, 3, 4, 5)),
         _read_cor31,
@@ -1210,7 +1169,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
         "PER(x^n-1, sum_{l<mn} (l+a) y^l) = (-1)^(n-1) n(m-1) V(a,m) (a+(m-1)n+1)_(n-2) / (6(mn+2a-1))",
         "mn + 2a - 1 != 0",
         _thm32_domain,
-        _thm32_family,
+        lambda p: _thm37_family({**p, "s": 1}),
         _thm32_closed,
         tuple(
             {"n": n, "m": m, "a": Fraction(a)}
@@ -1226,7 +1185,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
         "PER(x^n-1, sum_{l<mn} l y^l) = (-1)^(n-1) (4mn-n-1)(mn-n)_(n-1) / 6",
         "none",
         _no_domain,
-        _cor33_family,
+        lambda p: _thm37_family({**p, "s": 1, "a": Fraction(0)}),
         _cor33_closed,
         _simple_grid(n=(2, 3, 4, 5), m=(1, 2, 3, 4)),
         _read_cor33,
@@ -1237,7 +1196,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
         "PER(x^n-1, sum_{l<mn} (l+1) y^l) = (-1)^(n-1) (4mn-n+1)(mn-n)(mn-n+2)_(n-2) / 6",
         "none",
         _no_domain,
-        _cor34_family,
+        lambda p: _thm37_family({**p, "s": 1, "a": Fraction(1)}),
         _cor34_closed,
         _simple_grid(n=(2, 3, 4, 5), m=(1, 2, 3, 4)),
         _read_cor34,
@@ -1321,7 +1280,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
         "sum over involutions of roots of x^n-1, fixed weight (n+1)/(2x) = (-1)^(n+1) n!",
         "none",
         _no_domain,
-        lambda p: _cor19_family({**p, "a": Fraction(1)}),
+        lambda p: cor19.family({**p, "a": Fraction(1)}),
         _prop40_closed,
         _simple_grid(n=(2, 3, 4, 5)),
     )
@@ -1331,7 +1290,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
         "sum over involutions of roots of x^n-1, fixed weight (n-1)/(2x) = 0",
         "none",
         _no_domain,
-        lambda p: _cor21_family({**p, "b": Fraction(0)}),
+        lambda p: cor21.family({**p, "b": Fraction(0)}),
         lambda p: Fraction(0),
         _simple_grid(n=(2, 3, 4, 5)),
     )
@@ -1341,7 +1300,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
         "sum over involutions of roots of x^n-1, fixed weight (2+(3-n)x)/(2x^2) = 1 for n >= 2",
         "n >= 2",
         _cor31_domain,
-        _cor31_family,
+        cor31.family,
         lambda p: Fraction(1),
         _simple_grid(n=(2, 3, 4, 5)),
     )
@@ -1351,7 +1310,7 @@ def _build_registry() -> dict[str, CatalogEntry]:
         "sum over involutions of roots of x^n-1 (n odd), fixed weight (1-n+(3+n)x)/(2(1+x)x) = (n+1)!/2",
         "n odd",
         _prop43_domain,
-        _cor27_family,
+        cor27.family,
         _cor27_closed,
         _simple_grid(n=(3, 5)),
     )

@@ -323,8 +323,9 @@ def _involution(pair: Pair) -> EvalResult:
 
 
 def _closed_form(pair: Pair) -> EvalResult:
+    # iter_matching has validated the parameters and checked the domain.
     entry_id, params = pair.match
-    value = closed_catalog.catalog_eval(entry_id, **params)
+    value = closed_catalog.get_entry(entry_id).closed_form(params)
     return EvalResult(value, "closed_form", pair.n, pair.m, (f"matched {entry_id}",))
 
 
@@ -343,8 +344,10 @@ ROUTES = (
     Route("closed_form", _closed_form, applies=lambda pair: pair.match is not None,
           needs="a pair that some closed-form catalog entry matches"),
 )
-_METHODS = {route.name: route for route in ROUTES}
-_METHODS["auto"] = Route("auto", lambda p: _METHODS["fes" if p.family else "theorem1"].evaluate(p))
+_METHODS = {"auto": Route("auto", lambda p: _METHODS["fes" if p.family else "theorem1"].evaluate(p)),
+            **{route.name: route for route in ROUTES}}
+# Every method `evaluate` takes, as the CLI's --method help and an unknown method's error list them.
+_METHOD_NAMES = ", ".join(_METHODS) + ", or closed:<id>"
 
 
 def _shown(value: object) -> str:
@@ -355,7 +358,7 @@ def _shown(value: object) -> str:
 def _catalog_route(method: str) -> Route:
     """eval's closed:<id>: one named catalog entry, its parameters inferred."""
     if not method.startswith("closed:"):
-        raise BadParams(f"unknown method {method!r}")
+        raise BadParams(f"unknown method {method!r}; use {_METHOD_NAMES}")
     entry_id = method[len("closed:"):]
     entry = closed_catalog.get_entry(entry_id)
     if entry.read is None:

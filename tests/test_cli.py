@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scottperm import ParseError, Polynomial, cli
+from scottperm import ParseError, Polynomial, cli, scott_engine
 from scottperm.cli import (
     DegreeZeroWarning,
     PolyExpr,
@@ -600,6 +600,21 @@ def test_help_prints_usage_and_exits_0(capsys, argv):
         main(list(argv))
     assert exc_info.value.code == 0
     assert capsys.readouterr().out.startswith("usage: scottperm")
+
+
+def _listed_methods(text: str) -> list[str]:
+    return re.split(r",(?: or)? ", " ".join(text.split()))
+
+
+def test_help_and_unknown_method_list_every_method(capsys):
+    expected = ["auto", *(route.name for route in scott_engine.ROUTES), "closed:<id>"]
+    with pytest.raises(SystemExit):
+        main(["eval", "--help"])
+    help_text = capsys.readouterr().out.split("--method METHOD")[-1]
+    assert _listed_methods(help_text) == expected
+    detail = error_json(capsys, 1, "eval", "x-1", "y+2", "--method", "magic")["detail"]
+    assert detail.startswith("unknown method 'magic'; use ")
+    assert _listed_methods(detail.split("; use ")[1]) == expected
 
 
 class TestModuleEntryPoint:

@@ -115,13 +115,26 @@ class TestKnownFamilies:
         assert Q == Polynomial([1, 2, 3, 4, 5])
 
     # (P, Q) as (exponent, coefficient) pairs, written out from each statement.
+    # The prop4x statements name only P; their Q is the one in the module notes.
     WRITTEN_OUT = {
         "cor12": lambda n, m: ([(n, 1), (0, -1)], [(l * n, 1) for l in range(m + 1)]),
         "cor13": lambda n, m: ([(n, 1), (0, 1)], [(l * n, 1) for l in range(m + 1)]),
         "cor14": lambda n, m: ([(n, 1), (0, -1)], [(l * n, l) for l in range(m + 1)]),
         "cor15": lambda n, m: ([(n, 1), (0, -1)], [(l * l * n, l) for l in range(m + 1)]),
+        "cor17": lambda n, m: ([(n, 1), (0, -1)], [(m * n, 1), (0, 1)]),
+        "cor19": lambda n, a: ([(n, 1), (0, -1)], [(2 * n, 1), (n, a), (0, 1)]),
+        "cor21": lambda n, b: ([(n, 1), (0, -1)], [(2 * n, 1), (n, -2), (0, b)]),
+        "cor25": lambda n, m: ([(l, 1) for l in range(n)], [(l, 1) for l in range(m)]),
+        "cor26": lambda n, m: ([(n, 1), (0, -1)], [(m, 1), (0, 1)]),
+        "cor27": lambda n: ([(n, 1), (0, -1)], [(n + 1, 1), (0, 1)]),
+        "cor31": lambda n: ([(n, 1), (0, -1)], [(n, 1), (1, n), (0, -1)]),
+        "thm32": lambda n, m, a: ([(n, 1), (0, -1)], [(l, l + a) for l in range(m * n)]),
+        "cor33": lambda n, m: ([(n, 1), (0, -1)], [(l, l) for l in range(m * n)]),
+        "cor34": lambda n, m: ([(n, 1), (0, -1)], [(l, l + 1) for l in range(m * n)]),
         "prop40": lambda n: ([(n, 1), (0, -1)], [(2 * n, 1), (n, 1), (0, 1)]),
         "prop41": lambda n: ([(n, 1), (0, -1)], [(2 * n, 1), (n, -2)]),
+        "prop42": lambda n: ([(n, 1), (0, -1)], [(n, 1), (1, n), (0, -1)]),
+        "prop43": lambda n: ([(n, 1), (0, -1)], [(n + 1, 1), (0, 1)]),
     }
 
     @pytest.mark.parametrize("entry_id", sorted(WRITTEN_OUT))

@@ -570,7 +570,7 @@ class TestRouteTable:
             "oracle": (numeric_oracle, "brute_permanent"),
             "involution": (numeric_oracle, "involution_sum"),
             "fes": (fes_engine, "banded_permanent"),
-            "closed_form": (closed_catalog, "catalog_eval"),
+            "closed_form": (closed_catalog, "get_entry"),
         }[method]
         calls = []
         original = getattr(*engine)
@@ -681,6 +681,24 @@ class TestRouteTable:
             closed = [route for route in report.routes if route.method == "closed_form"]
             assert len(closed) == 1 and closed[0].error is None, point
             assert 1 <= len(read) <= 2, (point, read)
+
+    def test_closed_form_evaluates_the_validated_match_once(self, monkeypatch):
+        # iter_matching has validated the match and checked its domain, so the
+        # closed_form route evaluates it without catalog_eval's second pass.
+        original = closed_catalog.catalog_eval
+
+        def refuse(entry_id, **params):
+            raise AssertionError("the match was validated again")
+
+        monkeypatch.setattr(closed_catalog, "catalog_eval", refuse)
+        for entry in closed_catalog.catalog_entries():
+            if entry.read is None:
+                continue
+            point = entry.grid[0]
+            report = verify(*entry.family(point))
+            closed = [route for route in report.routes if route.method == "closed_form"]
+            assert len(closed) == 1 and closed[0].error is None, entry.id
+            assert closed[0].value == original(entry.id, **point), entry.id
 
     def test_a_constant_polynomial_has_no_roots(self, monkeypatch):
         calls = []
