@@ -12,20 +12,14 @@ package evaluates per(1/(x_i - y_j)) through four independent routes:
 
 and cross-validates them (`verify`, on the route table `eval` uses too).  A gallery
 of structured integer determinant identities and involution-sum identities rounds it out.
+
+`closed_catalog`, `det_gallery` and `numeric_oracle` load on first use, so
+`import scottperm` and an exact eval load none of them: a route or command that
+needs one imports it, and the module-level `__getattr__` below resolves each of
+their public names here on first access (PEP 562).
 """
-from .closed_catalog import (
-    CatalogEntry,
-    InvolutionIdentityReport,
-    catalog_entries,
-    catalog_eval,
-    catalog_family,
-    catalog_ids,
-    find_matching,
-    involution_identity_check,
-    iter_matching,
-    poch,
-)
-from .det_gallery import GALLERY_IDS, GalleryCase, gallery_closed_form, gallery_matrix
+import importlib
+
 from .errors import (
     BadParams,
     BothZero,
@@ -64,17 +58,6 @@ from .fes_engine import (
     fes_tilde_matrix,
     per_via_fes,
     special_resultant,
-)
-from .numeric_oracle import (
-    borchardt_matrix_det,
-    brute_permanent,
-    cauchy_matrix_det,
-    find_roots,
-    involution_sum,
-    involution_weighted_sum,
-    random_coprime_pair,
-    ryser_permanent,
-    unit_roots,
 )
 from .results import EvalResult
 from .scott_engine import (
@@ -155,3 +138,33 @@ __all__ = [
 ]
 
 __version__ = "1.0.0"
+
+# The public names of the modules that load on first use, each with its module.
+_ON_FIRST_USE = {
+    **dict.fromkeys(
+        ("CatalogEntry", "InvolutionIdentityReport", "catalog_entries", "catalog_eval",
+         "catalog_family", "catalog_ids", "find_matching", "involution_identity_check",
+         "iter_matching", "poch"),
+        "closed_catalog",
+    ),
+    **dict.fromkeys(("GALLERY_IDS", "GalleryCase", "gallery_closed_form", "gallery_matrix"), "det_gallery"),
+    **dict.fromkeys(
+        ("borchardt_matrix_det", "brute_permanent", "cauchy_matrix_det", "find_roots",
+         "involution_sum", "involution_weighted_sum", "random_coprime_pair", "ryser_permanent",
+         "unit_roots"),
+        "numeric_oracle",
+    ),
+}
+
+
+def __getattr__(name: str):
+    """Import the module of a name in _ON_FIRST_USE and keep the name here (PEP 562)."""
+    module = _ON_FIRST_USE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_ON_FIRST_USE))

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import random
 import re
 import sys
 import time
@@ -28,7 +27,8 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, NoReturn, Sequence, TextIO
 
-from . import closed_catalog, numeric_oracle, scott_engine
+# closed_catalog and numeric_oracle load on first use, in catalog and bench.
+from . import scott_engine
 from .errors import BadParams, ParseError
 from .exact_core import Polynomial
 
@@ -324,6 +324,8 @@ def _cmd_verify(args: argparse.Namespace) -> Any:
 
 
 def _cmd_catalog(args: argparse.Namespace) -> Any:
+    from . import closed_catalog
+
     entries = closed_catalog.catalog_entries()
     if args.id is not None:
         entries = (closed_catalog.get_entry(args.id),)
@@ -383,6 +385,10 @@ def bench_rows(
 
     Where n <= max_n, the oracle and theorem1 legs of a row are timed together.
     """
+    import random
+
+    from . import numeric_oracle
+
     if len(n_values) == 1 and len(m_values) > 1:
         n_values = list(n_values) * len(m_values)
     if len(m_values) == 1 and len(n_values) > 1:

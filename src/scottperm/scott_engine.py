@@ -26,7 +26,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from . import closed_catalog, fes_engine, numeric_oracle
+# closed_catalog and numeric_oracle load on first use, inside the routes that call
+# them, so an exact eval imports neither.
+from . import fes_engine
 from .errors import (
     BadParams,
     OutOfDomain,
@@ -269,6 +271,8 @@ class Pair:
     @functools.cached_property
     def match(self) -> tuple[str, dict] | None:
         """The first catalog match in catalog order, or None; no later entry is read."""
+        from . import closed_catalog
+
         return next(closed_catalog.iter_matching(self.P, self.Q), None)
 
     def roots(self, poly: Polynomial) -> list[complex]:
@@ -278,6 +282,8 @@ class Pair:
         row; Q and any other P take find_roots."""
         key = id(poly)
         if key not in self._roots:
+            from . import numeric_oracle
+
             try:
                 if poly is self.P and self.family is not None:
                     family, n = self.family
@@ -307,6 +313,8 @@ class Route(NamedTuple):
 
 
 def _oracle(pair: Pair) -> EvalResult:
+    from . import numeric_oracle
+
     if pair.n > pair.m:
         return EvalResult(0j, "oracle", pair.n, pair.m, ("n > m: no injective assignments",))
     value = numeric_oracle.brute_permanent(pair.roots(pair.P), pair.roots(pair.Q))
@@ -314,6 +322,8 @@ def _oracle(pair: Pair) -> EvalResult:
 
 
 def _involution(pair: Pair) -> EvalResult:
+    from . import numeric_oracle
+
     # The float roots of a multiple root come out too far apart for
     # involution_weighted_sum's 1e-12 check to see, so P is tested exactly.
     if not pair.squarefree:
@@ -323,6 +333,8 @@ def _involution(pair: Pair) -> EvalResult:
 
 
 def _closed_form(pair: Pair) -> EvalResult:
+    from . import closed_catalog
+
     # iter_matching has validated the parameters and checked the domain.
     entry_id, params = pair.match
     value = closed_catalog.get_entry(entry_id).closed_form(params)
@@ -359,6 +371,8 @@ def _catalog_route(method: str) -> Route:
     """eval's closed:<id>: one named catalog entry, its parameters inferred."""
     if not method.startswith("closed:"):
         raise BadParams(f"unknown method {method!r}; use {_METHOD_NAMES}")
+    from . import closed_catalog
+
     entry_id = method[len("closed:"):]
     entry = closed_catalog.get_entry(entry_id)
     if entry.read is None:

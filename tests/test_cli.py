@@ -646,14 +646,29 @@ class TestModuleEntryPoint:
         assert payload["value"] == {"num": "-3", "den": "8"}
 
     def test_numpy_is_imported_only_by_a_float_route(self):
+        # Nor are the catalog, the gallery and the float oracles, which load on first use.
         script = (
-            "import sys\n"
+            "import contextlib, io, json, sys\n"
             "import scottperm.cli as cli\n"
-            "assert 'numpy' not in sys.modules, 'import'\n"
-            "assert cli.main(['eval', 'x^3-1', 'y^4+2']) == 0\n"
-            "assert 'numpy' not in sys.modules, 'eval'\n"
-            "assert cli.main(['verify', 'x^3-1', 'y^4+2']) == 0\n"
-            "assert 'numpy' in sys.modules, 'verify'\n"
+            "lazy = ['scottperm.closed_catalog', 'scottperm.det_gallery',"
+            " 'scottperm.numeric_oracle', 'numpy']\n"
+            "def loaded():\n"
+            "    return [name for name in lazy if name in sys.modules]\n"
+            "assert loaded() == [], ('import', loaded())\n"
+            "for P, Q, method in (('x^3 - 2*x + 5', 'y^4 + y - 3', 'theorem1'),\n"
+            "                     ('x^5 - 1', 'y^7 + 2*y^2 + 5', 'fes'),\n"
+            "                     ('x^4 + x^3 + x^2 + x + 1', 'y^6 - 2*y + 7', 'fes_tilde')):\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        assert cli.main(['eval', '--', P, Q]) == 0\n"
+            "    assert json.loads(out.getvalue())['method'] == method\n"
+            "    assert loaded() == [], (method, loaded())\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['verify', 'x^3-1', 'y^4+2']) == 0\n"
+            "assert loaded() == [lazy[0], lazy[2], lazy[3]], ('verify', loaded())\n"
+            "import scottperm\n"
+            "scottperm.GALLERY_IDS\n"
+            "assert loaded() == lazy, ('gallery', loaded())\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

@@ -1,0 +1,38 @@
+"""The package's public names, and the modules a bare import leaves unloaded."""
+from __future__ import annotations
+
+import importlib
+import subprocess
+import sys
+
+import pytest
+
+import scottperm
+
+ON_FIRST_USE = ("scottperm.closed_catalog", "scottperm.det_gallery", "scottperm.numeric_oracle")
+# Public values whose __module__ does not name their defining module.
+HOMES = {"GALLERY_IDS": "scottperm.det_gallery", "Rational": "scottperm.exact_core"}
+
+
+def test_public_names():
+    # In a fresh interpreter: a bare import loads none of the on-first-use modules,
+    # dir lists every public name without loading one, and a star import binds them all.
+    script = (
+        "import sys\n"
+        "import scottperm\n"
+        f"lazy = {ON_FIRST_USE!r}\n"
+        "assert not [m for m in lazy if m in sys.modules], 'import'\n"
+        "assert set(scottperm.__all__) <= set(dir(scottperm)), 'dir'\n"
+        "assert not [m for m in lazy if m in sys.modules], 'dir loaded a module'\n"
+        "from scottperm import *\n"
+        "assert [n for n in scottperm.__all__ if n not in globals()] == [], 'star import'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    for name in scottperm.__all__:
+        value = getattr(scottperm, name)
+        home = HOMES.get(name, getattr(value, "__module__", None))
+        assert getattr(importlib.import_module(home), name) is value, name
+    assert set(scottperm.__all__) <= set(dir(scottperm))
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        scottperm.no_such_name
