@@ -9,12 +9,12 @@ obtained without ever computing a root: it equals
 where H is the n x (m+n-1) band of complete homogeneous symmetric functions
 of X, E is an (m+n-1) x n matrix of weighted elementary symmetric functions
 of Y, and Res is the resultant of the monic forms.  The numerator is taken
-as det R, the same determinant with entries of about half the bits: column
-k of R holds the coefficients of x^(k-1) Q' - (k-1) x^(k-2) Q mod P, so
-neither H nor E is built.  For P = x^n - 1, R is fes's broken-diagonal
-matrix.  `ROUTES` is the one table of this and every other route (each
-returns an `EvalResult`, from the leaf module `results`): `evaluate` runs
-one by name, `verify` all that apply.
+from det G, with G = Bez(P, r1) - d/dx Bez(P, r0) for P and Q cleared to
+integers and r0, r1 the pseudo-remainders of Q, Q' mod P: det G =
+(-1)^(n(n-1)/2) (lc(P)^(m-n+2) lc(Q))^n Res det(H @ E), and no root, monic
+form, H or E is built.  `ROUTES` is the one table of this and every other
+route (each returns an `EvalResult`, from the leaf module `results`):
+`evaluate` runs one by name, `verify` all that apply.
 """
 from __future__ import annotations
 
@@ -103,25 +103,29 @@ def build_E(Q: Polynomial, n: int) -> RationalMatrix:
 
 
 def _theorem1_rows(p: list[int], q: list[int]) -> list[list[int]]:
-    """The n x n integer matrix R^T whose determinant is theorem1's numerator.
+    """The n x n integer matrix G whose determinant is theorem1's numerator.
 
-    p holds the low coefficients p[0..n-1] of the monic x^n + ... + p[0] and
-    q the coefficients of an integer Q.  Row k (1-based) holds the
-    coefficients of f_k = x^(k-1) Q' - (k-1) x^(k-2) Q mod P, built from
-    f_1 = Q' mod P and g_1 = Q mod P by one shift modulo P per row:
-    f_(k+1) = x f_k - g_k and g_(k+1) = x g_k.
+    p and q hold all coefficients of integer P (degree n) and Q.  With a = lc(P) and the
+    pseudo-remainders r0 = a^(m-n+1) Q mod P and r1 = a^(m-n+1) Q' mod P, row i holds the
+    coefficients of x^i in G(x, y) = Bez(P, r1) - d/dx Bez(P, r0), where Bez(A, B) =
+    (A(x)B(y) - A(y)B(x)) / (x - y).  As (x - y) G = C1 - d/dx C0 + Bez(P, r0) with
+    C_k = P(x)r_k(y) - P(y)r_k(x), row i of G is row i - 1 shifted one column left minus
+    row i of the right side; Bez(P, r0) follows the same recurrence with C0 alone.
     """
-    n, monic = len(p), p + [1]  # a monic divisor: the pseudo-remainder takes no lc power
-    f = _pseudo_remainder([j * c for j, c in enumerate(q)][1:], monic)
-    g = _pseudo_remainder(q, monic)
-    f += [0] * (n - len(f))
-    g += [0] * (n - len(g))
-    rows = [f]
-    for _ in range(n - 1):
-        t, s = f[-1], g[-1]
-        f = [-t * p[0] - g[0]] + [a - t * c - b for a, c, b in zip(f, p[1:], g[1:])]
-        g = [-s * p[0]] + [a - s * c for a, c in zip(g, p[1:])]
-        rows.append(f)
+    n, a = len(p) - 1, p[-1]
+    r0 = _pseudo_remainder(q, p)
+    r1 = [a * c for c in _pseudo_remainder([j * c for j, c in enumerate(q)][1:], p)]
+    r0, r1 = r0 + [0] * (n + 1 - len(r0)), r1 + [0] * (n + 1 - len(r1))
+    # Column j needs coefficient j + 1; the last column, where r0[n] = r1[n] = 0, is apart.
+    high0, high1, high_p = r0[1:], r1[1:], p[1:]
+    bez = row = [0] * n  # row i - 1 of Bez(P, r0) and of G
+    rows = []
+    for i in range(n):
+        pi, s0, pd, w = p[i], r0[i], (i + 1) * p[i + 1], (i + 1) * r0[i + 1] - r1[i]
+        bez = [b - pi * r + c * s0 for b, r, c in zip(bez[1:], high0, high_p)] + [a * s0]
+        row = [g - b - pi * u + pd * r - c * w
+               for g, b, u, r, c in zip(row[1:], bez[1:], high1, high0, high_p)] + [-a * w]
+        rows.append(row)
     return rows
 
 
@@ -131,28 +135,21 @@ def scott_permanent(P: Polynomial, Q: Polynomial) -> EvalResult:
     P and Q must not share a root, which `Pair` tests as Res(P, Q) == 0 on
     the resultant the value divides by.  With more rows than columns
     (deg P > deg Q) the permanent is zero by convention, since no injective
-    row-to-column assignment exists.  The numerator det(H @ E) is taken as
-    det R over the integers (`_theorem1_rows`); neither H nor E is built.
+    row-to-column assignment exists.  The numerator det(H @ E) is taken from det G,
+    the integer Bezoutian of `_theorem1_rows`, for any P; neither H nor E is built.
     """
     return _theorem1(Pair(P, Q))
 
 
 def _theorem1(pair: Pair) -> EvalResult:
-    """scott_permanent of a checked pair: det R over pair.resultant."""
+    """scott_permanent of a checked pair: +-det G / ((a^(m-n+2) lc(Q))^n pair.resultant)."""
     n, m = pair.n, pair.m
     if n > m:
         return EvalResult(Fraction(0), "theorem1", n, m, ("n > m: permanent vanishes",))
-    p, scale = _clear_denominators(pair.P.monic().coeffs[:n])
+    p, _ = _clear_denominators(pair.P.coeffs)
     q, _ = _clear_denominators(pair.Q.coeffs)
-    lead = q[-1] ** n
-    # With L = scale, x = z / L turns P's monic form into the monic integer
-    # z^n + sum p_i L^(n-1-i) z^i and Q into sum q_j L^(m-j) z^j, whose roots
-    # are L times those of P and Q: that divides the permanent by L^n and
-    # multiplies the resultant of the monic forms by L^(nm).
-    if scale != 1:
-        p = [c * scale ** (n - 1 - i) for i, c in enumerate(p)]
-        q = [c * scale ** (m - j) for j, c in enumerate(q)]
-        lead *= scale ** (n * m - n)
+    # Each row of G carries a^(m-n+2): a from P and a^(m-n+1) from the pseudo-remainders.
+    lead = (-1) ** (n * (n - 1) // 2) * (p[-1] ** (m - n + 2) * q[-1]) ** n
     det = _bareiss(_theorem1_rows(p, q))
     return EvalResult(Fraction(det, lead) / pair.resultant, "theorem1", n, m)
 

@@ -664,6 +664,12 @@ class TestModuleEntryPoint:
             "    assert json.loads(out.getvalue())['method'] == method\n"
             "    assert loaded() == [], (method, loaded())\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['eval', '--method', 'closed:cor19', 'x^3-1', 'y^6+y^3+1']) == 0\n"
+            "assert loaded() == [lazy[0]], ('closed:cor19', loaded())\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['catalog']) == 0\n"
+            "assert loaded() == [lazy[0]], ('catalog', loaded())\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert cli.main(['verify', 'x^3-1', 'y^4+2']) == 0\n"
             "assert loaded() == [lazy[0], lazy[2], lazy[3]], ('verify', loaded())\n"
             "import scottperm\n"

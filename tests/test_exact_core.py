@@ -393,10 +393,18 @@ class TestBareissKernel:
         assert _one_step_bareiss(rows) == det
         assert _kernel_det(rows) == det
 
-    @pytest.mark.parametrize("n, m", [(24, 24), (32, 32), (10, 128)])
-    def test_theorem1_rows(self, n, m):
+    @pytest.mark.parametrize(
+        "n, m, lead",
+        [
+            pytest.param(24, 24, 1, id="24-24"),
+            pytest.param(32, 32, 1, id="32-32"),
+            pytest.param(10, 128, 1, id="10-128"),
+            pytest.param(24, 30, 7, id="24-30-lead7"),
+        ],
+    )
+    def test_theorem1_rows(self, n, m, lead):
         rng = random.Random(f"{n}/{m}")
-        rows = _theorem1_rows(_small_ints(rng, n), _small_ints(rng, m) + [1])
+        rows = _theorem1_rows(_small_ints(rng, n) + [lead], _small_ints(rng, m) + [1])
         assert _kernel_det(rows) == _one_step_bareiss(rows)
 
     @pytest.mark.parametrize("family", list(RowFamily))

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from scottperm import (
@@ -208,7 +208,7 @@ def h_times_e_formula(P: Polynomial, Q: Polynomial) -> Fraction:
 
 
 class TestNumeratorKernel:
-    """det(H @ E) == det R, with R's columns f_k = x^(k-1) Q' - (k-1) x^(k-2) Q mod P."""
+    """det(H @ E) == +-det G / ((a^(m-n+2) lc(Q))^n Res), G the reduced Bezoutian."""
 
     @given(degree_polys(1, 5), degree_polys(0, 6), st.one_of(st.none(), rationals))
     @example(Polynomial([Fraction(-1, 2), 0, 3]), Polynomial([1, 0, 0, 2]), None)  # L = 6
@@ -227,55 +227,89 @@ class TestNumeratorKernel:
         assert shared is None
         assert scott_permanent(P, Q).value == expected
 
-    def test_rows_are_the_broken_diagonals_at_x_to_the_n_minus_1(self):
-        rng = random.Random(43)
-        for _ in range(60):
-            n = rng.randint(1, 9)
-            low = [Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3))) for _ in range(12)]
-            Q = Polynomial(
-                low[: rng.randint(1, 12)] + [rng.choice((1, -1, 2, -5, Fraction(3, 4)))]
-            )
-            q, scale = exact_core._clear_denominators(Q.coeffs)
-            rows = scott_engine._theorem1_rows([-1] + [0] * (n - 1), q)
-            columns = [list(column) for column in zip(*rows)]
-            assert (columns, scale) == fes_engine._banded_rows(
-                fes_engine.RowFamily.POWER_MINUS_ONE, n, Q
-            )
-
-    def test_determinant_is_the_all_ones_banded_determinant(self):
-        rng = random.Random(44)
-        for _ in range(60):
-            n = rng.randint(2, 9)
-            Q = Polynomial(
-                [rng.randint(-9, 9) for _ in range(rng.randint(1, 12))] + [rng.choice((1, -3, 4))]
-            )
-            q, _ = exact_core._clear_denominators(Q.coeffs)
-            banded, _ = fes_engine._banded_rows(fes_engine.RowFamily.ALL_ONES, n, Q)
-            kernel = exact_core._bareiss(scott_engine._theorem1_rows([1] * (n - 1), q))
-            assert kernel == exact_core._bareiss(banded)
-
-    def test_rows_are_the_remainders_mod_any_monic_p(self):
+    def test_rows_are_the_reduced_bezoutian(self):
         rng = random.Random(45)
         shapes = set()
-        while len(shapes) < 80:
-            n, m = rng.randint(1, 8), rng.randint(0, 12)
-            p = [rng.randint(-9, 9) for _ in range(n)]
-            P = Polynomial(p + [1])
-            if fes_engine.classify_row_polynomial(P) is not None:
-                continue
+        while len(shapes) < 60:
+            n = rng.randint(1, 8)
+            m = rng.randint(n, 12)
+            lead = rng.choice((1, -1, 3, 7))
+            p = [rng.randint(-9, 9) for _ in range(n)] + [lead]
             q = [rng.randint(-9, 9) for _ in range(m)] + [rng.choice((1, -1, 3, -7))]
-            Q = Polynomial(q)
+            P, Q = Polynomial(p), Polynomial(q)
             derivative = Polynomial([j * c for j, c in enumerate(q)][1:])
-            rows = scott_engine._theorem1_rows(p, q)
-            assert len(rows) == n
-            for k, row in enumerate(rows, 1):
-                f = Polynomial.from_pairs([(k - 1, 1)]) * derivative
-                if k > 1:
-                    f = f - Polynomial.from_pairs([(k - 2, k - 1)]) * Q
-                remainder = list(exact_core.poly_divmod(f, P)[1].coeffs)
-                assert row == remainder + [0] * (n - len(remainder))
-            shapes.add((n, m))
-        assert any(n <= m for n, m in shapes) and any(n > m for n, m in shapes)
+            scale = lead ** (m - n + 1)
+            r0 = exact_core.poly_divmod(Q * scale, P)[1]
+            r1 = exact_core.poly_divmod(derivative * scale, P)[1]
+            expected = naive_bezoutian(P, r1)
+            low = naive_bezoutian(P, r0)
+            for i in range(n - 1):
+                for j in range(n):
+                    expected[i][j] -= (i + 1) * low[i + 1][j]
+            assert scott_engine._theorem1_rows(p, q) == expected
+            shapes.add((n, m, lead))
+        assert {lead for _, _, lead in shapes} == {1, -1, 3, 7}
+
+
+def naive_bezoutian(A: Polynomial, B: Polynomial) -> list[list[Fraction]]:
+    """The n x n coefficients of (A(x)B(y) - A(y)B(x)) / (x - y), n = deg A > deg B, term by term.
+
+    For s > t, x^s y^t - x^t y^s = (x - y) * sum_k x^(t+k) y^(s-1-k), k = 0..s-t-1.
+    """
+    n = A.degree
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for s in range(n + 1):
+        for t in range(s):
+            weight = A.coeff(s) * B.coeff(t) - A.coeff(t) * B.coeff(s)
+            for k in range(s - t):
+                out[t + k][s - 1 - k] += weight
+    return out
+
+
+def shifted(P: Polynomial, c: Fraction) -> Polynomial:
+    """P(x - c), whose roots are P's plus c."""
+    out = Polynomial([])
+    for coeff in reversed(P.coeffs):
+        out = out * Polynomial([-c, 1]) + Polynomial([coeff])
+    return out
+
+
+def scaled(P: Polynomial, a: Fraction) -> Polynomial:
+    """a^n P(x / a), whose roots are P's times a."""
+    n = P.degree
+    return Polynomial([c * a ** (n - k) for k, c in enumerate(P.coeffs)])
+
+
+SHIFT, SCALE = Fraction(3, 2), Fraction(-2, 3)
+
+
+def integer_pair(n: int, m: int, seed: object) -> tuple[Polynomial, Polynomial]:
+    rng = random.Random(seed)
+    P = Polynomial([rng.randint(-5, 5) for _ in range(n)] + [rng.choice((1, -2, 3))])
+    Q = Polynomial([rng.randint(-5, 5) for _ in range(m)] + [rng.choice((1, 5))])
+    return P, Q
+
+
+class TestMetamorphicLaws:
+    """PER is unchanged by a common shift x, y -> x + 3/2 and multiplied by a^(-n) when
+    every root is multiplied by a = -2/3.  Both images are rational and non-monic."""
+
+    @staticmethod
+    def check_laws(P: Polynomial, Q: Polynomial) -> None:
+        per = scott_permanent(P, Q).value
+        assert scott_permanent(shifted(P, SHIFT), shifted(Q, SHIFT)).value == per
+        assert scott_permanent(scaled(P, SCALE), scaled(Q, SCALE)).value == per / SCALE**P.degree
+
+    @given(st.data())
+    def test_random_pairs(self, data):
+        n = data.draw(st.integers(1, 24), label="n")
+        m = data.draw(st.integers(n, 24), label="m")
+        P, Q = integer_pair(n, m, data.draw(st.integers(0, 2**32), label="seed"))
+        assume(resultant(P, Q) != 0)
+        self.check_laws(P, Q)
+
+    def test_fixed_pair_at_48(self):
+        self.check_laws(*integer_pair(48, 48, "law/48"))
 
 
 class TestRelativeGap:
