@@ -42,8 +42,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 from .errors import BadParams, OutOfDomain
 from .exact_core import Polynomial
 from .fes_engine import all_ones_poly, power_minus_one
-
-Params = dict[str, Any]
+from .params import Params, _validate
 
 
 def poch(base: Fraction | int, length: int) -> Fraction:
@@ -98,48 +97,6 @@ class CatalogEntry:
         """Validated parameters of the family member equal to (P, Q) up to
         scale, or None; the domain is not checked."""
         return _infer(self, _Shape(P, Q))
-
-
-def _exact(value: Any) -> bool:
-    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
-
-
-def _validate(owner: str, kinds: Sequence[tuple[str, str, int | None]],
-              params: Mapping[str, Any]) -> Params:
-    """Typed params of a catalog entry or gallery case `owner` with these
-    (name, kind, minimum) triples: a count is an int >= minimum, a rational an
-    int or Fraction, a vector at least minimum of them, never a bool; a
-    missing or unknown name is BadParams."""
-    known = {name: (kind, minimum) for name, kind, minimum in kinds}
-    unknown = set(params) - set(known)
-    if unknown:
-        raise BadParams(f"{owner}: unknown parameter(s) {sorted(unknown)}")
-    out: Params = {}
-    for name, (kind, minimum) in known.items():
-        if name not in params:
-            raise BadParams(f"{owner}: missing parameter {name!r}")
-        value = params[name]
-        if kind == "count":
-            if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-                raise BadParams(f"{owner}: {name} must be an integer >= {minimum}")
-            out[name] = value
-        elif kind == "rational":
-            if not _exact(value):
-                raise BadParams(f"{owner}: {name} must be an int or Fraction")
-            out[name] = Fraction(value)
-        elif kind == "vector":
-            try:
-                vec = tuple(value)
-            except TypeError:
-                vec = None
-            if vec is None or not all(map(_exact, vec)):
-                raise BadParams(f"{owner}: {name} must be a sequence of ints or Fractions")
-            if len(vec) < minimum:
-                raise BadParams(f"{owner}: {name} needs at least {minimum} entries")
-            out[name] = tuple(map(Fraction, vec))
-        else:  # pragma: no cover - registry construction error
-            raise BadParams(f"{owner}: bad parameter kind {kind!r}")
-    return out
 
 
 # Family builders shared by several entries.

@@ -6,8 +6,9 @@ parameter grids.  All four families are circulant-flavored: entries depend
 on i - j modulo n.
 
 Case ids and their parameters, each declared as (name, kind, minimum)
-triples and validated by the closed-form catalog's validator, so one module
-owns the parameter rules:
+triples and validated by `params._validate`, the one validator that the
+closed-form catalog uses too.  The gallery imports only that leaf module, not
+the catalog:
 
 * ``prop6``: n, r, x (n values), y (n values).  Diagonal x_i plus a cyclic
   diagonal of y values shifted by r; determinant splits over gcd(r, n)
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Mapping
 
-from .closed_catalog import Params, _validate
+from .params import Params, _validate
 from .errors import BadParams
 from .exact_core import RationalMatrix
 

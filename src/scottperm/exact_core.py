@@ -5,10 +5,10 @@ arbitrary-precision fraction in canonical form), `Polynomial` (a dense
 coefficient tuple over `Rational`, low degree first, trailing zeros trimmed),
 and `RationalMatrix` (dense, row-major).  On top of those sit power-series
 inversion, one fraction-free integer determinant kernel (`_bareiss`, Bareiss's
-two-step elimination: two columns per pass, one exact division per entry
-per pass), the resultant by the subresultant pseudo-remainder sequence over
-the integers, and the Sylvester matrix and Euclidean polynomial gcd that the
-tests use as references.
+three-step elimination: three columns per pass, four products and one exact
+division per entry per pass), the resultant by the subresultant
+pseudo-remainder sequence over the integers, and the Sylvester matrix and
+Euclidean polynomial gcd that the tests use as references.
 
 No floating point enters any function in this module.
 """
@@ -249,27 +249,28 @@ class RationalMatrix:
 
 
 def _bareiss(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by Bareiss's two-step elimination.
+    """Determinant of a square integer matrix by Bareiss's three-step elimination.
 
-    Works in place on `rows`.  Each pass removes two columns (E. H. Bareiss,
+    Works in place on `rows`.  Each pass removes three columns (E. H. Bareiss,
     "Sylvester's identity and multistep integer-preserving Gaussian
-    elimination", Math. Comp. 22, 1968).  With p the previous pivot (1 at
-    the start) and A the remaining block, the 2x2 minors
-    c2 = A00*A11 - A10*A01, c0_j = A01*A1j - A11*A0j and
-    c1_j = A00*A1j - A10*A0j are each p times a bordered minor, and every
-    entry below the first two rows becomes
-    (A_i0*c0_j - A_i1*c1_j + c2*A_ij) / p^2.  Sylvester's identity makes
-    each division exact, so the elimination never leaves the integers.
-    Dividing the c's by p first keeps every product to two entry-sized
-    integers and leaves one division by p per entry per two columns; c2 / p
-    is the next pivot.  An even n ends with one one-step update of the last
-    2x2 block.
+    elimination", Math. Comp. 22, 1968).  Let p be the previous pivot (1 at
+    the start) and B the 3x3 block at the head of the three pivot rows.
+    Every 2x2 minor of B is p times an integer, so adj(B) / p is an integer
+    matrix, and det(B) / p^2 is the next pivot.  Row t of adj(B) / p, dotted
+    with the tails b of the pivot rows and divided by p, gives an integer
+    vector w_t.  An entry a of a lower row whose pivot-column entries are
+    l0, l1, l2 becomes (pivot * a - l0 * w_0 - l1 * w_1 - l2 * w_2) / p:
+    four products and one exact division per entry per three columns.
+    Sylvester's identity makes every division exact, so the elimination
+    never leaves the integers.  A pass with no row below it returns its
+    pivot; a tail of two rows ends with one 2x2 step, and a tail of one row
+    ends at its entry.
     """
     n = len(rows)
     if n == 0:
         return 1
     sign = prev = 1
-    for k in range(0, n - 2, 2):
+    for k in range(0, n - 2, 3):
         if rows[k][k] == 0:
             for r in range(k + 1, n):
                 if rows[r][k] != 0:
@@ -279,12 +280,12 @@ def _bareiss(rows: list[list[int]]) -> int:
             else:
                 return 0
         row0 = rows[k]
-        a00, a01 = row0[k], row0[k + 1]
+        a00, a01, a02 = row0[k : k + 3]
         # The first lower row whose 2x2 minor with row0 is nonzero; with none,
         # column k + 1 vanishes below row0 after one step, and so does det.
         for r in range(k + 1, n):
-            c2 = a00 * rows[r][k + 1] - rows[r][k] * a01
-            if c2:
+            c22 = a00 * rows[r][k + 1] - rows[r][k] * a01
+            if c22:
                 if r != k + 1:
                     rows[k + 1], rows[r] = rows[r], rows[k + 1]
                     sign = -sign
@@ -292,30 +293,59 @@ def _bareiss(rows: list[list[int]]) -> int:
         else:
             return 0
         row1 = rows[k + 1]
-        a10, a11 = row1[k], row1[k + 1]
-        tail0, tail1 = row0[k + 2 :], row1[k + 2 :]
-        pivot = c2 // prev
-        c0 = [(a01 * b - a11 * a) // prev for a, b in zip(tail0, tail1)]
-        c1 = [(a00 * b - a10 * a) // prev for a, b in zip(tail0, tail1)]
-        for row_i in rows[k + 2 :]:
-            l0, l1 = row_i[k], row_i[k + 1]
-            if l0 or l1:
-                row_i[k + 2 :] = [
-                    (l0 * u - l1 * v + pivot * a) // prev for a, u, v in zip(row_i[k + 2 :], c0, c1)
+        a10, a11, a12 = row1[k : k + 3]
+        # The first lower row whose 3x3 minor with row0 and row1 is nonzero,
+        # found from the cofactors of a third row's entries, each divided by
+        # p: that minor over p is g*x0 + h*x1 + i*x2.  With none, det is 0.
+        x0 = (a01 * a12 - a02 * a11) // prev
+        x1 = (a02 * a10 - a00 * a12) // prev
+        x2 = c22 // prev
+        for r in range(k + 2, n):
+            g, h, i = rows[r][k : k + 3]
+            minor = g * x0 + h * x1 + i * x2
+            if minor:
+                if r != k + 2:
+                    rows[k + 2], rows[r] = rows[r], rows[k + 2]
+                    sign = -sign
+                break
+        else:
+            return 0
+        pivot = minor // prev
+        if k + 3 == n:
+            return sign * pivot
+        row2 = rows[k + 2]
+        # Rows of adj(B) / p: (e00, e01, x0), (e10, e11, x1), (e20, e21, x2).
+        e00 = (a11 * i - a12 * h) // prev
+        e01 = (a02 * h - a01 * i) // prev
+        e10 = (a12 * g - a10 * i) // prev
+        e11 = (a00 * i - a02 * g) // prev
+        e20 = (a10 * h - a11 * g) // prev
+        e21 = (a01 * g - a00 * h) // prev
+        tails = list(zip(row0[k + 3 :], row1[k + 3 :], row2[k + 3 :]))
+        w0 = [(e00 * b0 + e01 * b1 + x0 * b2) // prev for b0, b1, b2 in tails]
+        w1 = [(e10 * b0 + e11 * b1 + x1 * b2) // prev for b0, b1, b2 in tails]
+        w2 = [(e20 * b0 + e21 * b1 + x2 * b2) // prev for b0, b1, b2 in tails]
+        for row_i in rows[k + 3 :]:
+            l0, l1, l2 = row_i[k : k + 3]
+            if l0 or l1 or l2:
+                row_i[k + 3 :] = [
+                    (pivot * a - l0 * u - l1 * v - l2 * w) // prev
+                    for a, u, v, w in zip(row_i[k + 3 :], w0, w1, w2)
                 ]
             elif pivot != prev:
-                row_i[k + 2 :] = [pivot * a // prev for a in row_i[k + 2 :]]
+                row_i[k + 3 :] = [pivot * a // prev for a in row_i[k + 3 :]]
         prev = pivot
-    if n % 2:
+    if n % 3 == 1:
         return sign * rows[n - 1][n - 1]
     (a, b), (c, d) = rows[n - 2][n - 2 :], rows[n - 1][n - 2 :]
     return sign * ((a * d - c * b) // prev)
 
 
 def exact_det(m: RationalMatrix) -> Fraction:
-    """Exact determinant by Bareiss's fraction-free two-step elimination (`_bareiss`).
+    """Exact determinant by Bareiss's fraction-free three-step elimination (`_bareiss`).
 
-    Rows are first scaled to integers (the scale is divided back out at the
+    The kernel removes three columns per pass, with four products and one
+    exact division per entry per pass.  Rows are first scaled to integers (the scale is divided back out at the
     end) so the elimination runs entirely over arbitrary-precision integers.
     """
     if m.rows != m.cols:

@@ -386,12 +386,54 @@ class TestBareissKernel:
             pytest.param([[7]], 7, id="n1"),
             pytest.param([[0, 3], [5, 4]], -15, id="n2"),
             pytest.param([[2, 0, 1], [1, 3, 2], [1, 1, 2]], 6, id="n3"),
+            # One case per branch of a three-step pass, each 5x5, so the run
+            # ends with the 2x2 step after one pass.
+            pytest.param(
+                [[0, 2, 1, 4, 1], [0, 1, 3, 2, 5], [3, 1, 4, 1, 5], [2, 7, 1, 8, 2], [1, 4, 1, 4, 2]],
+                39,
+                id="zero-column-head-swaps-in-row-2",
+            ),
+            pytest.param(
+                [[1, 2, 3, 1, 2], [2, 4, 1, 5, 3], [1, 3, 2, 2, 7], [4, 1, 5, 9, 2], [6, 5, 3, 5, 8]],
+                1782,
+                id="zero-2x2-minor-swaps-in-row-2",
+            ),
+            pytest.param(
+                [[1, 2, 3, 4, 5], [0, 1, 4, 2, 1], [1, 3, 7, 1, 2], [2, 1, 1, 3, 3], [5, 2, 6, 1, 4]],
+                181,
+                id="zero-3x3-minor-swaps-in-row-3",
+            ),
+            pytest.param(
+                [[1, 2, 3, 4, 5], [0, 1, 1, 2, 1], [2, 1, 3, 7, 2], [3, 5, 8, 1, 1], [1, 1, 2, 9, 6]],
+                0,
+                id="every-3x3-minor-zero",
+            ),
+            pytest.param(
+                [[2, 1, 0, 3, 1], [1, 3, 1, 2, 2], [0, 1, 4, 1, 5], [0, 0, 0, 3, 1], [0, 0, 0, 2, 5]],
+                234,
+                id="lower-rows-scale-only",
+            ),
         ],
     )
     def test_named_cases(self, rows, det):
         assert _cofactor_det(rows) == det
         assert _one_step_bareiss(rows) == det
         assert _kernel_det(rows) == det
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_every_tail_length(self, n):
+        # A dominant diagonal makes det nonzero, so the run reaches its tail
+        # (n mod 3 rows); half the other entries are 0, which keeps the
+        # cofactor expansion cheap.
+        rng = random.Random(f"tail-{n}")
+        rows = [
+            [100 if i == j else rng.choice((0, rng.randint(-9, 9))) for j in range(n)]
+            for i in range(n)
+        ]
+        det = _kernel_det(rows)
+        assert det != 0
+        assert det == _one_step_bareiss(rows)
+        assert det == _cofactor_det(rows)
 
     @pytest.mark.parametrize(
         "n, m, lead",

@@ -36,3 +36,17 @@ def test_public_names():
     assert set(scottperm.__all__) <= set(dir(scottperm))
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         scottperm.no_such_name
+
+
+def test_gallery_loads_without_the_catalog():
+    # The gallery takes its parameter validator from the leaf module
+    # scottperm.params, so evaluating a case leaves the catalog unloaded.
+    script = (
+        "import sys\n"
+        "import scottperm\n"
+        "scottperm.gallery_matrix(scottperm.GalleryCase('cor9', {'n': 4, 'a': 1}))\n"
+        "assert 'scottperm.det_gallery' in sys.modules, 'gallery'\n"
+        "assert 'scottperm.closed_catalog' not in sys.modules, 'catalog'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
