@@ -443,8 +443,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and reused by later ones."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The argument parser and each command's sub-parser by name, built on the
+    first call and reused by later ones."""
     parser = _Parser(
         prog="scottperm",
         description="Exact permanents of reciprocal-difference matrices over polynomial root sets.",
@@ -479,7 +480,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--json", action="store_true", help="JSON rows instead of CSV")
     p_bench.set_defaults(func=_cmd_bench)
 
-    return parser
+    return parser, {"eval": p_eval, "verify": p_verify, "catalog": p_catalog, "bench": p_bench}
 
 
 def _report(key: str, kind: type, detail: object) -> None:
@@ -493,7 +494,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     # becomes one JSON line on stderr, as an error does.
     with warnings.catch_warnings(record=True) as shown:
         try:
-            args = _build_parser().parse_args(argv)
+            parser, commands = _build_parser()
+            argv = sys.argv[1:] if argv is None else argv
+            # A command's own parser reads the rest of argv, as parser would hand it
+            # on; parser itself reads only an empty argv, help or an unknown command.
+            command = commands.get(argv[0]) if argv else None
+            args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
             payload = args.func(args)
         except scott_engine.ROUTE_FAILURES as exc:
             failure = exc

@@ -29,9 +29,17 @@ Rational = Fraction
 Coefficient = Union[int, Fraction]
 
 
+# Fraction(k) for -_SMALL_LIMIT <= k <= _SMALL_LIMIT, shared: Fraction.__new__ is pure
+# Python, and parsed coefficients are mostly small.
+_SMALL_LIMIT = 128
+_SMALL_INTS = tuple(Fraction(k) for k in range(-_SMALL_LIMIT, _SMALL_LIMIT + 1))
+
+
 def _to_rational(value: Coefficient) -> Fraction:
     # int first: isinstance(value, Fraction) goes through ABCMeta for an int.
     if isinstance(value, int):
+        if -_SMALL_LIMIT <= value <= _SMALL_LIMIT:
+            return _SMALL_INTS[value + _SMALL_LIMIT]
         return Fraction(value)
     if isinstance(value, Fraction):
         return value
@@ -380,15 +388,6 @@ def sylvester_matrix(p: Polynomial, q: Polynomial) -> RationalMatrix:
     return RationalMatrix.from_rows(rows) if rows else RationalMatrix(0, 0, [])
 
 
-def _primitive(values: Sequence[Fraction]) -> tuple[list[int], Fraction]:
-    """Integers c_i with no common factor and a rational s, so that values[i] == s * c_i."""
-    ints, den = _clear_denominators(values)
-    content = math.gcd(*ints)
-    if content != 1:
-        ints = [c // content for c in ints]
-    return ints, Fraction(content, den)
-
-
 def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
     """lc(b)^(deg a - deg b + 1) * a mod b, with trailing zeros trimmed.
 
@@ -417,7 +416,8 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
 
 
 def _subresultant(a: list[int], b: list[int]) -> int:
-    """Res(a, b) of two integer coefficient lists of positive degree.
+    """Res(a, b) of two nonzero integer coefficient lists; a constant side c gives
+    c^(degree of the other side).
 
     The subresultant pseudo-remainder sequence (Collins 1967; Brown and
     Traub 1971): each pseudo-remainder is divided exactly by g * h^delta,
@@ -428,6 +428,8 @@ def _subresultant(a: list[int], b: list[int]) -> int:
         a, b = b, a
         if (len(a) - 1) * (len(b) - 1) % 2:
             sign = -1
+    if len(b) == 1:
+        return b[0] ** (len(a) - 1)
     g = h = 1
     while True:
         da, db = len(a) - 1, len(b) - 1
@@ -450,28 +452,23 @@ def _subresultant(a: list[int], b: list[int]) -> int:
 def resultant(p: Polynomial, q: Polynomial) -> Fraction:
     """Res(p, q) = lc(p)^deg(q) * lc(q)^deg(p) * prod (x_i - y_j).
 
-    A constant side c gives c^(degree of the other side).  Otherwise each
-    side is written as a rational scale times a primitive integer
-    polynomial, Res(s * A, t * B) = s^deg(B) * t^deg(A) * Res(A, B), and
-    Res(A, B) is one subresultant pseudo-remainder sequence over the
-    integers (`_subresultant`); it is 0 as soon as a remainder vanishes.
-    The Sylvester matrix (`sylvester_matrix`) has the same determinant.
+    With p = A / L and q = B / M for integer A, B (`_clear_denominators`),
+    Res(p, q) = Res(A, B) / (L^deg(q) * M^deg(p)), and Res(A, B) is one
+    subresultant pseudo-remainder sequence over the integers (`_subresultant`);
+    it is 0 as soon as a remainder vanishes.  The Sylvester matrix
+    (`sylvester_matrix`) has the same determinant.
     """
     if p.is_zero or q.is_zero:
         raise ZeroPolynomial("resultant of the zero polynomial")
-    dp, dq = p.degree, q.degree
-    if dp == 0:
-        return p.leading**dq
-    if dq == 0:
-        return q.leading**dp
-    a, scale_a = _primitive(p.coeffs)
-    b, scale_b = _primitive(q.coeffs)
-    return scale_a**dq * scale_b**dp * _subresultant(a, b)
+    a, scale_a = _clear_denominators(p.coeffs)
+    b, scale_b = _clear_denominators(q.coeffs)
+    return Fraction(_subresultant(a, b), scale_a**q.degree * scale_b**p.degree)
 
 
-def _coprime_resultant(p: Polynomial, q: Polynomial) -> Fraction:
-    """Res(p, q), or SharedRoot when it is 0: the one shared-root check."""
-    value = resultant(p, q)
+def _coprime_resultant(p: list[int], q: list[int]) -> int:
+    """Res(p, q) of nonzero integer coefficient lists, or SharedRoot when it is 0:
+    the one shared-root check."""
+    value = _subresultant(p, q)
     if value == 0:
         raise SharedRoot("the polynomials share a root, so some entry 1/(x - y) is undefined")
     return value

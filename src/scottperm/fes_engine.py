@@ -2,12 +2,14 @@
 
 When the row polynomial is x^n - 1 or 1 + x + ... + x^(n-1), the permanent
 numerator collapses to the determinant of a small sum of "broken diagonals":
-cyclic diagonals of the column polynomial's weighted coefficients.  Q's
-denominators are cleared once, every diagonal is written straight into one
-list of integer rows, and `exact_core._bareiss` takes the determinant; the
-scale comes back out as a power of Q's denominator lcm.  The column
-polynomial enters with its raw coefficients, unnormalized; scaling Q by a
-constant scales the determinant and the resultant by the same factor.
+cyclic diagonals of the column polynomial's weighted coefficients.  Q enters
+as one integer list, its denominators cleared once, every diagonal is written
+straight into one list of integer rows, and `exact_core._bareiss` takes the
+determinant.  `banded_permanent` divides it by the integer resultant of the
+monic row polynomial with that same list: scaling Q by a constant scales the
+determinant and the resultant by the same factor, so neither Q nor its
+resultant is normalized.  `fes` and `fes_tilde` divide the scale back out as
+a power of Q's denominator lcm.
 """
 from __future__ import annotations
 
@@ -67,19 +69,17 @@ def classify_row_polynomial(P: Polynomial) -> tuple[RowFamily, int] | None:
     return None
 
 
-def _banded_rows(family: RowFamily, n: int, Q: Polynomial) -> tuple[list[list[int]], int]:
-    """Integer rows of the broken-diagonal matrix of Q, and Q's denominator lcm L.
+def _banded_rows(family: RowFamily, n: int, q: list[int]) -> list[list[int]]:
+    """Integer rows of the broken-diagonal matrix of Q, given as the integer list q.
 
-    The matrix is rows / L.  Coefficient q_r of Q puts (r - c) * q_r in
-    column c (0-based) at row (r + c - 1) mod n.  For the all-ones family
-    the matrix is (n-1) x (n-1): q_r's diagonal is added at that row and
-    subtracted one row up, at (r + c - 2) mod n, and entries that land in
-    row n - 1 are dropped.  Each diagonal is O(n) writes, so the whole
-    build is O(deg Q * n).
+    Coefficient q_r puts (r - c) * q_r in column c (0-based) at row
+    (r + c - 1) mod n.  For the all-ones family the matrix is (n-1) x (n-1):
+    q_r's diagonal is added at that row and subtracted one row up, at
+    (r + c - 2) mod n, and entries that land in row n - 1 are dropped.  Each
+    diagonal is O(n) writes, so the whole build is O(deg Q * n).
     """
-    if Q.is_zero:
+    if not q:
         raise ZeroDegree("the column polynomial must be nonzero")
-    q, scale = _clear_denominators(Q.coeffs)
     if family is RowFamily.POWER_MINUS_ONE:
         if n < 1:
             raise ZeroDegree("n must be at least 1")
@@ -88,7 +88,7 @@ def _banded_rows(family: RowFamily, n: int, Q: Polynomial) -> tuple[list[list[in
             if q_r:
                 for c in range(n):
                     rows[(r + c - 1) % n][c] += (r - c) * q_r
-        return rows, scale
+        return rows
     if n < 2:
         raise ZeroDegree("n must be at least 2")
     size = n - 1
@@ -99,7 +99,13 @@ def _banded_rows(family: RowFamily, n: int, Q: Polynomial) -> tuple[list[list[in
                 v = (r - c) * q_r
                 rows[(r + c - 1) % n][c] += v
                 rows[(r + c - 2) % n][c] -= v
-    return rows[:size], scale
+    return rows[:size]
+
+
+def _cleared_rows(family: RowFamily, n: int, Q: Polynomial) -> tuple[list[list[int]], int]:
+    """`_banded_rows` of Q with its denominators cleared, and their lcm L: the matrix is rows / L."""
+    q, scale = _clear_denominators(Q.coeffs)
+    return _banded_rows(family, n, q), scale
 
 
 def _as_matrix(rows: list[list[int]], scale: int) -> RationalMatrix:
@@ -113,12 +119,12 @@ def fes_matrix(n: int, Q: Polynomial) -> RationalMatrix:
     row (r mod n, as a value in 1..n) with column values
     r*a_r, (r-1)*a_r, ..., (r-n+1)*a_r.
     """
-    return _as_matrix(*_banded_rows(RowFamily.POWER_MINUS_ONE, n, Q))
+    return _as_matrix(*_cleared_rows(RowFamily.POWER_MINUS_ONE, n, Q))
 
 
 def fes(Q: Polynomial, n: int) -> Fraction:
     """Permanent numerator for rows x^n - 1: det of the broken-diagonal sum."""
-    rows, scale = _banded_rows(RowFamily.POWER_MINUS_ONE, n, Q)
+    rows, scale = _cleared_rows(RowFamily.POWER_MINUS_ONE, n, Q)
     return Fraction(_bareiss(rows), scale**n)
 
 
@@ -129,12 +135,12 @@ def fes_tilde_matrix(n: int, Q: Polynomial) -> RationalMatrix:
     offset (r mod n) and subtracted at offset (r-1 mod n), both as values
     in 1..n.  An entry that would fall on row n is dropped.
     """
-    return _as_matrix(*_banded_rows(RowFamily.ALL_ONES, n, Q))
+    return _as_matrix(*_cleared_rows(RowFamily.ALL_ONES, n, Q))
 
 
 def fes_tilde(Q: Polynomial, n: int) -> Fraction:
     """Permanent numerator for rows 1 + x + ... + x^(n-1)."""
-    rows, scale = _banded_rows(RowFamily.ALL_ONES, n, Q)
+    rows, scale = _cleared_rows(RowFamily.ALL_ONES, n, Q)
     return Fraction(_bareiss(rows), scale ** (n - 1))
 
 
@@ -161,22 +167,24 @@ def per_via_fes(kind: RowFamily | str, n: int, Q: Polynomial) -> EvalResult:
     """Permanent of (1/(x_i - y_j)) with rows from one of the two families.
 
     kind selects the row polynomial: x^n - 1 or 1 + x + ... + x^(n-1).
-    The value is the banded determinant divided by the resultant of the row
-    polynomial with Q itself (unnormalized; the scaling cancels).  That
-    resultant is computed first, by the shared-root check that `Pair` makes
-    too, so a shared root is `Pair`'s SharedRoot, with its message.  The fes
-    route builds its value with the same `banded_permanent`.
+    The value is the banded determinant of Q cleared to integers divided by
+    the resultant of the row polynomial with that integer Q (the scaling
+    cancels).  That resultant is computed first, by the shared-root check
+    that `Pair` makes too, so a shared root is `Pair`'s SharedRoot, with its
+    message.  The fes route builds its value with the same `banded_permanent`.
     """
     family = RowFamily(kind)
     if Q.is_zero:
         raise ZeroDegree("the column polynomial must be nonzero")
     P = power_minus_one(n) if family is RowFamily.POWER_MINUS_ONE else all_ones_poly(n)
-    return banded_permanent(family, n, Q, _coprime_resultant(P, Q))
+    p, _ = _clear_denominators(P.coeffs)
+    q, _ = _clear_denominators(Q.coeffs)
+    return banded_permanent(family, n, q, _coprime_resultant(p, q))
 
 
-def banded_permanent(family: RowFamily, n: int, Q: Polynomial, denominator: Fraction) -> EvalResult:
-    """The permanent for a row family: Q's banded determinant over denominator,
-    which is Res(row polynomial, Q) and nonzero."""
-    banded, rows = (fes, n) if family is RowFamily.POWER_MINUS_ONE else (fes_tilde, n - 1)
-    notes = ("n > m: permanent vanishes",) if rows > Q.degree else ()
-    return EvalResult(banded(Q, n) / denominator, family.method, rows, Q.degree, notes)
+def banded_permanent(family: RowFamily, n: int, q: list[int], denominator: int) -> EvalResult:
+    """The permanent for a row family: the banded determinant of the integer
+    list q over denominator, which is Res(monic row polynomial, q) and nonzero."""
+    rows, m = _banded_rows(family, n, q), len(q) - 1
+    notes = ("n > m: permanent vanishes",) if len(rows) > m else ()
+    return EvalResult(Fraction(_bareiss(rows), denominator), family.method, len(rows), m, notes)

@@ -8,10 +8,12 @@ obtained without ever computing a root: it equals
 
 where H is the n x (m+n-1) band of complete homogeneous symmetric functions
 of X, E is an (m+n-1) x n matrix of weighted elementary symmetric functions
-of Y, and Res is the resultant of the monic forms.  The numerator is taken
-from det G, with G = Bez(P, r1) - d/dx Bez(P, r0) for P and Q cleared to
-integers and r0, r1 the pseudo-remainders of Q, Q' mod P: det G =
-(-1)^(n(n-1)/2) (lc(P)^(m-n+2) lc(Q))^n Res det(H @ E), and no root, monic
+of Y, and Res is the resultant of the monic forms.  `Pair` clears P and Q to
+integer coefficient lists p and q once, and every exact route works on those:
+Res(p, q) = lc(p)^m lc(q)^n Res.  The numerator is taken from det G, with
+G = Bez(p, r1) - d/dx Bez(p, r0) and r0, r1 the pseudo-remainders of q, q'
+mod p: det G = (-1)^(n(n-1)/2) (lc(p)^(m-n+2) lc(q))^n Res det(H @ E), so the
+permanent is +-det G / (lc(p)^((n-1)(m-n)+n) Res(p, q)), and no root, monic
 form, H or E is built.  `ROUTES` is the one table of this and every other
 route (each returns an `EvalResult`, from the leaf module `results`):
 `evaluate` runs one by name, `verify` all that apply.
@@ -43,7 +45,7 @@ from .exact_core import (
     _clear_denominators,
     _coprime_resultant,
     _pseudo_remainder,
-    resultant,
+    _subresultant,
     series_inverse,
 )
 from .results import EvalResult, Value
@@ -142,16 +144,16 @@ def scott_permanent(P: Polynomial, Q: Polynomial) -> EvalResult:
 
 
 def _theorem1(pair: Pair) -> EvalResult:
-    """scott_permanent of a checked pair: +-det G / ((a^(m-n+2) lc(Q))^n pair.resultant)."""
-    n, m = pair.n, pair.m
+    """scott_permanent of a checked pair: +-det G / (lc(p)^((n-1)(m-n)+n) Res(p, q))."""
+    n, m, p = pair.n, pair.m, pair.p
     if n > m:
         return EvalResult(Fraction(0), "theorem1", n, m, ("n > m: permanent vanishes",))
-    p, _ = _clear_denominators(pair.P.coeffs)
-    q, _ = _clear_denominators(pair.Q.coeffs)
-    # Each row of G carries a^(m-n+2): a from P and a^(m-n+1) from the pseudo-remainders.
-    lead = (-1) ** (n * (n - 1) // 2) * (p[-1] ** (m - n + 2) * q[-1]) ** n
-    det = _bareiss(_theorem1_rows(p, q))
-    return EvalResult(Fraction(det, lead) / pair.resultant, "theorem1", n, m)
+    det = _bareiss(_theorem1_rows(p, pair.q))
+    # det G / ((-1)^(n(n-1)/2) (lc(p)^(m-n+2) lc(q))^n) over Res(p, q) / (lc(p)^m lc(q)^n).
+    if n * (n - 1) // 2 % 2:
+        det = -det
+    value = Fraction(det, p[-1] ** ((n - 1) * (m - n) + n) * pair.resultant)
+    return EvalResult(value, "theorem1", n, m)
 
 
 def _finite(z: Value) -> bool:
@@ -237,11 +239,13 @@ ROUTE_FAILURES = (ScottPermError, ArithmeticError)
 
 class Pair:
     """(P, Q) checked once, for every route: ZeroDegree for a constant P or a zero
-    Q, then SharedRoot when Res(P, Q) of the monic forms is 0 (float roots miss a
-    shared multiple root).  P's row family, the first catalog match, Res(P, P') and
-    the roots are each found once, on first use.  A row family fixes P's float
-    facts: its roots are roots of unity in closed form, and they are distinct, so
-    it takes neither find_roots nor Res(P, P')."""
+    Q; then P and Q are cleared to integer coefficient lists p and q, once, and
+    SharedRoot is raised when their integer resultant Res(p, q) is 0 (float roots
+    miss a shared multiple root).  The exact routes take p, q and Res(p, q) from
+    here.  P's row family, the first catalog match, Res(p, p') and the roots are
+    each found once, on first use.  A row family fixes P's float facts: its roots
+    are roots of unity in closed form, and they are distinct, so it takes neither
+    find_roots nor Res(p, p')."""
 
     def __init__(self, P: Polynomial, Q: Polynomial):
         if P.degree is None or P.degree < 1:
@@ -249,17 +253,18 @@ class Pair:
         if Q.is_zero:
             raise ZeroDegree("the column polynomial must be nonzero")
         self.P, self.Q, self.n, self.m = P, Q, P.degree, Q.degree
-        self.resultant = _coprime_resultant(P.monic(), Q.monic())
+        self.p, _ = _clear_denominators(P.coeffs)
+        self.q, _ = _clear_denominators(Q.coeffs)
+        self.resultant = _coprime_resultant(self.p, self.q)
         # Keyed by identity: hashing a Polynomial hashes every coefficient.
         self._roots: dict[int, list[complex] | Exception] = {}
 
     @functools.cached_property
     def squarefree(self) -> bool:
-        """P has no repeated root: true for a row family, else Res(P, P') != 0."""
+        """P has no repeated root: true for a row family, else Res(p, p') != 0."""
         if self.family is not None:
             return True
-        derivative = Polynomial([k * c for k, c in enumerate(self.P.coeffs)][1:])
-        return resultant(self.P, derivative) != 0
+        return _subresultant(self.p, [k * c for k, c in enumerate(self.p)][1:]) != 0
 
     @functools.cached_property
     def family(self) -> tuple[fes_engine.RowFamily, int] | None:
@@ -340,14 +345,15 @@ def _closed_form(pair: Pair) -> EvalResult:
 
 # In verify's order.  Each route calls its engine through a module attribute at
 # call time, so a wrapper or monkeypatch installed there sees every call.  fes names its
-# result fes or fes_tilde and divides by Res(monic row polynomial, Q) = lc(Q)^n pair.resultant.
+# result fes or fes_tilde and divides by Res(monic row polynomial, q) = Res(p, q) / lc(p)^m,
+# an exact division: p is lc(p) times a monic integer row polynomial.
 ROUTES = (
     Route("theorem1", lambda pair: _theorem1(pair)),
     Route("oracle", _oracle, work_text="m*n*2^n",
           work=lambda pair: 0 if pair.n > pair.m else pair.m * pair.n * 2**pair.n),
     Route("involution", _involution, work=lambda pair: pair.n * 2**pair.n, work_text="n*2^n"),
     Route("fes", lambda pair: fes_engine.banded_permanent(
-              *pair.family, pair.Q, pair.resultant * pair.Q.leading**pair.n),
+              *pair.family, pair.q, pair.resultant // pair.p[-1] ** pair.m),
           applies=lambda pair: pair.family is not None,
           needs="a row polynomial of the form x^n - 1 or 1 + x + ... + x^(n-1)"),
     Route("closed_form", _closed_form, applies=lambda pair: pair.match is not None,

@@ -602,6 +602,57 @@ def test_help_prints_usage_and_exits_0(capsys, argv):
     assert capsys.readouterr().out.startswith("usage: scottperm")
 
 
+DISPATCH_ARGV = [
+    (),
+    ("--help",),
+    ("-h",),
+    ("frob",),
+    ("frob", "x", "y"),
+    ("--", "eval", "x-1", "y+2"),
+    ("-x", "eval"),
+    ("eval", "--", "x^2 - 1", "y^3 + 2"),
+    ("eval", "--", "-x^2+1", "y^3 + 2"),
+    ("eval", "-x^2+1", "y^3 + 2"),
+    ("eval", "--method=theorem1", "x^2 - 2", "y^3 + 2"),
+    ("eval", "--meth", "fes", "x^3 - 1", "y^4 + 2"),
+    ("eval", "x^3 - 1", "y^4 + 2", "--method", "magic"),
+    ("eval", "--method"),
+    *((command, flag) for command in ("eval", "verify", "catalog", "bench") for flag in ("-h", "--help")),
+    ("eval", "--he"),
+    ("eval",),
+    ("eval", "x-1"),
+    ("eval", "x-1", "y+2", "z"),
+    ("eval", "x-1", "y+2", "--bogus"),
+    ("verify", "--", "-x+1", "y^2+3", "--tolerance", "1e-9"),
+    ("verify", "x-1", "y+2", "--tolerance", "abc"),
+    ("verify", "x-1", "y+2", "--tol", "inf"),
+    ("catalog", "--id", "cor9"),
+    ("catalog", "extra"),
+    ("bench", "1..2", "1..2", "--seed", "z"),
+    ("bench", "2", "2", "--max-n", "q"),
+    ("bench", "2"),
+]
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGV)
+def test_dispatch_matches_the_top_level_parser(capsys, monkeypatch, argv):
+    """main hands argv after a command name to that command's parser; the exit
+    code, stdout and stderr are those of the top-level parser handing it on."""
+
+    def run() -> tuple:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        out, err = capsys.readouterr()
+        return code, re.sub(r'"elapsed_ms": [-0-9.e]+', "", out), err
+
+    direct = run()
+    parser, _ = cli._build_parser()
+    monkeypatch.setattr(cli, "_build_parser", lambda: (parser, {}))
+    assert direct == run()
+
+
 def _listed_methods(text: str) -> list[str]:
     return re.split(r",(?: or)? ", " ".join(text.split()))
 

@@ -85,6 +85,23 @@ class TestPolynomial:
     def test_monic(self):
         assert Polynomial([2, 0, 4]).monic() == Polynomial([Fraction(1, 2), 0, 1])
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0, 1, -1, 5, -5],  # in the shared table
+            [True, False, True],  # bools are ints
+            [128, -128, 129, -129, 10**30, -(10**30)],  # the table's edges and beyond
+            [-7, -3, -200],  # negative, inside and outside the table
+        ],
+    )
+    def test_int_coefficients_are_equal_fractions(self, values):
+        coeffs = Polynomial(values).coeffs
+        assert coeffs == tuple(Fraction(int(v)) for v in values)
+        for c, v in zip(coeffs, values):
+            assert type(c) is Fraction
+            assert (type(c.numerator), type(c.denominator)) == (int, int)
+            assert hash(c) == hash(Fraction(int(v)))
+
     @given(polys(), polys())
     def test_addition_commutes(self, p, q):
         assert p + q == q + p
@@ -452,7 +469,7 @@ class TestBareissKernel:
     @pytest.mark.parametrize("family", list(RowFamily))
     def test_banded_rows(self, family):
         rng = random.Random(family.value)
-        rows, _ = _banded_rows(family, 64, Polynomial(_small_ints(rng, 40) + [1]))
+        rows = _banded_rows(family, 64, _small_ints(rng, 40) + [1])
         assert _kernel_det(rows) == _one_step_bareiss(rows)
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -312,6 +313,125 @@ class TestMetamorphicLaws:
         self.check_laws(*integer_pair(48, 48, "law/48"))
 
 
+SHARED_ROOT_MESSAGE = "the polynomials share a root, so some entry 1/(x - y) is undefined"
+
+
+def seeded_pairs(seed: int) -> list[tuple[str, Polynomial, Polynomial]]:
+    """Non-monic integer, rational, constant-Q and content-carrying pairs."""
+    rng = random.Random(seed)
+
+    def ints(count: int) -> list[int]:
+        return [rng.randint(-6, 6) for _ in range(count)]
+
+    def fracs(count: int) -> list[Fraction]:
+        return [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))) for _ in range(count)]
+
+    pairs = []
+    for _ in range(6):
+        n, m = rng.randint(1, 6), rng.randint(0, 8)
+        lead = rng.choice((-3, 2, 5))
+        pairs.append(("non-monic", Polynomial(ints(n) + [lead]), Polynomial(ints(m) + [-lead])))
+        pairs.append(("rational", Polynomial(fracs(n) + [Fraction(lead, 3)]),
+                      Polynomial(fracs(m) + [Fraction(2, 7)])))
+        pairs.append(("constant Q", Polynomial(fracs(n) + [lead]), Polynomial([Fraction(lead, 2)])))
+        content = rng.choice((2, 3, 6))
+        pairs.append(("content", Polynomial([content * c for c in ints(n) + [lead]]),
+                      Polynomial([2 * c for c in ints(m) + [1]])))
+    return pairs
+
+
+class TestIntegerPair:
+    """`Pair` clears P and Q to integer lists once; every route's value and every
+    SharedRoot equal those of the rational reference formulas."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_theorem1_matches_the_rational_formula(self, seed):
+        for kind, P, Q in seeded_pairs(seed):
+            try:
+                expected = h_times_e_formula(P, Q) if P.degree <= Q.degree else Fraction(0)
+            except SharedRoot:
+                with pytest.raises(SharedRoot, match=re.escape(SHARED_ROOT_MESSAGE)):
+                    scott_engine.evaluate(P, Q, "theorem1")
+                continue
+            value = scott_engine.evaluate(P, Q, "theorem1").value
+            assert value == expected, kind
+            # The permanent depends on the roots only, not on P's and Q's scale.
+            assert scott_engine.evaluate(P * Fraction(-2, 3), Q * 5, "theorem1").value == value
+
+    @pytest.mark.parametrize("family", list(fes_engine.RowFamily))
+    @pytest.mark.parametrize("scale", [1, 3, -2, Fraction(3, 4)])
+    def test_row_families_at_any_scale(self, family, scale):
+        rng = random.Random(f"{family.value}/{scale}")
+        for n in range(2, 8):
+            row = (fes_engine.power_minus_one(n) if family is fes_engine.RowFamily.POWER_MINUS_ONE
+                   else fes_engine.all_ones_poly(n))
+            P = row * scale  # e.g. 3*x^n - 3
+            for degree in (0, n - 2, n, n + 3):
+                lead = Fraction(rng.choice((1, 2, -3)), rng.choice((1, 2)))
+                Q = Polynomial([Fraction(rng.randint(-5, 5), rng.choice((1, 3)))
+                                for _ in range(max(degree, 0))] + [lead])
+                if resultant(row, Q) == 0:
+                    continue
+                for Q_scaled in (Q, Q * 2):
+                    fes = scott_engine.evaluate(P, Q_scaled, "fes")
+                    assert fes.method == family.method
+                    reference = fes_engine.per_via_fes(family, n, Q_scaled)
+                    assert (fes.value, fes.n, fes.m, fes.notes) == (
+                        reference.value, reference.n, reference.m, reference.notes)
+                    assert fes.value == scott_engine.evaluate(P, Q_scaled, "theorem1").value
+                    banded = fes_engine.fes if family is fes_engine.RowFamily.POWER_MINUS_ONE \
+                        else fes_engine.fes_tilde
+                    assert fes.value == banded(Q_scaled, n) / resultant(row, Q_scaled)
+
+    @pytest.mark.parametrize("method", ["auto", "theorem1", "fes", "oracle", "involution"])
+    def test_shared_root_is_one_error_for_every_route(self, method):
+        for P, Q in (
+            (Polynomial([-3, 0, 3]), Polynomial([Fraction(-1, 2), Fraction(1, 2)])),  # 3x^2 - 3, (y - 1)/2
+            (Polynomial([2, 2, 2]), Polynomial([6, 6, 8, 2, 2])),  # content; 2(y^2 + y + 1)(y^2 + 3)
+            (Polynomial([Fraction(-1, 4), 1]), Polynomial([1, 0, -16])),  # rational, n < m
+            (Polynomial([-2, 1, 1]), Polynomial([-3, 3])),  # n > m
+        ):
+            with pytest.raises(SharedRoot) as raised:
+                scott_engine.evaluate(P, Q, method)
+            assert str(raised.value) == SHARED_ROOT_MESSAGE
+
+    def test_per_via_fes_raises_the_same_shared_root(self):
+        for family, n, Q in (
+            (fes_engine.RowFamily.POWER_MINUS_ONE, 4, Polynomial([-6, 0, 3, 0, 3])),  # 3(y^4 + y^2 - 2)
+            (fes_engine.RowFamily.ALL_ONES, 3, Polynomial([Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)])),
+        ):
+            with pytest.raises(SharedRoot) as raised:
+                fes_engine.per_via_fes(family, n, Q)
+            assert str(raised.value) == SHARED_ROOT_MESSAGE
+
+    def test_squarefree_is_the_rational_resultant_test(self):
+        for P in (
+            Polynomial([Fraction(1, 4), -1, 1]),  # (x - 1/2)^2
+            Polynomial([2, 0, -4, 0, 2]),  # 2 (x^2 - 1)^2
+            Polynomial([Fraction(-3, 2), 0, 3]),
+            Polynomial([5]) * Polynomial([-1, 1]),
+        ):
+            derivative = Polynomial([k * c for k, c in enumerate(P.coeffs)][1:])
+            pair = scott_engine.Pair(P, Polynomial([7, 0, 1]))
+            assert pair.squarefree == (resultant(P, derivative) != 0)
+
+    def test_each_polynomial_is_cleared_once(self, monkeypatch):
+        cleared = []
+        original = exact_core._clear_denominators
+
+        def counted(values):
+            cleared.append(tuple(values))
+            return original(values)
+
+        monkeypatch.setattr(scott_engine, "_clear_denominators", counted)
+        P, Q = Polynomial([Fraction(1, 2), 3, 2]), Polynomial([1, Fraction(-2, 3), 0, 5])
+        pair = scott_engine.Pair(P, Q)
+        assert (pair.p, pair.q) == ([1, 6, 4], [3, -2, 0, 15])
+        for route in ("theorem1", "oracle", "involution"):
+            scott_engine.ROUTES[[r.name for r in scott_engine.ROUTES].index(route)].evaluate(pair)
+        assert cleared == [P.coeffs, Q.coeffs]
+
+
 class TestRelativeGap:
     def test_floor_at_one(self):
         assert relative_gap(0, Fraction(1, 10**7)) == pytest.approx(1e-7)
@@ -399,22 +519,25 @@ class TestVerify:
             verify(power_poly(2, -1), power_poly(2, -1))
 
     def test_resultant_computed_once(self, monkeypatch):
+        # Every resultant on the route path is one integer subresultant sequence,
+        # on P and Q cleared to integer lists.
         calls = []
+        original = exact_core._subresultant
 
-        def counted(p, q):
-            calls.append((p, q))
-            return resultant(p, q)
+        def counted(a, b):
+            calls.append((a, b))
+            return original(a, b)
 
         for module in (exact_core, scott_engine, fes_engine, numeric_oracle, closed_catalog):
-            if getattr(module, "resultant", None) is resultant:
-                monkeypatch.setattr(module, "resultant", counted)
+            if getattr(module, "_subresultant", None) is original:
+                monkeypatch.setattr(module, "_subresultant", counted)
         P, Q = Polynomial([2, 1, 1]), Polynomial([1, -1, 0, 1])  # no row family
         report = verify(P, Q)
         assert [route.method for route in report.routes] == ["theorem1", "oracle", "involution"]
         assert report.all_agree
         # Res(P, Q) once, for the pair's shared-root check, and Res(P, P') once,
         # for the involution route's repeated-root check.
-        assert calls == [(P, Q), (P, Polynomial([1, 2]))]
+        assert calls == [([2, 1, 1], [1, -1, 0, 1]), ([2, 1, 1], [1, 2])]
         # The fes route divides by the pair's Res(P, Q), and a row family's roots
         # are distinct roots of unity, so a row family takes Res(P, Q) alone while
         # the involution route still runs; with n > m the pair still makes its
@@ -422,8 +545,7 @@ class TestVerify:
         for P, Q, squarefree_check, method in (
             (power_poly(3, -1), power_poly(4, 2), [], "fes"),
             (Polynomial([1, 1, 1]), power_poly(3, 2), [], "fes_tilde"),
-            (Polynomial([1, 2, 0, 1]), Polynomial([3, 1]),
-             [(Polynomial([1, 2, 0, 1]), Polynomial([2, 0, 3]))], "theorem1"),
+            (Polynomial([1, 2, 0, 1]), Polynomial([3, 1]), [([1, 2, 0, 1], [2, 0, 3])], "theorem1"),
         ):
             calls.clear()
             report = verify(P, Q)
@@ -431,7 +553,7 @@ class TestVerify:
             assert method in routes
             assert routes["involution"].error is None
             assert report.all_agree
-            assert calls == [(P, Q)] + squarefree_check
+            assert calls == [([int(c) for c in P.coeffs], [int(c) for c in Q.coeffs])] + squarefree_check
 
     @pytest.mark.parametrize(
         "P,Q",
