@@ -28,6 +28,7 @@ from .errors import (
     OutOfDomain,
     ParseError,
     RepeatedXRoot,
+    ResourceLimit,
     ScottPermError,
     SharedRoot,
     SingularEntry,
@@ -86,6 +87,7 @@ __all__ = [
     "Rational",
     "RationalMatrix",
     "RepeatedXRoot",
+    "ResourceLimit",
     "RouteOutcome",
     "RowFamily",
     "ScottPermError",

@@ -9,8 +9,9 @@ Commands:
 * ``bench N_RANGE M_RANGE``: CSV timing rows comparing the exponential
   oracle against the polynomial-time determinant route.
 
-Exit codes: 0 success, 2 shared root, 3 parse error, 4 out of catalog domain, 1 anything
-else, such as ZeroDegree for a constant P or a zero Q, or a usage error (BadParams).
+Exit codes: 0 success, 2 shared root, 3 parse error, 4 out of catalog domain, 5 an
+exponent above the degree budget MAX_DEGREE (ResourceLimit), 1 anything else, such as
+ZeroDegree for a constant P or a zero Q, or a usage error (BadParams).
 Errors are JSON on stderr, and so is each warning shown, such as DegreeZeroWarning.
 """
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Any, Callable, NoReturn, Sequence, TextIO
 
 # closed_catalog and numeric_oracle load on first use, in catalog and bench.
 from . import scott_engine
-from .errors import BadParams, ParseError
+from .errors import BadParams, ParseError, ResourceLimit
 from .exact_core import Polynomial
 
 
@@ -66,14 +67,24 @@ _SUM = (
     "'+', '-', or end of input",
 )
 _LIST = ({0: (2,), 2: (3,), 3: (4,), 4: ()}, {0: "an integer", 3: "a denominator"}, "',' or ']'")
+# The largest exponent the parser takes, checked before any coefficient list is
+# built.  It admits every exponent below 1000, which the parser's tests reach; one
+# eval of a dense random pair took 1.1 s at degree 128 and 26 s at 256 on a 2-core
+# VM (about n^4.6), so this budget bounds a polynomial's size, not an eval's time.
+MAX_DEGREE = 1024
+
+
+def _check_characters(text: str) -> None:
+    """Raise ParseError at the first character that can start no token, if any."""
+    for i, ch in enumerate(text):
+        if not (ch.isspace() or ch.isdecimal() or ch.isalpha() or ch in _PUNCT):
+            raise ParseError(f"unexpected character {ch!r}", i)
 
 
 def _fail(text: str, message: str, position: int) -> NoReturn:
     """Raise ParseError(message, position); but a character that can start no
     token comes first, wherever it stands."""
-    for i, ch in enumerate(text):
-        if not (ch.isspace() or ch.isdecimal() or ch.isalpha() or ch in _PUNCT):
-            raise ParseError(f"unexpected character {ch!r}", i)
+    _check_characters(text)
     raise ParseError(message, position)
 
 
@@ -110,6 +121,11 @@ def _term(text: str, m: re.Match, groups: tuple, variable: str | None) -> tuple:
     exponent = _int(text, m, 8) if exp else 1
     if exponent < 1:
         _fail(text, "exponent must be a positive integer", m.start(8))
+    if exponent > MAX_DEGREE:
+        _check_characters(text)  # such a character comes first, as for a ParseError
+        raise ResourceLimit(
+            f"exponent {exponent} is above the degree budget {MAX_DEGREE} (at position {m.start(8)})"
+        )
     return exponent, coeff, name
 
 

@@ -75,5 +75,12 @@ class ParseError(ScottPermError):
         self.position = position
 
 
+class ResourceLimit(ScottPermError):
+    """An input above a fixed budget, refused before any work is done on it: such as an
+    exponent above the command line's degree budget (`cli.MAX_DEGREE`)."""
+
+    exit_code = 5
+
+
 class ZeroLeadingCoefficient(ScottPermError):
     """special_resultant's closed form received a zero leading coefficient."""

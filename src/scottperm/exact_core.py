@@ -184,6 +184,13 @@ def _clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
+def _primitive(values: list[int]) -> list[int]:
+    """A nonzero integer list divided by its content (the gcd of its entries): as a
+    polynomial, the same roots with the smallest integers."""
+    content = math.gcd(*values)
+    return values if content == 1 else [c // content for c in values]
+
+
 def series_inverse(p: Polynomial, order: int) -> list[Fraction]:
     """First order+1 coefficients of the formal power series 1/p(t).
 
@@ -415,16 +422,23 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
     return r
 
 
-def _subresultant(a: list[int], b: list[int]) -> int:
+def _subresultant(a: list[int], b: list[int], first: list[int] | None = None) -> int:
     """Res(a, b) of two nonzero integer coefficient lists; a constant side c gives
     c^(degree of the other side).
 
     The subresultant pseudo-remainder sequence (Collins 1967; Brown and
-    Traub 1971): each pseudo-remainder is divided exactly by g * h^delta,
-    which keeps the coefficients as small as the subresultants themselves.
+    Traub 1971) of the longer list by the shorter, b by a when they are as
+    long: each pseudo-remainder is divided exactly by g * h^delta, which
+    keeps the coefficients as small as the subresultants themselves.  A
+    normal step (delta = 1) is one pass: with L = lc(b) and t the top
+    coefficient of a, the two pseudo-division steps give
+    L^2 a_i - L t b_(i-1) - s b_i, where s = L a_(top-1) - t b_(top-2) is the
+    second step's top coefficient, divided by g * h as it is formed.  A
+    caller that already has the first pseudo-remainder, `_pseudo_remainder(b,
+    a)` with len(b) >= len(a) > 1, passes it as `first`.
     """
     sign = 1
-    if len(a) < len(b):
+    if len(a) <= len(b):
         a, b = b, a
         if (len(a) - 1) * (len(b) - 1) % 2:
             sign = -1
@@ -436,13 +450,25 @@ def _subresultant(a: list[int], b: list[int]) -> int:
         delta = da - db
         if da % 2 and db % 2:
             sign = -sign
-        r = _pseudo_remainder(a, b)
+        if first is not None:
+            r, first = first, None  # g = h = 1: nothing to divide on the first step
+        elif delta == 1:
+            lead, t = b[-1], a[-1]
+            s = lead * a[-2] - t * b[-2]
+            lead2, lt, divisor = lead * lead, lead * t, g * h
+            r = [(lead2 * x - lt * y - s * z) // divisor for x, y, z in zip(a, [0, *b], b[:-1])]
+            while r and not r[-1]:
+                r.pop()
+        else:
+            divisor = g * h**delta
+            r = [c // divisor for c in _pseudo_remainder(a, b)]
         if not r:
             return 0
-        divisor = g * h**delta
-        a, b = b, [c // divisor for c in r]
+        a, b = b, r
         g = a[-1]
-        if delta:
+        if delta == 1:
+            h = g
+        elif delta:
             h = g**delta // h ** (delta - 1)
         if len(b) == 1:
             da = len(a) - 1
@@ -465,10 +491,10 @@ def resultant(p: Polynomial, q: Polynomial) -> Fraction:
     return Fraction(_subresultant(a, b), scale_a**q.degree * scale_b**p.degree)
 
 
-def _coprime_resultant(p: list[int], q: list[int]) -> int:
+def _coprime_resultant(p: list[int], q: list[int], first: list[int] | None = None) -> int:
     """Res(p, q) of nonzero integer coefficient lists, or SharedRoot when it is 0:
-    the one shared-root check."""
-    value = _subresultant(p, q)
+    the one shared-root check.  `first` is `_subresultant`'s."""
+    value = _subresultant(p, q, first)
     if value == 0:
         raise SharedRoot("the polynomials share a root, so some entry 1/(x - y) is undefined")
     return value

@@ -25,6 +25,7 @@ from .exact_core import (
     _bareiss,
     _clear_denominators,
     _coprime_resultant,
+    _primitive,
 )
 from .results import EvalResult
 
@@ -167,9 +168,9 @@ def per_via_fes(kind: RowFamily | str, n: int, Q: Polynomial) -> EvalResult:
     """Permanent of (1/(x_i - y_j)) with rows from one of the two families.
 
     kind selects the row polynomial: x^n - 1 or 1 + x + ... + x^(n-1).
-    The value is the banded determinant of Q cleared to integers divided by
-    the resultant of the row polynomial with that integer Q (the scaling
-    cancels).  That resultant is computed first, by the shared-root check
+    The value is the banded determinant of Q cleared to primitive integers
+    divided by the resultant of the row polynomial with that integer Q (the
+    scaling cancels).  That resultant is computed first, by the shared-root check
     that `Pair` makes too, so a shared root is `Pair`'s SharedRoot, with its
     message.  The fes route builds its value with the same `banded_permanent`.
     """
@@ -177,8 +178,7 @@ def per_via_fes(kind: RowFamily | str, n: int, Q: Polynomial) -> EvalResult:
     if Q.is_zero:
         raise ZeroDegree("the column polynomial must be nonzero")
     P = power_minus_one(n) if family is RowFamily.POWER_MINUS_ONE else all_ones_poly(n)
-    p, _ = _clear_denominators(P.coeffs)
-    q, _ = _clear_denominators(Q.coeffs)
+    p, q = (_primitive(_clear_denominators(X.coeffs)[0]) for X in (P, Q))
     return banded_permanent(family, n, q, _coprime_resultant(p, q))
 
 

@@ -9,7 +9,7 @@ obtained without ever computing a root: it equals
 where H is the n x (m+n-1) band of complete homogeneous symmetric functions
 of X, E is an (m+n-1) x n matrix of weighted elementary symmetric functions
 of Y, and Res is the resultant of the monic forms.  `Pair` clears P and Q to
-integer coefficient lists p and q once, and every exact route works on those:
+primitive integer coefficient lists p and q once, and every exact route works on those:
 Res(p, q) = lc(p)^m lc(q)^n Res.  The numerator is taken from det G, with
 G = Bez(p, r1) - d/dx Bez(p, r0) and r0, r1 the pseudo-remainders of q, q'
 mod p: det G = (-1)^(n(n-1)/2) (lc(p)^(m-n+2) lc(q))^n Res det(H @ E), so the
@@ -44,6 +44,7 @@ from .exact_core import (
     _bareiss,
     _clear_denominators,
     _coprime_resultant,
+    _primitive,
     _pseudo_remainder,
     _subresultant,
     series_inverse,
@@ -104,10 +105,11 @@ def build_E(Q: Polynomial, n: int) -> RationalMatrix:
     return RationalMatrix(height, n, entries)
 
 
-def _theorem1_rows(p: list[int], q: list[int]) -> list[list[int]]:
+def _theorem1_rows(p: list[int], q: list[int], r0: list[int]) -> list[list[int]]:
     """The n x n integer matrix G whose determinant is theorem1's numerator.
 
-    p and q hold all coefficients of integer P (degree n) and Q.  With a = lc(P) and the
+    p and q hold all coefficients of integer P (degree n) and Q (degree m >= n), and r0 is
+    `_pseudo_remainder(q, p)`.  With a = lc(P) and the
     pseudo-remainders r0 = a^(m-n+1) Q mod P and r1 = a^(m-n+1) Q' mod P, row i holds the
     coefficients of x^i in G(x, y) = Bez(P, r1) - d/dx Bez(P, r0), where Bez(A, B) =
     (A(x)B(y) - A(y)B(x)) / (x - y).  As (x - y) G = C1 - d/dx C0 + Bez(P, r0) with
@@ -115,7 +117,6 @@ def _theorem1_rows(p: list[int], q: list[int]) -> list[list[int]]:
     row i of the right side; Bez(P, r0) follows the same recurrence with C0 alone.
     """
     n, a = len(p) - 1, p[-1]
-    r0 = _pseudo_remainder(q, p)
     r1 = [a * c for c in _pseudo_remainder([j * c for j, c in enumerate(q)][1:], p)]
     r0, r1 = r0 + [0] * (n + 1 - len(r0)), r1 + [0] * (n + 1 - len(r1))
     # Column j needs coefficient j + 1; the last column, where r0[n] = r1[n] = 0, is apart.
@@ -148,7 +149,7 @@ def _theorem1(pair: Pair) -> EvalResult:
     n, m, p = pair.n, pair.m, pair.p
     if n > m:
         return EvalResult(Fraction(0), "theorem1", n, m, ("n > m: permanent vanishes",))
-    det = _bareiss(_theorem1_rows(p, pair.q))
+    det = _bareiss(_theorem1_rows(p, pair.q, pair.r0))
     # det G / ((-1)^(n(n-1)/2) (lc(p)^(m-n+2) lc(q))^n) over Res(p, q) / (lc(p)^m lc(q)^n).
     if n * (n - 1) // 2 % 2:
         det = -det
@@ -239,9 +240,11 @@ ROUTE_FAILURES = (ScottPermError, ArithmeticError)
 
 class Pair:
     """(P, Q) checked once, for every route: ZeroDegree for a constant P or a zero
-    Q; then P and Q are cleared to integer coefficient lists p and q, once, and
-    SharedRoot is raised when their integer resultant Res(p, q) is 0 (float roots
-    miss a shared multiple root).  The exact routes take p, q and Res(p, q) from
+    Q; then P and Q are cleared to primitive integer coefficient lists p and q, once
+    (the permanent depends only on the roots), and SharedRoot is raised when their
+    integer resultant Res(p, q) is 0 (float roots miss a shared multiple root).  For
+    m >= n that resultant's sequence opens with r0 = `_pseudo_remainder(q, p)`, which
+    theorem1's rows take too.  The exact routes take p, q, r0 and Res(p, q) from
     here.  P's row family, the first catalog match, Res(p, p') and the roots are
     each found once, on first use.  A row family fixes P's float facts: its roots
     are roots of unity in closed form, and they are distinct, so it takes neither
@@ -253,9 +256,10 @@ class Pair:
         if Q.is_zero:
             raise ZeroDegree("the column polynomial must be nonzero")
         self.P, self.Q, self.n, self.m = P, Q, P.degree, Q.degree
-        self.p, _ = _clear_denominators(P.coeffs)
-        self.q, _ = _clear_denominators(Q.coeffs)
-        self.resultant = _coprime_resultant(self.p, self.q)
+        self.p = _primitive(_clear_denominators(P.coeffs)[0])
+        self.q = _primitive(_clear_denominators(Q.coeffs)[0])
+        self.r0 = _pseudo_remainder(self.q, self.p) if self.m >= self.n else None
+        self.resultant = _coprime_resultant(self.p, self.q, self.r0)
         # Keyed by identity: hashing a Polynomial hashes every coefficient.
         self._roots: dict[int, list[complex] | Exception] = {}
 

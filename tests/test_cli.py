@@ -7,6 +7,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 import warnings
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scottperm import ParseError, Polynomial, cli, scott_engine
+from scottperm import ParseError, Polynomial, ResourceLimit, cli, scott_engine
 from scottperm.cli import (
     DegreeZeroWarning,
     PolyExpr,
@@ -360,6 +361,37 @@ class TestEvalCommand:
         assert payload["error"] == "ParseError"
         assert payload["detail"].endswith(f"(at position {position})")
 
+    @pytest.mark.parametrize(
+        "P,Q,exponent",
+        [
+            ("x^20000000", "y+1", "20000000"),
+            ("3*x^2 - x^ 5000", "y", "5000"),
+            ("x+1", f"y^{cli.MAX_DEGREE + 1} + 2", str(cli.MAX_DEGREE + 1)),  # column polynomial
+        ],
+        ids=["huge", "spaced", "column"],
+    )
+    def test_exponent_above_the_degree_budget_is_a_resource_limit(self, capsys, P, Q, exponent):
+        # Refused as the term is read, before any coefficient list is built.
+        start = time.perf_counter()
+        payload = error_json(capsys, 5, "eval", P, Q)
+        assert time.perf_counter() - start < 1
+        position = (P if exponent in P else Q).index(exponent)
+        assert payload == {
+            "error": "ResourceLimit",
+            "detail": f"exponent {exponent} is above the degree budget {cli.MAX_DEGREE}"
+                      f" (at position {position})",
+        }
+
+    def test_the_degree_budget_is_admitted(self, capsys):
+        payload = eval_json(capsys, "eval", f"x^{cli.MAX_DEGREE}", "y+1")
+        assert (payload["n"], payload["m"]) == (cli.MAX_DEGREE, 1)
+
+    def test_a_character_that_starts_no_token_comes_before_the_budget(self):
+        with pytest.raises(ParseError, match="unexpected character '@'"):
+            parse_poly("x^5000 @")
+        with pytest.raises(ResourceLimit):
+            parse_poly("x^5000 + +")
+
     def test_vanishing_rectangular_case(self, capsys):
         payload = eval_json(capsys, "eval", "x^3-1", "y - 5")
         assert payload["value"] == {"num": "0", "den": "1"}
@@ -695,6 +727,19 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0, proc.stderr
         payload = json.loads(proc.stdout)
         assert payload["value"] == {"num": "-3", "den": "8"}
+
+    def test_an_exponent_above_the_budget_exits_at_once(self):
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "scottperm", "eval", "x^20000000", "y+1"],
+            capture_output=True,
+            text=True,
+            timeout=20,
+        )
+        assert time.perf_counter() - start < 5  # an interpreter start, not a degree-20000000 eval
+        assert (proc.returncode, proc.stdout) == (5, "")
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "ResourceLimit"
 
     def test_numpy_is_imported_only_by_a_float_route(self):
         # Nor are the catalog, the gallery and the float oracles, which load on first use.

@@ -24,7 +24,8 @@ from scottperm import (
     series_inverse,
     sylvester_matrix,
 )
-from scottperm.exact_core import _bareiss
+from scottperm import exact_core
+from scottperm.exact_core import _bareiss, _pseudo_remainder, _subresultant
 from scottperm.fes_engine import RowFamily, _banded_rows
 from scottperm.scott_engine import _theorem1_rows
 
@@ -291,6 +292,92 @@ class TestSubresultantResultant:
         assert resultant(p, q) == resultant(q, p) == Fraction(0)
 
 
+def _kernel_pairs() -> dict[str, list[tuple[list[int], list[int]]]]:
+    """Seeded integer pairs for `_subresultant`, by the kind of sequence they make."""
+    rng = random.Random(26)
+
+    def dense(degree: int, lead: int = 1) -> list[int]:
+        return [rng.randint(-5, 5) for _ in range(degree)] + [lead]
+
+    def sparse(degree: int, lead: int = 1) -> list[int]:
+        return [rng.choice((0, 0, 0, rng.randint(-5, 5))) for _ in range(degree)] + [lead]
+
+    def times(a: list[int], b: list[int]) -> list[int]:
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    return {
+        # Degrees one apart: every step of the sequence drops one degree.
+        "normal": [(dense(n), dense(n + 1)) for n in (1, 2, 4, 7, 10, 13) for _ in range(3)],
+        "equal degrees": [(dense(n), dense(n)) for n in (1, 3, 6, 9) for _ in range(3)],
+        # x^n - 1 against a sparse Q, and Q with zero middle coefficients: steps
+        # that drop two degrees or more.
+        "abnormal": [([-1] + [0] * (n - 1) + [1], sparse(m)) for n, m in
+                     ((4, 4), (6, 9), (8, 8), (9, 12), (12, 14)) for _ in range(3)]
+                    + [(dense(n), [rng.randint(1, 5)] + [0] * (m - 1) + [rng.choice((-2, 1))])
+                       for n, m in ((3, 7), (5, 5), (6, 11))],
+        "constant side": [([c], dense(m, lead)) for c, m, lead in ((3, 4, 1), (-2, 5, 7), (1, 1, -1))]
+                         + [([5], [-3])],
+        "leading coefficients": [(dense(n, rng.choice((-1, 2, -3, 7))), dense(m, rng.choice((-1, 3, -5))))
+                                 for n, m in ((2, 5), (4, 4), (5, 7), (8, 9), (3, 10)) for _ in range(2)],
+        "shared root": [(times(dense(n), common), times(dense(m, -2), common))
+                        for n, m, common in ((1, 2, [-1, 1]), (3, 3, [2, 0, 3]), (4, 7, [1, -3]))],
+    }
+
+
+KERNEL_PAIRS = _kernel_pairs()
+
+
+class TestSubresultantKernel:
+    """`_subresultant` on integer lists against the Sylvester determinant, and
+    `_pseudo_remainder` against `poly_divmod`."""
+
+    @pytest.mark.parametrize("kind", KERNEL_PAIRS)
+    def test_matches_the_sylvester_determinant(self, kind):
+        for a, b in KERNEL_PAIRS[kind]:
+            A, B = Polynomial(a), Polynomial(b)
+            assert _subresultant(a, b) == exact_det(sylvester_matrix(A, B)), (a, b)
+            assert _subresultant(b, a) == exact_det(sylvester_matrix(B, A)), (b, a)
+            if kind == "shared root":
+                assert _subresultant(a, b) == 0
+
+    def test_each_kind_reaches_its_steps(self, monkeypatch):
+        # A normal step is formed in place; any other step takes _pseudo_remainder.
+        calls = []
+        original = exact_core._pseudo_remainder
+        monkeypatch.setattr(exact_core, "_pseudo_remainder", lambda a, b: calls.append(0) or original(a, b))
+        for a, b in KERNEL_PAIRS["normal"]:
+            _subresultant(a, b)
+        assert calls == []
+        later = 0  # pairs with an abnormal step after the first
+        for a, b in KERNEL_PAIRS["abnormal"]:
+            calls.clear()
+            _subresultant(a, b)
+            assert calls, (a, b)
+            later += len(calls) > 1
+        assert later >= 10
+
+    @pytest.mark.parametrize("kind", KERNEL_PAIRS)
+    def test_a_given_first_remainder_is_the_computed_one(self, kind):
+        for a, b in KERNEL_PAIRS[kind]:
+            if len(a) > len(b):
+                a, b = b, a
+            if len(a) > 1:
+                assert _subresultant(a, b, _pseudo_remainder(b, a)) == _subresultant(a, b)
+
+    @pytest.mark.parametrize("kind", KERNEL_PAIRS)
+    def test_pseudo_remainder(self, kind):
+        for a, b in KERNEL_PAIRS[kind]:
+            if len(a) < len(b):
+                a, b = b, a
+            scale = b[-1] ** (len(a) - len(b) + 1)
+            _, expected = poly_divmod(Polynomial([scale * c for c in a]), Polynomial(b))
+            assert _pseudo_remainder(a, b) == list(expected.coeffs), (a, b)
+
+
 def _cofactor_det(rows: list[list[Fraction]]) -> Fraction:
     if not rows:
         return Fraction(1)
@@ -463,7 +550,8 @@ class TestBareissKernel:
     )
     def test_theorem1_rows(self, n, m, lead):
         rng = random.Random(f"{n}/{m}")
-        rows = _theorem1_rows(_small_ints(rng, n) + [lead], _small_ints(rng, m) + [1])
+        p, q = _small_ints(rng, n) + [lead], _small_ints(rng, m) + [1]
+        rows = _theorem1_rows(p, q, _pseudo_remainder(q, p))
         assert _kernel_det(rows) == _one_step_bareiss(rows)
 
     @pytest.mark.parametrize("family", list(RowFamily))

@@ -247,7 +247,7 @@ class TestNumeratorKernel:
             for i in range(n - 1):
                 for j in range(n):
                     expected[i][j] -= (i + 1) * low[i + 1][j]
-            assert scott_engine._theorem1_rows(p, q) == expected
+            assert scott_engine._theorem1_rows(p, q, [int(c) for c in r0.coeffs]) == expected
             shapes.add((n, m, lead))
         assert {lead for _, _, lead in shapes} == {1, -1, 3, 7}
 
@@ -432,6 +432,54 @@ class TestIntegerPair:
         assert cleared == [P.coeffs, Q.coeffs]
 
 
+    def test_content_is_divided_out(self, monkeypatch):
+        # A content of 10^12 on both sides changes no value, and the resultant
+        # sequence runs on the primitive lists.
+        calls = []
+        original = exact_core._subresultant
+
+        def counted(a, b, *first):
+            calls.append((a, b))
+            return original(a, b, *first)
+
+        monkeypatch.setattr(exact_core, "_subresultant", counted)
+        content = 10**12
+        for P, p, Q, method in (
+            (Polynomial([2, -3, 0, 1]), [2, -3, 0, 1], Polynomial([5, 1, -2, 0, 3]), "theorem1"),
+            (Polynomial([-3, 0, 0, 0, 3]), [-1, 0, 0, 0, 1], Polynomial([1, 0, 2, -1, 0, 7]), "fes"),
+            (Polynomial([2, 2, 2, 2]), [1, 1, 1, 1], Polynomial([-3, 0, 1, 4, 1]), "fes_tilde"),
+        ):
+            route = "theorem1" if method == "theorem1" else "fes"
+            q = [int(c) for c in Q.coeffs]
+            calls.clear()
+            primitive = scott_engine.evaluate(P, Q, route)
+            assert calls == [(p, q)]
+            calls.clear()
+            scaled = scott_engine.evaluate(P * content, Q * (-7 * content), route)
+            assert calls == [(p, [-c for c in q])]
+            assert (scaled.method, scaled.value) == (method, primitive.value)
+            assert type(scaled.value) is Fraction
+            if route == "fes":
+                family, n = fes_engine.classify_row_polynomial(P)
+                assert fes_engine.per_via_fes(family, n, Q * content).value == primitive.value
+
+    def test_theorem1_takes_the_pairs_first_remainder(self, monkeypatch):
+        # For m >= n, r0 = Q mod P is computed once, by the pair, for both the
+        # resultant sequence and theorem1's rows; r1 = Q' mod P by the rows.
+        calls = []
+        original = scott_engine._pseudo_remainder
+
+        def counted(a, b):
+            calls.append((a, b))
+            return original(a, b)
+
+        monkeypatch.setattr(scott_engine, "_pseudo_remainder", counted)
+        p, q = [1, -2, 0, 3], [4, 0, -1, 2, 0, 1, 5]
+        value = scott_engine.evaluate(Polynomial(p), Polynomial(q), "theorem1").value
+        assert calls == [(q, p), ([0, -2, 6, 0, 5, 30], p)]
+        assert value == h_times_e_formula(Polynomial(p), Polynomial(q))
+
+
 class TestRelativeGap:
     def test_floor_at_one(self):
         assert relative_gap(0, Fraction(1, 10**7)) == pytest.approx(1e-7)
@@ -524,9 +572,9 @@ class TestVerify:
         calls = []
         original = exact_core._subresultant
 
-        def counted(a, b):
-            calls.append((a, b))
-            return original(a, b)
+        def counted(a, b, *first):
+            calls.append((a, b, *first))
+            return original(a, b, *first)
 
         for module in (exact_core, scott_engine, fes_engine, numeric_oracle, closed_catalog):
             if getattr(module, "_subresultant", None) is original:
@@ -536,16 +584,18 @@ class TestVerify:
         assert [route.method for route in report.routes] == ["theorem1", "oracle", "involution"]
         assert report.all_agree
         # Res(P, Q) once, for the pair's shared-root check, and Res(P, P') once,
-        # for the involution route's repeated-root check.
-        assert calls == [([2, 1, 1], [1, -1, 0, 1]), ([2, 1, 1], [1, 2])]
+        # for the involution route's repeated-root check.  With m >= n, Res(P, Q)
+        # opens with r0 = Q mod P, which theorem1's rows take too.
+        assert calls == [([2, 1, 1], [1, -1, 0, 1], [3, -2]), ([2, 1, 1], [1, 2])]
         # The fes route divides by the pair's Res(P, Q), and a row family's roots
         # are distinct roots of unity, so a row family takes Res(P, Q) alone while
         # the involution route still runs; with n > m the pair still makes its
         # shared-root check, and a P outside the row families its Res(P, P').
-        for P, Q, squarefree_check, method in (
-            (power_poly(3, -1), power_poly(4, 2), [], "fes"),
-            (Polynomial([1, 1, 1]), power_poly(3, 2), [], "fes_tilde"),
-            (Polynomial([1, 2, 0, 1]), Polynomial([3, 1]), [([1, 2, 0, 1], [2, 0, 3])], "theorem1"),
+        for P, Q, r0, squarefree_check, method in (
+            (power_poly(3, -1), power_poly(4, 2), [[2, 1]], [], "fes"),
+            (Polynomial([1, 1, 1]), power_poly(3, 2), [[3]], [], "fes_tilde"),
+            # n > m: the pair's sequence opens with P mod Q, and it has no r0 to share.
+            (Polynomial([1, 2, 0, 1]), Polynomial([3, 1]), [None], [([1, 2, 0, 1], [2, 0, 3])], "theorem1"),
         ):
             calls.clear()
             report = verify(P, Q)
@@ -553,7 +603,7 @@ class TestVerify:
             assert method in routes
             assert routes["involution"].error is None
             assert report.all_agree
-            assert calls == [([int(c) for c in P.coeffs], [int(c) for c in Q.coeffs])] + squarefree_check
+            assert calls == [([int(c) for c in P.coeffs], [int(c) for c in Q.coeffs], *r0)] + squarefree_check
 
     @pytest.mark.parametrize(
         "P,Q",
