@@ -13,155 +13,47 @@ package evaluates per(1/(x_i - y_j)) through four independent routes:
 and cross-validates them (`verify`, on the route table `eval` uses too).  A gallery
 of structured integer determinant identities and involution-sum identities rounds it out.
 
-`closed_catalog`, `det_gallery` and `numeric_oracle` load on first use, so
-`import scottperm` and an exact eval load none of them: a route or command that
-needs one imports it, and the module-level `__getattr__` below resolves each of
-their public names here on first access (PEP 562).
+Every public name loads its module on first access: `_HOMES` maps each name to
+the module that defines it, and the module-level `__getattr__` below imports
+that module and keeps the name here (PEP 562).  So `import scottperm` loads none
+of the package's own modules; `from scottperm import X`, `from scottperm import
+exact_core` and `import scottperm.cli` load what they name.
 """
 import importlib
 
-from .errors import (
-    BadParams,
-    BothZero,
-    DidNotConverge,
-    NonSquare,
-    OutOfDomain,
-    ParseError,
-    RepeatedXRoot,
-    ResourceLimit,
-    ScottPermError,
-    SharedRoot,
-    SingularEntry,
-    ZeroConstantTerm,
-    ZeroDegree,
-    ZeroLeadingCoefficient,
-    ZeroPolynomial,
-)
-from .exact_core import (
-    Polynomial,
-    Rational,
-    RationalMatrix,
-    exact_det,
-    poly_divmod,
-    poly_eval,
-    poly_gcd,
-    poly_mul,
-    resultant,
-    series_inverse,
-    sylvester_matrix,
-)
-from .fes_engine import (
-    RowFamily,
-    classify_row_polynomial,
-    fes,
-    fes_matrix,
-    fes_tilde,
-    fes_tilde_matrix,
-    per_via_fes,
-    special_resultant,
-)
-from .results import EvalResult
-from .scott_engine import (
-    RouteOutcome,
-    VerifyReport,
-    build_E,
-    build_H,
-    relative_gap,
-    scott_permanent,
-    verify,
-)
-
-__all__ = [
-    "BadParams",
-    "BothZero",
-    "CatalogEntry",
-    "DidNotConverge",
-    "EvalResult",
-    "GALLERY_IDS",
-    "GalleryCase",
-    "InvolutionIdentityReport",
-    "NonSquare",
-    "OutOfDomain",
-    "ParseError",
-    "Polynomial",
-    "Rational",
-    "RationalMatrix",
-    "RepeatedXRoot",
-    "ResourceLimit",
-    "RouteOutcome",
-    "RowFamily",
-    "ScottPermError",
-    "SharedRoot",
-    "SingularEntry",
-    "VerifyReport",
-    "ZeroConstantTerm",
-    "ZeroDegree",
-    "ZeroLeadingCoefficient",
-    "ZeroPolynomial",
-    "borchardt_matrix_det",
-    "brute_permanent",
-    "build_E",
-    "build_H",
-    "catalog_entries",
-    "catalog_eval",
-    "catalog_family",
-    "catalog_ids",
-    "cauchy_matrix_det",
-    "classify_row_polynomial",
-    "exact_det",
-    "fes",
-    "fes_matrix",
-    "fes_tilde",
-    "fes_tilde_matrix",
-    "find_matching",
-    "find_roots",
-    "gallery_closed_form",
-    "gallery_matrix",
-    "involution_identity_check",
-    "involution_sum",
-    "involution_weighted_sum",
-    "iter_matching",
-    "per_via_fes",
-    "poch",
-    "poly_divmod",
-    "poly_eval",
-    "poly_gcd",
-    "poly_mul",
-    "random_coprime_pair",
-    "relative_gap",
-    "resultant",
-    "ryser_permanent",
-    "scott_permanent",
-    "series_inverse",
-    "special_resultant",
-    "sylvester_matrix",
-    "unit_roots",
-    "verify",
-]
-
 __version__ = "1.0.0"
 
-# The public names of the modules that load on first use, each with its module.
-_ON_FIRST_USE = {
-    **dict.fromkeys(
-        ("CatalogEntry", "InvolutionIdentityReport", "catalog_entries", "catalog_eval",
-         "catalog_family", "catalog_ids", "find_matching", "involution_identity_check",
-         "iter_matching", "poch"),
-        "closed_catalog",
-    ),
-    **dict.fromkeys(("GALLERY_IDS", "GalleryCase", "gallery_closed_form", "gallery_matrix"), "det_gallery"),
-    **dict.fromkeys(
-        ("borchardt_matrix_det", "brute_permanent", "cauchy_matrix_det", "find_roots",
-         "involution_sum", "involution_weighted_sum", "random_coprime_pair", "ryser_permanent",
-         "unit_roots"),
-        "numeric_oracle",
-    ),
+# Each public name, with the module that defines it.
+_HOMES = {
+    name: module
+    for module, names in (
+        ("errors", "BadParams BothZero DidNotConverge NonSquare OutOfDomain ParseError"
+         " RepeatedXRoot ResourceLimit ScottPermError SharedRoot SingularEntry"
+         " ZeroConstantTerm ZeroDegree ZeroLeadingCoefficient ZeroPolynomial"),
+        ("exact_core", "Polynomial Rational RationalMatrix exact_det poly_divmod poly_eval"
+         " poly_gcd poly_mul resultant series_inverse sylvester_matrix"),
+        ("fes_engine", "RowFamily classify_row_polynomial fes fes_matrix fes_tilde"
+         " fes_tilde_matrix per_via_fes special_resultant"),
+        ("results", "EvalResult"),
+        ("scott_engine", "RouteOutcome VerifyReport build_E build_H relative_gap"
+         " scott_permanent verify"),
+        ("closed_catalog", "CatalogEntry InvolutionIdentityReport catalog_entries catalog_eval"
+         " catalog_family catalog_ids find_matching involution_identity_check iter_matching"
+         " poch"),
+        ("det_gallery", "GALLERY_IDS GalleryCase gallery_closed_form gallery_matrix"),
+        ("numeric_oracle", "borchardt_matrix_det brute_permanent cauchy_matrix_det find_roots"
+         " involution_sum involution_weighted_sum random_coprime_pair ryser_permanent"
+         " unit_roots"),
+    )
+    for name in names.split()
 }
+
+__all__ = sorted(_HOMES)
 
 
 def __getattr__(name: str):
-    """Import the module of a name in _ON_FIRST_USE and keep the name here (PEP 562)."""
-    module = _ON_FIRST_USE.get(name)
+    """Import the module of a name in _HOMES and keep the name here (PEP 562)."""
+    module = _HOMES.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{module}"), name)
@@ -169,4 +61,4 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_ON_FIRST_USE))
+    return sorted(set(globals()) | set(_HOMES))

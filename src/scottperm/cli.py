@@ -32,6 +32,7 @@ from typing import Any, Callable, NoReturn, Sequence, TextIO
 from . import scott_engine
 from .errors import BadParams, ParseError, ResourceLimit
 from .exact_core import Polynomial
+from .scott_engine import MAX_DEGREE  # the parser checks each exponent against it
 
 
 class DegreeZeroWarning(UserWarning):
@@ -67,11 +68,6 @@ _SUM = (
     "'+', '-', or end of input",
 )
 _LIST = ({0: (2,), 2: (3,), 3: (4,), 4: ()}, {0: "an integer", 3: "a denominator"}, "',' or ']'")
-# The largest exponent the parser takes, checked before any coefficient list is
-# built.  It admits every exponent below 1000, which the parser's tests reach; one
-# eval of a dense random pair took 1.1 s at degree 128 and 26 s at 256 on a 2-core
-# VM (about n^4.6), so this budget bounds a polynomial's size, not an eval's time.
-MAX_DEGREE = 1024
 
 
 def _check_characters(text: str) -> None:

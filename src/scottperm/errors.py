@@ -76,8 +76,9 @@ class ParseError(ScottPermError):
 
 
 class ResourceLimit(ScottPermError):
-    """An input above a fixed budget, refused before any work is done on it: such as an
-    exponent above the command line's degree budget (`cli.MAX_DEGREE`)."""
+    """An input above a fixed budget, refused before any work is done on it: an
+    exponent above the degree budget `scott_engine.MAX_DEGREE` on the command line,
+    or a P or Q of higher degree at `Pair`, the entry of every exact and float route."""
 
     exit_code = 5
 

@@ -74,33 +74,24 @@ def _banded_rows(family: RowFamily, n: int, q: list[int]) -> list[list[int]]:
     """Integer rows of the broken-diagonal matrix of Q, given as the integer list q.
 
     Coefficient q_r puts (r - c) * q_r in column c (0-based) at row
-    (r + c - 1) mod n.  For the all-ones family the matrix is (n-1) x (n-1):
-    q_r's diagonal is added at that row and subtracted one row up, at
-    (r + c - 2) mod n, and entries that land in row n - 1 are dropped.  Each
-    diagonal is O(n) writes, so the whole build is O(deg Q * n).
+    (r + c - 1) mod n.  The all-ones family's (n-1) x (n-1) matrix is those
+    x^n - 1 rows, each minus the next, on the first n - 1 rows and columns,
+    because 1 + x + ... + x^(n-1) = (x^n - 1)/(x - 1).  Each diagonal is O(n)
+    writes, so the whole build is O(deg Q * n + n^2).
     """
     if not q:
         raise ZeroDegree("the column polynomial must be nonzero")
-    if family is RowFamily.POWER_MINUS_ONE:
-        if n < 1:
-            raise ZeroDegree("n must be at least 1")
-        rows = [[0] * n for _ in range(n)]
-        for r, q_r in enumerate(q):
-            if q_r:
-                for c in range(n):
-                    rows[(r + c - 1) % n][c] += (r - c) * q_r
-        return rows
-    if n < 2:
-        raise ZeroDegree("n must be at least 2")
-    size = n - 1
-    rows = [[0] * size for _ in range(n)]  # row n - 1 collects the dropped entries
+    least = 1 if family is RowFamily.POWER_MINUS_ONE else 2
+    if n < least:
+        raise ZeroDegree(f"n must be at least {least}")
+    rows = [[0] * n for _ in range(n)]
     for r, q_r in enumerate(q):
         if q_r:
-            for c in range(size):
-                v = (r - c) * q_r
-                rows[(r + c - 1) % n][c] += v
-                rows[(r + c - 2) % n][c] -= v
-    return rows[:size]
+            for c in range(n):
+                rows[(r + c - 1) % n][c] += (r - c) * q_r
+    if family is RowFamily.POWER_MINUS_ONE:
+        return rows
+    return [[a - b for a, b in zip(rows[k][:-1], rows[k + 1])] for k in range(n - 1)]
 
 
 def _cleared_rows(family: RowFamily, n: int, Q: Polynomial) -> tuple[list[list[int]], int]:

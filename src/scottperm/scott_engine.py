@@ -35,6 +35,7 @@ from .errors import (
     BadParams,
     OutOfDomain,
     RepeatedXRoot,
+    ResourceLimit,
     ScottPermError,
     ZeroDegree,
 )
@@ -238,12 +239,21 @@ class VerifyReport:
 ROUTE_FAILURES = (ScottPermError, ArithmeticError)
 
 
+# The largest degree of P or Q that `Pair` takes, and the largest exponent the
+# command line's parser takes.  It admits every exponent below 1000, which the
+# parser's tests reach; one eval of a dense random pair took 1.1 s at degree 128
+# and 26 s at 256 on a 2-core VM (about n^4.6), so this budget bounds a
+# polynomial's size, not an eval's time.
+MAX_DEGREE = 1024
+
+
 class Pair:
     """(P, Q) checked once, for every route: ZeroDegree for a constant P or a zero
-    Q; then P and Q are cleared to primitive integer coefficient lists p and q, once
-    (the permanent depends only on the roots), and SharedRoot is raised when their
-    integer resultant Res(p, q) is 0 (float roots miss a shared multiple root).  For
-    m >= n that resultant's sequence opens with r0 = `_pseudo_remainder(q, p)`, which
+    Q, and ResourceLimit for a degree above MAX_DEGREE; then P and Q are cleared
+    to primitive integer coefficient lists p and q, once (the permanent depends
+    only on the roots), and SharedRoot is raised when their integer resultant
+    Res(p, q) is 0 (float roots miss a shared multiple root).  For m >= n that
+    resultant's sequence opens with r0 = `_pseudo_remainder(q, p)`, which
     theorem1's rows take too.  The exact routes take p, q, r0 and Res(p, q) from
     here.  P's row family, the first catalog match, Res(p, p') and the roots are
     each found once, on first use.  A row family fixes P's float facts: its roots
@@ -255,6 +265,11 @@ class Pair:
             raise ZeroDegree("the row polynomial must have degree >= 1")
         if Q.is_zero:
             raise ZeroDegree("the column polynomial must be nonzero")
+        for side, poly in (("row", P), ("column", Q)):
+            if poly.degree > MAX_DEGREE:
+                raise ResourceLimit(
+                    f"the {side} polynomial's degree {poly.degree} is above the degree budget {MAX_DEGREE}"
+                )
         self.P, self.Q, self.n, self.m = P, Q, P.degree, Q.degree
         self.p = _primitive(_clear_denominators(P.coeffs)[0])
         self.q = _primitive(_clear_denominators(Q.coeffs)[0])

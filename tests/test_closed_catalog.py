@@ -217,6 +217,16 @@ class TestDomainChecks:
             ("thm37", {"n": 3, "m": 1, "a": 0, "s": 2}),
             ("thm39", {"n": 2, "m": 1, "a": 0}),
             ("thm10", {"n": 2, "r": 1, "a": (1, 2), "b": (1,)}),
+            ("thm10", {"n": 2, "r": 1, "a": (1,), "b": (-1,)}),
+            ("cor16", {"n": 1, "m": 2, "r": 2, "a": 1, "b": 1}),
+            ("cor16", {"n": 1, "m": 2, "r": 1, "a": 1, "b": -2}),
+            ("cor18", {"n": 1, "m": 2, "r": 2, "a": 1, "b": 1}),
+            ("cor18", {"n": 1, "m": 2, "r": 1, "a": -2, "b": 1}),
+            ("cor20", {"n": 1, "m": 2, "r": 2, "a": -1, "b": 0}),
+            ("cor21", {"n": 2, "b": 1}),
+            ("cor24", {"n": 2, "m": 2, "s": 1}),
+            ("thm37", {"n": 2, "m": 1, "a": 0, "s": 2}),
+            ("thm37", {"n": 2, "m": 1, "a": Fraction(-1, 2), "s": 1}),
         ],
     )
     def test_out_of_domain_names_the_entry(self, entry_id, params):
@@ -254,6 +264,8 @@ class TestParamValidation:
             catalog_eval("cor11", n=2, a=())
         with pytest.raises(BadParams):
             catalog_eval("cor11", n=2, a="xy")
+        with pytest.raises(BadParams, match="sequence"):
+            catalog_eval("cor11", n=2, a=5)
         # A vector takes ints and Fractions only, as a rational does.
         for bad in ((1.5, 2), ("1/2", 2), (True, 2)):
             with pytest.raises(BadParams):

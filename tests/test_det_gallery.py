@@ -138,6 +138,12 @@ class TestParameterValidation:
         with pytest.raises(BadParams):
             gallery_matrix(case)
 
+    @pytest.mark.parametrize("build", [gallery_matrix, gallery_closed_form])
+    @pytest.mark.parametrize("x,y", [([1], [3, 4]), ([1, 2], [3, 4, 5])])
+    def test_vectors_must_have_n_entries(self, build, x, y):
+        with pytest.raises(BadParams, match="must have 2 entries"):
+            build(GalleryCase("prop6", {"n": 2, "r": 1, "x": x, "y": y}))
+
     def test_missing_parameter(self):
         with pytest.raises(BadParams):
             gallery_matrix(GalleryCase("cor9", {"n": 3}))

@@ -86,6 +86,13 @@ class TestPolynomial:
     def test_monic(self):
         assert Polynomial([2, 0, 4]).monic() == Polynomial([Fraction(1, 2), 0, 1])
 
+    def test_negation_subtraction_and_repr(self):
+        p, q = Polynomial([1, Fraction(1, 2), 3]), Polynomial([4, 0, 3])
+        assert -p == Polynomial([-1, Fraction(-1, 2), -3])
+        assert p - q == Polynomial([-3, Fraction(1, 2)])
+        assert (p - p).is_zero
+        assert repr(Polynomial([1, 2])) == "Polynomial([Fraction(1, 1), Fraction(2, 1)])"
+
     @pytest.mark.parametrize(
         "values",
         [
@@ -145,6 +152,33 @@ class TestPolyMul:
 
     def test_binomial_square(self):
         assert poly_mul(X_PLUS_1, X_PLUS_1) == Polynomial([1, 2, 1])
+
+
+_LINEAR = Polynomial([1, 1])
+_TWO_BY_THREE = RationalMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+
+
+@pytest.mark.parametrize(
+    "call,error",
+    [
+        (lambda: Polynomial([]).leading, ZeroPolynomial),
+        (lambda: poly_divmod(_LINEAR, Polynomial([])), ZeroPolynomial),
+        (lambda: series_inverse(_LINEAR, -1), ValueError),
+        (lambda: RationalMatrix(2, 2, [1, 2, 3]), ValueError),
+        (lambda: RationalMatrix.from_rows([[1, 2], [3]]), ValueError),
+        (lambda: _TWO_BY_THREE.at(2, 0), IndexError),
+        (lambda: _TWO_BY_THREE.at(0, -1), IndexError),
+        (lambda: _TWO_BY_THREE @ _TWO_BY_THREE, ValueError),
+        (lambda: sylvester_matrix(Polynomial([]), _LINEAR), ZeroPolynomial),
+    ],
+    ids=[
+        "leading-of-zero", "divmod-by-zero", "negative-order", "entry-count", "ragged-rows",
+        "row-index", "column-index", "matmul-shape", "sylvester-of-zero",
+    ],
+)
+def test_error_contracts(call, error):
+    with pytest.raises(error):
+        call()
 
 
 class TestPolyDivmod:

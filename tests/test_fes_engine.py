@@ -102,6 +102,14 @@ class TestBrokenDiag:
         with pytest.raises(ZeroDegree):
             fes(monomial(1, 1), 0)
 
+    def test_row_polynomials_need_a_root(self):
+        assert power_minus_one(1) == Polynomial([-1, 1])
+        assert all_ones_poly(2) == Polynomial([1, 1])
+        with pytest.raises(ZeroDegree):
+            power_minus_one(0)
+        with pytest.raises(ZeroDegree):
+            all_ones_poly(1)
+
 
 def quartic(a0, a1, a2, a3) -> Polynomial:
     return Polynomial([a0, a1, a2, a3, 1])
@@ -174,6 +182,12 @@ class TestSpecialResultant:
         with pytest.raises(ZeroLeadingCoefficient):
             special_resultant(1, 1, 0, 1, 2, 2)
 
+    def test_zero_degree_rejected(self):
+        with pytest.raises(ZeroDegree):
+            special_resultant(1, 1, 1, 1, 0, 2)
+        with pytest.raises(ZeroDegree):
+            special_resultant(1, 1, 1, 1, 2, 0)
+
     @given(
         st.integers(min_value=-4, max_value=4).filter(bool),
         st.integers(min_value=-4, max_value=4),
@@ -234,6 +248,11 @@ class TestPerViaFes:
             per_via_fes(RowFamily.POWER_MINUS_ONE, 3, Polynomial([-1, 0, 0, 1]))
         with pytest.raises(SharedRoot):
             per_via_fes(RowFamily.ALL_ONES, 3, Polynomial([1, 1, 1]))
+
+    def test_zero_column_polynomial_rejected(self):
+        for kind in RowFamily:
+            with pytest.raises(ZeroDegree, match="column polynomial must be nonzero"):
+                per_via_fes(kind, 3, Polynomial([]))
 
     @pytest.mark.parametrize(
         "kind,n,Q",

@@ -346,6 +346,11 @@ class TestUnitRoots:
         _close_sets(unit_roots(4), find_roots(Polynomial([-1, 0, 0, 0, 1])))
         _close_sets(unit_roots(3, -1), find_roots(Polynomial([1, 0, 0, 1])))
 
+    @pytest.mark.parametrize("n,sign", [(0, 1), (-1, -1), (3, 2), (3, 0)])
+    def test_bad_arguments_rejected(self, n, sign):
+        with pytest.raises(BadParams):
+            unit_roots(n, sign)
+
 
 class TestRandomCoprimePair:
     def test_shapes_and_coprimality(self):
@@ -368,6 +373,11 @@ class TestRandomCoprimePair:
             for i in range(len(X)):
                 for j in range(i + 1, len(X)):
                     assert abs(X[i] - X[j]) > 1e-6
+
+    @pytest.mark.parametrize("deg_p,deg_q", [(0, 2), (2, 0)])
+    def test_degrees_must_be_positive(self, deg_p, deg_q):
+        with pytest.raises(BadParams, match="at least 1"):
+            random_coprime_pair(random.Random(0), deg_p, deg_q)
 
 
 def _cauchy_closed_form(X, Y):

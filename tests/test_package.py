@@ -15,17 +15,21 @@ HOMES = {"GALLERY_IDS": "scottperm.det_gallery", "Rational": "scottperm.exact_co
 
 
 def test_public_names():
-    # In a fresh interpreter: a bare import loads none of the on-first-use modules,
-    # dir lists every public name without loading one, and a star import binds them all.
+    # In a fresh interpreter: a bare import loads none of the package's own modules,
+    # dir lists every public name without loading one, and a star import binds all 65.
     script = (
         "import sys\n"
         "import scottperm\n"
         f"lazy = {ON_FIRST_USE!r}\n"
         "assert not [m for m in lazy if m in sys.modules], 'import'\n"
+        "own = lambda: [m for m in sys.modules if m.startswith('scottperm.')]\n"
+        "assert own() == [], ('bare import loaded', own())\n"
         "assert set(scottperm.__all__) <= set(dir(scottperm)), 'dir'\n"
         "assert not [m for m in lazy if m in sys.modules], 'dir loaded a module'\n"
+        "assert own() == [], ('dir loaded', own())\n"
         "from scottperm import *\n"
         "assert [n for n in scottperm.__all__ if n not in globals()] == [], 'star import'\n"
+        "assert len(scottperm.__all__) == 65, len(scottperm.__all__)\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

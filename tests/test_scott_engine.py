@@ -15,6 +15,7 @@ from scottperm import (
     DidNotConverge,
     EvalResult,
     Polynomial,
+    ResourceLimit,
     SharedRoot,
     VerifyReport,
     ZeroDegree,
@@ -63,6 +64,13 @@ class TestBuildH:
             Polynomial([-1, 0, 1]), 2
         ).to_lists()
 
+    def test_bad_input_rejected(self):
+        for constant in (Polynomial([]), Polynomial([3])):
+            with pytest.raises(ZeroDegree):
+                build_H(constant, 2)
+        with pytest.raises(ValueError, match="m must be nonnegative"):
+            build_H(Polynomial([-1, 1]), -1)
+
 
 class TestBuildE:
     def test_golden_six_by_four(self):
@@ -90,6 +98,12 @@ class TestBuildE:
     @given(rationals)
     def test_smallest_case_is_one(self, b):
         assert build_E(Polynomial([-b, 1]), 1).to_lists() == [[1]]
+
+    def test_bad_input_rejected(self):
+        with pytest.raises(ZeroDegree):
+            build_E(Polynomial([]), 2)
+        with pytest.raises(ValueError, match="n must be positive"):
+            build_E(Polynomial([-1, 1]), 0)
 
 
 SCOTT_VALUES = {1: Fraction(1, 2), 2: 0, 3: Fraction(-3, 8), 4: 0, 5: Fraction(45, 32)}
@@ -480,6 +494,26 @@ class TestIntegerPair:
         assert value == h_times_e_formula(Polynomial(p), Polynomial(q))
 
 
+class TestDegreeBudget:
+    @pytest.mark.parametrize(
+        "run", [scott_permanent, scott_engine.evaluate, verify], ids=["scott_permanent", "evaluate", "verify"]
+    )
+    @pytest.mark.parametrize("side", ["row", "column"])
+    def test_a_degree_above_the_budget_fails_at_once(self, monkeypatch, run, side):
+        def unreachable(values):
+            raise AssertionError("a coefficient list was cleared")
+
+        monkeypatch.setattr(scott_engine, "_clear_denominators", unreachable)
+        big = power_poly(scott_engine.MAX_DEGREE + 1, -1)
+        P, Q = (big, Polynomial([2, 1])) if side == "row" else (Polynomial([2, 1]), big)
+        with pytest.raises(ResourceLimit, match=f"the {side} polynomial's degree 1025 is above"):
+            run(P, Q)
+
+    def test_the_budget_is_admitted(self):
+        pair = scott_engine.Pair(power_poly(scott_engine.MAX_DEGREE, -1), Polynomial([2, 1]))
+        assert (pair.n, pair.m) == (1024, 1)
+
+
 class TestRelativeGap:
     def test_floor_at_one(self):
         assert relative_gap(0, Fraction(1, 10**7)) == pytest.approx(1e-7)
@@ -494,6 +528,8 @@ class TestRelativeGap:
         huge = Fraction(10**400)
         assert relative_gap(huge, huge) == 0
         assert relative_gap(huge, huge + 10**394) == pytest.approx(1e-6)
+        # Against a float, the exact value overflows complex() and the gap is taken exactly.
+        assert relative_gap(huge, 1.0) == 1.0
 
     def test_floats_convert_exactly(self):
         # 0.1 is not 1/10: the float's binary value differs by about 5.6e-18.
