@@ -5,14 +5,17 @@ exact closed form of the permanent.  Entries are enumerable metadata, so the
 whole catalog can be swept against the determinant engine, matched against a
 parsed (P, Q) pair, or listed by the command line.
 
-Recognition is data plus one check.  An entry's reader proposes candidate
-parameters for a concrete (P, Q): it is guarded by deg P, deg Q, P's sign
-and the supports of P and Q, and it may read coefficients, but it builds no
-polynomial.  `CatalogEntry.infer` validates each candidate, builds the entry's
-family there and keeps the first that equals (P, Q) up to scale, so a match
-is always a member of the family.  `iter_matching` shares one pair's degrees,
-supports, monic forms and already compared families among all readers, and
-reads the entries lazily; `find_matching` lists all its matches.
+Recognition is data plus one check, on integer keys: a polynomial's key is
+its primitive integer coefficient list with a positive leading coefficient,
+so two polynomials are proportional exactly when their keys are equal.  An
+entry's reader proposes candidate parameters for a concrete (P, Q): it reads
+degrees, supports, P's sign and the coefficients on the keys, so it proposes
+only what its family can be, but it builds no polynomial.
+`CatalogEntry.infer` validates each candidate, builds the entry's family there
+and keeps the first whose keys equal the pair's, so a match is always a
+member of the family.  `iter_matching` shares one pair's keys and already
+compared families among all readers, and reads the entries lazily;
+`find_matching` lists all its matches.
 
 The four ``prop4x`` entries carry, in addition, identities for weighted sums
 over involutions of the n-th roots of unity; ``involution_identity_check``
@@ -26,6 +29,9 @@ Derivation notes that shaped this module:
 * The vanishing of a shifted factorial with a nonpositive integer base in
   [-k+1, 0] is exactly how the zero-valued entries (cor20, cor21) emerge
   from their parents.
+* The closed forms that carry the catalog's long products (`poch`, `falling`,
+  thm10, cor11, cor24, thm32, thm39) multiply integer numerators over one
+  common denominator and build one Fraction at the end.
 * The prop42 fixed-point weight is derived from the underlying permanent
   family 1/(x_i - y_j) with Q = y^n + n y - 1 via the involution expansion:
   (2 + (3-n) x) / (2 x^2).  The commonly printed weight (2n+(n+1)x)/(2x^2)
@@ -40,28 +46,33 @@ from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import BadParams, OutOfDomain
-from .exact_core import Polynomial
+from .exact_core import Polynomial, _clear_denominators, _primitive
 from .fes_engine import all_ones_poly, power_minus_one
 from .params import Params, _validate
 
 
+def _product(start: int, step: int, length: int) -> int:
+    """start (start + step) ... (start + (length-1) step), on integers; 1 for length <= 0."""
+    out = 1
+    for _ in range(length):
+        out *= start
+        start += step
+    return out
+
+
 def poch(base: Fraction | int, length: int) -> Fraction:
-    """Shifted factorial (base)_length = base(base+1)...(base+length-1); the empty product is 1."""
+    """Shifted factorial (base)_length = base(base+1)...(base+length-1); the empty product is 1.
+    With base = p / q it is the integer product of the p + t q over q^length."""
     if length < 0:
         raise BadParams("length must be nonnegative")
-    base = Fraction(base)
-    out = Fraction(1)
-    for t in range(length):
-        out *= base + t
-    return out
+    q = base.denominator
+    return Fraction(_product(base.numerator, q, length), q**length)
 
 
 def falling(base: Fraction | int, length: int) -> Fraction:
-    """Falling product base(base-1)...(base-length+1)."""
-    out = Fraction(1)
-    for t in range(length):
-        out *= Fraction(base) - t
-    return out
+    """Falling product base(base-1)...(base-length+1); the empty product is 1."""
+    q = base.denominator
+    return Fraction(_product(base.numerator, -q, length), q ** max(length, 0))
 
 
 def power_plus_one(n: int) -> Polynomial:
@@ -115,16 +126,21 @@ def _spread_ones(count: int, s: int) -> Polynomial:
 # thm10 ---------------------------------------------------------------------
 
 
-def _thm10_core(n: int, r: int, av: tuple[Fraction, ...], bv: tuple[Fraction, ...]) -> tuple[int, int, Fraction, Fraction]:
-    d = math.gcd(n, r)
-    return d, n // d, sum(av, Fraction(0)), sum(bv, Fraction(0))
+def _thm10_core(p: Params) -> tuple[int, int, list[int], list[int], int]:
+    """d = gcd(n, r), q = n/d, the vectors a and b as integers over their common
+    denominator L, and the denominator (A^q - (-B)^q)^d with A and B their sums:
+    L^n times the closed form's."""
+    d = math.gcd(p["n"], p["r"])
+    q, k = p["n"] // d, len(p["a"])
+    whole, _ = _clear_denominators(p["a"] + p["b"])
+    av, bv = whole[:k], whole[k:]
+    return d, q, av, bv, (sum(av) ** q - (-sum(bv)) ** q) ** d
 
 
 def _thm10_domain(p: Params) -> str | None:
     if len(p["a"]) != len(p["b"]):
         return "coefficient vectors a and b must have equal length"
-    d, q, A, B = _thm10_core(p["n"], p["r"], p["a"], p["b"])
-    if A**q == (-B) ** q:
+    if _thm10_core(p)[-1] == 0:
         return "(sum a)^(n/d) = (-sum b)^(n/d): shared root, denominator vanishes"
     return None
 
@@ -137,26 +153,26 @@ def _thm10_family(p: Params) -> tuple[Polynomial, Polynomial]:
 
 
 def _thm10_closed(p: Params) -> Fraction:
-    n, r, av, bv = p["n"], p["r"], p["a"], p["b"]
-    d, q, A, B = _thm10_core(n, r, av, bv)
-    numerator = Fraction(1)
+    # With a = av / L and b = bv / L, each factor s_i/d + t A is (S_i + t d A') / (d L)
+    # for the integer sums S_i and A' of av (and so for b), so the numerator is
+    # N / (d L)^n for the integer product N below; the denominator is L^-n times
+    # _thm10_core's, and the value -d^n N / (d L)^n * L^n / den is -N / den.
+    n, r = p["n"], p["r"]
+    d, q, av, bv, den = _thm10_core(p)
+    dA, dB, sign = d * sum(av), d * sum(bv), (-1) ** q
+    numerator = 1
     for i in range(1, d + 1):
-        s_i = sum((Fraction(i - n * l - 1)) * av[l] for l in range(len(av)))
-        t_i = sum((Fraction(i - r - n * l - 1)) * bv[l] for l in range(len(bv)))
-        left = Fraction(1)
-        right = Fraction(1)
-        for t in range(q):
-            left *= s_i / d + t * A
-            right *= t_i / d + t * B
-        numerator *= left - (-1) ** q * right
-    return -(Fraction(d) ** n) * numerator / (A**q - (-B) ** q) ** d
+        s_i = sum((i - n * l - 1) * c for l, c in enumerate(av))
+        t_i = sum((i - r - n * l - 1) * c for l, c in enumerate(bv))
+        numerator *= _product(s_i, dA, q) - sign * _product(t_i, dB, q)
+    return Fraction(-numerator, den)
 
 
 # cor11 ---------------------------------------------------------------------
 
 
 def _cor11_domain(p: Params) -> str | None:
-    if sum(p["a"], Fraction(0)) == 0:
+    if sum(p["a"]) == 0:
         return "sum of the coefficients a_l must be nonzero (shared root at a root of unity)"
     return None
 
@@ -167,10 +183,12 @@ def _cor11_family(p: Params) -> tuple[Polynomial, Polynomial]:
 
 
 def _cor11_closed(p: Params) -> Fraction:
-    n, av = p["n"], p["a"]
-    A = sum(av, Fraction(0))
-    weighted = sum(Fraction(l) * av[l] for l in range(len(av)))
-    return -poch(-n * weighted / A, n)
+    # -(-n W / A)_n with W = sum l a_l and A = sum a_l, on the integers av = L a:
+    # -prod_t (t A' - n W') / A'^n, where A' = L A and W' = L W.
+    n = p["n"]
+    av, _ = _clear_denominators(p["a"])
+    total, weighted = sum(av), sum(l * c for l, c in enumerate(av))
+    return Fraction(-_product(-n * weighted, total, n), total**n)
 
 
 # Geometric-block families cor12..cor21 ------------------------------------
@@ -320,15 +338,10 @@ def _cor24_family(p: Params) -> tuple[Polynomial, Polynomial]:
 
 def _cor24_closed(p: Params) -> Fraction:
     n, m, s = p["n"], p["m"], p["s"]
-    total = Fraction(1)
+    total = 1
     for i in range(s):
-        plus = Fraction(1)
-        minus = Fraction(1)
-        for l in range(n):
-            plus *= i + l * s
-            minus *= i + l * s - m * s
-        total *= plus - minus
-    return total / Fraction(m * n * s) ** s
+        total *= _product(i, s, n) - _product(i - m * s, s, n)
+    return Fraction(total, (m * n * s) ** s)
 
 
 def _cor25_closed(p: Params) -> Fraction:
@@ -426,10 +439,11 @@ def _cor31_domain(p: Params) -> str | None:
 # thm32 family: arithmetic-progression coefficients ------------------------
 
 
-def _v32(n: int, m: int, a: Fraction) -> Fraction:
+def _v32(n: int, m: int, u: int, w: int) -> int:
+    """w^2 V(a) at a = u / w, for V(a) = 1 - 6a + 6a^2 + n - 2an - 5mn + 10amn - mn^2 + 4m^2n^2."""
     return (
-        1 - 6 * a + 6 * a * a + n - 2 * a * n - 5 * m * n + 10 * a * m * n
-        - m * n * n + 4 * m * m * n * n
+        w * w * (1 + n - 5 * m * n - m * n * n + 4 * m * m * n * n)
+        + u * w * (10 * m * n - 2 * n - 6) + 6 * u * u
     )
 
 
@@ -440,10 +454,13 @@ def _thm32_domain(p: Params) -> str | None:
 
 
 def _thm32_closed(p: Params) -> Fraction:
-    n, m, a = p["n"], p["m"], p["a"]
+    # At a = u / w, n(m-1) V / (6(mn + 2a - 1)) is n(m-1) w^2 V / (6 w (w(mn - 1) + 2u)),
+    # and (a + (m-1)n + 1)_(n-2) is an integer product over w^(n-2).
+    n, m, u, w = p["n"], p["m"], p["a"].numerator, p["a"].denominator
     sign = -1 if n % 2 == 0 else 1
-    lead = Fraction(n * (m - 1)) * _v32(n, m, a) / (6 * (m * n + 2 * a - 1))
-    return sign * lead * poch(a + (m - 1) * n + 1, n - 2)
+    rising = _product(u + w * ((m - 1) * n + 1), w, n - 2)
+    return Fraction(sign * n * (m - 1) * _v32(n, m, u, w) * rising,
+                    6 * w ** (n - 1) * (w * (m * n - 1) + 2 * u))
 
 
 def _cor33_closed(p: Params) -> Fraction:
@@ -533,9 +550,15 @@ def _thm38_closed(p: Params) -> Fraction:
     return sign * poch(a + (m - 1) * n + 1, n - 1)
 
 
+def _thm39_ends(p: Params) -> tuple[int, int, int]:
+    """w (mn + a - 1) and w (a - 1) at a = u / w, and w."""
+    u, w = p["a"].numerator, p["a"].denominator
+    return w * (p["m"] * p["n"] - 1) + u, u - w, w
+
+
 def _thm39_domain(p: Params) -> str | None:
-    n, m, a = p["n"], p["m"], p["a"]
-    if (m * n + a - 1) ** n == (a - 1) ** n:
+    x, y, _ = _thm39_ends(p)
+    if x ** p["n"] == y ** p["n"]:
         return "(mn + a - 1)^n = (a - 1)^n: shared root, denominator vanishes"
     return None
 
@@ -550,10 +573,12 @@ def _thm39_closed(p: Params) -> Fraction:
     # (-1)^(n-1) (1/n) (mn+a-1)^(n-1) (nm-n)_(n-1) and the resultant is
     # ((mn+a-1)^n - (a-1)^n)/(n^2 m); their quotient carries mn.  The
     # determinant engine confirms the quotient at every grid point.
-    n, m, a = p["n"], p["m"], p["a"]
+    # With x = w (mn + a - 1) and y = w (a - 1) at a = u / w, the quotient is
+    # mn (nm-n)_(n-1) x^(n-1) w / (x^n - y^n).
+    n, m = p["n"], p["m"]
+    x, y, w = _thm39_ends(p)
     sign = -1 if n % 2 == 0 else 1
-    numerator = m * n * poch(n * m - n, n - 1) * (n * m + a - 1) ** (n - 1)
-    return sign * numerator / ((m * n + a - 1) ** n - (a - 1) ** n)
+    return Fraction(sign * m * n * _product(n * m - n, 1, n - 1) * x ** (n - 1) * w, x**n - y**n)
 
 
 # prop40..prop43: involution-sum identities over roots of x^n - 1 ----------
@@ -614,38 +639,52 @@ def involution_identity_check(
 # Readers --------------------------------------------------------------------
 
 
+def _key(X: Polynomial) -> list[int]:
+    """X's primitive integer coefficient list with a positive leading coefficient
+    ([] for the zero polynomial): two polynomials are proportional exactly when
+    their keys are equal."""
+    if not X.coeffs:
+        return []
+    key = _primitive(_clear_denominators(X.coeffs)[0])
+    return key if key[-1] > 0 else [-c for c in key]
+
+
 class _Shape:
-    """One (P, Q) as the readers see it: degrees, supports and P's sign, then
-    on first use the monic forms, and the family comparisons already made for it."""
+    """One (P, Q) as the readers see it: the integer keys of P and Q, their
+    degrees and supports and P's sign, and the family comparisons already made
+    for it.  Q itself is kept for the readers that propose its coefficients."""
 
     def __init__(self, P: Polynomial, Q: Polynomial):
-        self.P, self.Q, self.n, self.d = P, Q, P.degree, Q.degree
-        self.sp = tuple(e for e, c in enumerate(P.coeffs) if c)
+        self.Q, self.n, self.d = Q, P.degree, Q.degree
+        self.kp, self.kq = _key(P), _key(Q)
+        self.sp = tuple(e for e, c in enumerate(self.kp) if c)
         # +1 when P's constant term is its leading coefficient, -1 when it is minus that.
-        low, lead = (P.coeffs[0], P.coeffs[-1]) if P.coeffs else (0, 0)
+        low, lead = (self.kp[0], self.kp[-1]) if self.kp else (0, 0)
         self.sign = 1 if low == lead else -1 if low == -lead else 0
-        self.sq = tuple(e for e, c in enumerate(Q.coeffs) if c)
+        self.sq = tuple(e for e, c in enumerate(self.kq) if c)
         self.compared: dict[tuple, bool] = {}
 
     @functools.cached_property
-    def monic(self) -> tuple[Polynomial, Polynomial]:
-        return self.P.monic(), self.Q.monic()
-
-    @functools.cached_property
     def progressions(self) -> list[tuple[Fraction, int]]:
-        return _progressions(self.Q.coeffs)
+        return _progressions(self)
+
+    def ratio(self, e: int, f: int) -> Fraction:
+        """Q's coefficient of y^e over its coefficient of y^f, read on the key."""
+        return Fraction(self.kq[e], self.kq[f])
 
 
-def _progressions(c: Sequence[Fraction]) -> list[tuple[Fraction, int]]:
-    """Every (a, L) for which c is, up to scale, the coefficient list of
-    sum_{l<L} (l + a) y^l: one more length when the next term is 0."""
+def _progressions(s: _Shape, step: int = 1) -> list[tuple[Fraction, int]]:
+    """Every (a, L) for which Q's coefficients at the multiples of step are, up
+    to scale, those of sum_{l<L} (l + a) y^l: one more length when the next term
+    is 0.  They are read on the key; a constant Q keeps its own coefficient as a."""
+    c = s.kq[::step]
     if len(c) == 1:  # L = 1 with any a, or L = 2 with a = -1
-        return [(c[0], 1), (Fraction(-1), 2)]
-    step = c[1] - c[0]
-    if step == 0 or any(c[l + 1] - c[l] != step for l in range(1, len(c) - 1)):
+        return [(s.Q.coeffs[0], 1), (Fraction(-1), 2)]
+    diff = c[1] - c[0]
+    if diff == 0 or any(c[l + 1] - c[l] != diff for l in range(1, len(c) - 1)):
         return []
-    a = c[0] / step
-    return [(a, len(c))] + ([(a, len(c) + 1)] if len(c) + a == 0 else [])
+    a = Fraction(c[0], diff)
+    return [(a, len(c))] + ([(a, len(c) + 1)] if len(c) * diff + c[0] == 0 else [])
 
 
 Reader = Callable[[_Shape], Iterable[Params]]
@@ -658,14 +697,27 @@ def _minus_one(read: RowReader) -> Reader:
 
 
 def _all_ones(read: RowReader) -> Reader:
-    """A reader for P = 1 + x + ... + x^(n-1), whose support is every exponent."""
-    return lambda s: read(s, s.n + 1) if len(s.sp) == s.n + 1 else ()
+    """A reader for P = 1 + x + ... + x^(n-1), whose key is all ones."""
+    return lambda s: read(s, s.n + 1) if set(s.kp) == {1} else ()
 
 
-def _when(support: Callable[[int, int], Iterable[int]],
+def _summed(terms: Iterable[tuple[int, int]], d: int) -> list[int]:
+    """The coefficient list of degree d of the sum of the c y^e over terms, or []
+    when some exponent e is above d."""
+    out = [0] * (d + 1)
+    for e, c in terms:
+        if e > d:
+            return []
+        out[e] += c
+    return out
+
+
+def _when(terms: Callable[[int, int], Iterable[tuple[int, int]]],
           params: Callable[[int, int], Params]) -> Reader:
-    """A reader for P = x^n - 1 and Q with support(n, deg Q) as its support."""
-    return _minus_one(lambda s, n: [params(n, s.d)] if s.sq == tuple(support(n, s.d)) else ())
+    """A reader for P = x^n - 1 and Q whose key is the sum of the c y^e over the
+    (e, c) in terms(n, deg Q), which are written as primitive integers with a
+    positive lead."""
+    return _minus_one(lambda s, n: [params(n, s.d)] if s.kq == _summed(terms(n, s.d), s.d) else ())
 
 
 def _ap(read: Callable[[int, Fraction, int], Params | bool]) -> RowReader:
@@ -677,9 +729,9 @@ def _ap(read: Callable[[int, Fraction, int], Params | bool]) -> RowReader:
 def _read_thm10(s: _Shape, n: int) -> Iterator[Params]:
     residues = {e % n for e in s.sq} - {0}
     if len(residues) == 1:
-        r, blocks = residues.pop(), range(s.d // n + 1)
-        yield {"n": n, "r": r, "a": tuple(s.Q.coeff(l * n) for l in blocks),
-               "b": tuple(s.Q.coeff(l * n + r) for l in blocks)}
+        # Q's own coefficients, padded so both vectors have d // n + 1 entries.
+        r, end, c = residues.pop(), (s.d // n + 1) * n, s.Q.coeffs + (Fraction(0),) * n
+        yield {"n": n, "r": r, "a": c[:end:n], "b": c[r:r + end:n]}
 
 
 @_minus_one
@@ -693,42 +745,46 @@ def _read_cor16(s: _Shape, n: int) -> Iterator[Params]:  # and cor18, cor20
     middle = [e for e in s.sq if e not in (0, s.d)]
     if len(middle) == 1 and middle[0] % n == 0 == s.d % n:
         yield {"n": n, "m": s.d // n, "r": middle[0] // n,
-               "a": s.Q.coeff(middle[0]) / s.Q.leading, "b": s.Q.coeff(0) / s.Q.leading}
+               "a": s.ratio(middle[0], s.d), "b": s.ratio(0, s.d)}
 
 
 @_minus_one
 def _read_cor19(s: _Shape, n: int) -> Iterator[Params]:
-    if s.d == 2 * n and set(s.sq) <= {0, n, 2 * n}:
-        yield {"n": n, "a": s.Q.coeff(n) / s.Q.leading}
+    if s.d == 2 * n and set(s.sq) <= {0, n, 2 * n} and s.kq[0] == s.kq[-1]:
+        yield {"n": n, "a": s.ratio(n, s.d)}
 
 
 @_minus_one
 def _read_cor21(s: _Shape, n: int) -> Iterator[Params]:
-    if s.d == 2 * n and set(s.sq) <= {0, n, 2 * n}:
-        yield {"n": n, "b": s.Q.coeff(0) / s.Q.leading}
+    if s.d == 2 * n and set(s.sq) <= {0, n, 2 * n} and s.kq[n] == -2 * s.kq[-1]:
+        yield {"n": n, "b": s.ratio(0, s.d)}
 
 
 @_minus_one
 def _read_cor22(s: _Shape, n: int) -> Iterator[Params]:  # and cor23
     if s.d and set(s.sq) <= {0, s.d}:
-        yield {"n": n, "m": s.d, "b": s.Q.coeff(0) / s.Q.leading}
+        yield {"n": n, "m": s.d, "b": s.ratio(0, s.d)}
+
+
+def _ones(key: list[int], step: int) -> bool:
+    """key is 1 at every multiple of step and 0 elsewhere: sum_l x^(l step), up to scale."""
+    return all(c == (e % step == 0) for e, c in enumerate(key))
 
 
 def _read_cor13(s: _Shape) -> Iterator[Params]:
-    if s.sign == 1 and s.sp == (0, s.n) and s.sq == tuple(range(0, s.d + 1, s.n)):
+    if _ones(s.kp, s.n) and _ones(s.kq, s.n):
         yield {"n": s.n, "m": s.d // s.n}
 
 
 def _read_cor24(s: _Shape) -> Iterator[Params]:
     step = s.sp[1]
-    if (s.sign == 1 and s.sp == tuple(range(0, s.n + 1, step))
-            and s.sq == tuple(range(0, s.d + 1, step))):
+    if _ones(s.kp, step) and _ones(s.kq, step):
         yield {"n": len(s.sp), "m": len(s.sq), "s": step}
 
 
 @_all_ones
 def _read_cor25(s: _Shape, n: int) -> Iterator[Params]:
-    if len(s.sq) == s.d + 1:
+    if set(s.kq) == {1}:
         yield {"n": n, "m": s.d + 1}
 
 
@@ -736,28 +792,30 @@ def _read_cor25(s: _Shape, n: int) -> Iterator[Params]:
 def _read_cor28(s: _Shape, n: int) -> Iterator[Params]:  # and cor29
     others = [e for e in s.sq if e not in (0, n)]
     if n in s.sq and len(others) == 1:
-        r, lead = others[0], s.Q.coeff(n)
-        yield {"n": n, "r": r, "a": s.Q.coeff(r) / lead, "b": s.Q.coeff(0) / lead}
+        r = others[0]
+        yield {"n": n, "r": r, "a": s.ratio(r, n), "b": s.ratio(0, n)}
 
 
 @_minus_one
 def _read_thm37(s: _Shape, n: int) -> Iterator[Params]:
     for step in range(n // 2, 0, -1):
         if n % step == 0 and all(e % step == 0 for e in s.sq):
-            for a, length in _progressions(s.Q.coeffs[::step]):
+            for a, length in _progressions(s, step):
                 if length * step % n == 0:
                     yield {"n": n, "m": length * step // n, "a": a, "s": step}
 
 
-_read_cor12 = _when(lambda n, d: range(0, d + 1, n), lambda n, d: {"n": n, "m": d // n})
-_read_cor14 = _when(lambda n, d: range(n, d + 1, n), lambda n, d: {"n": n, "m": d // n})
-_read_cor15 = _when(lambda n, d: (l * l * n for l in range(1, math.isqrt(d // n) + 1)),
+_read_cor12 = _when(lambda n, d: ((e, 1) for e in range(0, d + 1, n)),
+                    lambda n, d: {"n": n, "m": d // n})
+_read_cor14 = _when(lambda n, d: ((l * n, l) for l in range(1, d // n + 1)),
+                    lambda n, d: {"n": n, "m": d // n})
+_read_cor15 = _when(lambda n, d: ((l * l * n, l) for l in range(1, math.isqrt(d // n) + 1)),
                     lambda n, d: {"n": n, "m": math.isqrt(d // n)})
-_read_cor17 = _when(lambda n, d: (0, d), lambda n, d: {"n": n, "m": d // n})
-_read_cor26 = _when(lambda n, d: (0, d), lambda n, d: {"n": n, "m": d})
-_read_cor27 = _when(lambda n, d: (0, n + 1), lambda n, d: {"n": n})
-_read_cor30 = _when(lambda n, d: (0, n, n + 1), lambda n, d: {"n": n})
-_read_cor31 = _when(lambda n, d: (0, 1, n), lambda n, d: {"n": n})
+_read_cor17 = _when(lambda n, d: ((0, 1), (d // n * n, 1)), lambda n, d: {"n": n, "m": d // n})
+_read_cor26 = _when(lambda n, d: ((0, 1), (d, 1)), lambda n, d: {"n": n, "m": d})
+_read_cor27 = _when(lambda n, d: ((0, 1), (n + 1, 1)), lambda n, d: {"n": n})
+_read_cor30 = _when(lambda n, d: ((0, -1), (n, 1), (n + 1, 1)), lambda n, d: {"n": n})
+_read_cor31 = _when(lambda n, d: ((0, -1), (1, n), (n, 1)), lambda n, d: {"n": n})
 _read_thm32 = _minus_one(_ap(lambda n, a, L: L % n == 0 and {"n": n, "m": L // n, "a": a}))
 _read_cor33 = _minus_one(_ap(lambda n, a, L: a == 0 and L % n == 0 and {"n": n, "m": L // n}))
 _read_cor34 = _minus_one(_ap(lambda n, a, L: a == 1 and L % n == 0 and {"n": n, "m": L // n}))
@@ -1327,8 +1385,7 @@ def _infer(entry: CatalogEntry, shape: _Shape) -> Params | None:
         key = (entry.family, *params.items())
         if key not in shape.compared:
             fp, fq = entry.family(params)
-            shape.compared[key] = (fp.degree, fq.degree) == (shape.n, shape.d) and (
-                fp.monic(), fq.monic()) == shape.monic
+            shape.compared[key] = _key(fp) == shape.kp and _key(fq) == shape.kq
         if shape.compared[key]:
             return params
     return None

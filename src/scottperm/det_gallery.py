@@ -7,7 +7,7 @@ on i - j modulo n.
 
 Case ids and their parameters, each declared as (name, kind, minimum)
 triples and validated by `params._validate`, the one validator that the
-closed-form catalog uses too.  The gallery imports only that leaf module, not
+closed-form catalog uses too.  The gallery imports that small module, not
 the catalog:
 
 * ``prop6``: n, r, x (n values), y (n values).  Diagonal x_i plus a cyclic

@@ -58,7 +58,9 @@ class Polynomial:
     coeffs: tuple[Fraction, ...]
 
     def __init__(self, coeffs: Iterable[Coefficient] = ()):
-        values = [_to_rational(c) for c in coeffs]
+        self._set_trimmed([_to_rational(c) for c in coeffs])
+
+    def _set_trimmed(self, values: list[Fraction]) -> None:
         while values and values[-1] == 0:
             values.pop()
         object.__setattr__(self, "coeffs", tuple(values))
@@ -118,19 +120,20 @@ class Polynomial:
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[int, Coefficient]]) -> Polynomial:
-        """Build from (exponent, coefficient) pairs; repeated exponents add."""
+        """Build from (exponent, coefficient) pairs; repeated exponents add.
+        Each value is converted once."""
         table: dict[int, Fraction] = {}
         for exponent, value in pairs:
             if exponent < 0:
                 raise ValueError("exponents must be nonnegative")
             value = _to_rational(value)
             table[exponent] = table[exponent] + value if exponent in table else value
-        if not table:
-            return Polynomial()
-        coeffs = [Fraction(0)] * (max(table) + 1)
+        coeffs = [_to_rational(0)] * (max(table) + 1 if table else 0)
         for exponent, value in table.items():
             coeffs[exponent] = value
-        return Polynomial(coeffs)
+        poly = object.__new__(Polynomial)
+        poly._set_trimmed(coeffs)
+        return poly
 
 
 def poly_eval(p: Polynomial, x: Coefficient) -> Fraction:
@@ -181,6 +184,8 @@ def _clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
     # guessed size and resizes it, which moves tuples between its per-size
     # free lists until they hold megabytes in a long-running process.
     scale = math.lcm(*[v.denominator for v in values])
+    if scale == 1:
+        return [v.numerator for v in values], 1
     return [v.numerator * (scale // v.denominator) for v in values], scale
 
 

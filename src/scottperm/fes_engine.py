@@ -17,7 +17,7 @@ import enum
 import math
 from fractions import Fraction
 
-from .errors import ZeroDegree, ZeroLeadingCoefficient
+from .errors import BadParams, ZeroDegree, ZeroLeadingCoefficient
 from .exact_core import (
     Coefficient,
     Polynomial,
@@ -158,14 +158,19 @@ def special_resultant(
 def per_via_fes(kind: RowFamily | str, n: int, Q: Polynomial) -> EvalResult:
     """Permanent of (1/(x_i - y_j)) with rows from one of the two families.
 
-    kind selects the row polynomial: x^n - 1 or 1 + x + ... + x^(n-1).
+    kind selects the row polynomial: x^n - 1 or 1 + x + ... + x^(n-1), as a
+    RowFamily or its value; any other kind is BadParams.
     The value is the banded determinant of Q cleared to primitive integers
     divided by the resultant of the row polynomial with that integer Q (the
     scaling cancels).  That resultant is computed first, by the shared-root check
     that `Pair` makes too, so a shared root is `Pair`'s SharedRoot, with its
     message.  The fes route builds its value with the same `banded_permanent`.
     """
-    family = RowFamily(kind)
+    try:
+        family = RowFamily(kind)
+    except ValueError:
+        accepted = ", ".join(repr(f.value) for f in RowFamily)
+        raise BadParams(f"unknown row family {kind!r}; use a RowFamily or one of {accepted}") from None
     if Q.is_zero:
         raise ZeroDegree("the column polynomial must be nonzero")
     P = power_minus_one(n) if family is RowFamily.POWER_MINUS_ONE else all_ones_poly(n)

@@ -230,7 +230,8 @@ class VerifyReport:
 
     @property
     def all_agree(self) -> bool:
-        return all(ok for _, _, _, ok in self.agreements) if self.agreements else True
+        """At least one pair of routes was compared, and every pair agreed."""
+        return bool(self.agreements) and all(ok for _, _, _, ok in self.agreements)
 
 
 # The route table ------------------------------------------------------------

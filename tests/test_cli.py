@@ -460,6 +460,11 @@ def test_eval_matches_the_verify_route_of_the_same_name(capsys, method, P, Q):
 
 
 class TestVerifyCommand:
+    def test_no_compared_pair_is_not_agreement(self, capsys):
+        payload = eval_json(capsys, "verify", "--", "x^20 - 3*x^7 + 2", "y^20 + y^3 - 5")
+        assert payload["agreements"] == []
+        assert payload["all_agree"] is False
+
     def test_full_agreement(self, capsys):
         payload = eval_json(capsys, "verify", "x^3-1", "y^4+1")
         assert set(payload) == {"n", "m", "tolerance", "all_agree", "routes", "agreements"}

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from scottperm import (
@@ -205,6 +205,54 @@ class TestSpecializations:
                 )
 
 
+def _vectors(low: int, high: int):
+    """Rational vectors, negative and mixed-sign entries included."""
+    return st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=7),
+                    min_size=low, max_size=high)
+
+
+class TestIntegerClosedForms:
+    """thm10's and cor11's closed forms run on integers over one common
+    denominator; off the grid, with rational, negative and mixed-sign vectors,
+    they still equal theorem1 on the family's own pair."""
+
+    @staticmethod
+    def _against_theorem1(entry_id: str, params: dict) -> None:
+        try:
+            expected = catalog_eval(entry_id, **params)
+        except OutOfDomain:
+            assume(False)
+        P, Q = catalog_family(entry_id, **params)
+        assume(Q.degree >= P.degree)  # the families' identities need n <= m
+        assert scott_permanent(P, Q).value == expected, (entry_id, params)
+
+    @pytest.mark.parametrize(
+        "entry_id,params",
+        [
+            ("thm10", {"n": 3, "r": 2, "a": (Fraction(1, 2), -3), "b": (Fraction(-2, 3), Fraction(5, 4))}),
+            ("thm10", {"n": 5, "r": 3, "a": (-1, -2), "b": (-3, Fraction(-1, 7))}),
+            ("thm10", {"n": 6, "r": 4, "a": (Fraction(3, 5), -1, 2), "b": (1, Fraction(1, 3), -2)}),
+            ("thm10", {"n": 4, "r": 6, "a": (Fraction(-7, 2),), "b": (Fraction(5, 3),)}),
+            ("cor11", {"n": 6, "a": (Fraction(1, 2), -3, Fraction(2, 3))}),
+            ("cor11", {"n": 4, "a": (-1, -2, -5)}),
+            ("cor11", {"n": 3, "a": (Fraction(-2, 3), Fraction(1, 5))}),
+        ],
+    )
+    def test_off_grid_points(self, entry_id, params):
+        self._against_theorem1(entry_id, params)
+
+    @given(st.integers(1, 5), st.integers(1, 7), st.integers(1, 3), st.data())
+    def test_thm10_against_theorem1(self, n, r, length, data):
+        a, b = data.draw(_vectors(length, length)), data.draw(_vectors(length, length))
+        assume(b[-1] != 0)
+        self._against_theorem1("thm10", {"n": n, "r": r, "a": tuple(a), "b": tuple(b)})
+
+    @given(st.integers(1, 6), _vectors(1, 3))
+    def test_cor11_against_theorem1(self, n, a):
+        assume(a[-1] != 0)
+        self._against_theorem1("cor11", {"n": n, "a": tuple(a)})
+
+
 class TestDomainChecks:
     @pytest.mark.parametrize(
         "entry_id,params",
@@ -306,6 +354,23 @@ class TestPoch:
     )
     def test_falling_mirror(self, base, length):
         assert falling(base, length) == (-1) ** length * poch(-base, length)
+
+    @given(
+        st.one_of(
+            st.integers(min_value=-30, max_value=30),
+            st.fractions(min_value=-30, max_value=30, max_denominator=12),
+        ),
+        st.integers(min_value=0, max_value=12),
+    )
+    def test_integer_products_equal_fraction_products(self, base, length):
+        # Both multiply integer numerators over one denominator; the plain
+        # products below step through Fractions.
+        rising = lowering = Fraction(1)
+        for t in range(length):
+            rising *= base + t
+            lowering *= base - t
+        assert poch(base, length) == rising and type(poch(base, length)) is Fraction
+        assert falling(base, length) == lowering and type(falling(base, length)) is Fraction
 
 
 def _same_up_to_scale(A: Polynomial, B: Polynomial) -> bool:
@@ -485,6 +550,73 @@ class TestRecognition:
                               if family in minus_one)
         assert compared > 0
         assert misses == 0
+
+    @staticmethod
+    def _scaled_params(entry_id: str, params: dict, Q: Polynomial, d: Fraction) -> dict:
+        """params as find_matching gives them for (c*P, d*Q): thm10's and cor11's
+        vectors are Q's own coefficients, and so is thm39's a for a constant Q."""
+        if entry_id in ("thm10", "cor11"):
+            return {k: tuple(d * c for c in v) if isinstance(v, tuple) else v
+                    for k, v in params.items()}
+        if entry_id == "thm39" and Q.degree == 0:
+            return {**params, "a": d * params["a"]}
+        return params
+
+    def test_scaling_keeps_entries_and_params(self):
+        grid = [entry.family(point) for entry in catalog_entries() for point in entry.grid]
+        sample = grid[::7]
+        scales = ((Fraction(-2), Fraction(3, 2)), (Fraction(5, 7), Fraction(-1, 3)),
+                  (Fraction(-1), Fraction(-4, 9)))
+        checked = 0
+        for P, Q in sample:
+            base = find_matching(P, Q)
+            for c, d in scales:
+                scaled = find_matching(P * c, Q * d)
+                assert [i for i, _ in scaled] == [i for i, _ in base], (P, Q, c, d)
+                for (entry_id, params), (_, got) in zip(base, scaled):
+                    expected = self._scaled_params(entry_id, params, Q, d)
+                    assert got == expected, (entry_id, P, Q, c, d)
+                    assert [type(v) for v in got.values()] == [type(v) for v in expected.values()]
+                    checked += 1
+        assert len(sample) > 100 and checked > 500
+
+    @given(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=8), min_size=1, max_size=8),
+           st.fractions(min_value=-5, max_value=5, max_denominator=6))
+    def test_keys_are_equal_exactly_for_proportional_polynomials(self, coeffs, c):
+        X = Polynomial(coeffs)
+        assume(not X.is_zero and c != 0)
+        key = closed_catalog._key(X)
+        assert key[-1] > 0 and math.gcd(*key) == 1 and len(key) == len(X.coeffs)
+        assert all(Fraction(k, key[-1]) == x / X.leading for k, x in zip(key, X.coeffs))
+        assert closed_catalog._key(X * c) == key
+        if X.degree:  # X + 1 is then not proportional to X
+            assert closed_catalog._key(X + Polynomial([1])) != key
+
+    @pytest.mark.parametrize("first_only", [True, False])
+    def test_readers_build_no_failing_family(self, monkeypatch, first_only):
+        # Each reader checks P's and Q's coefficients on their keys before it
+        # proposes, so every family built is the pair's own: on verify's first
+        # match (Pair.match) over the grid pairs, and on a full find_matching
+        # over the gate pairs.
+        shapes = []
+
+        class Recorded(closed_catalog._Shape):
+            def __init__(self, P, Q):
+                super().__init__(P, Q)
+                shapes.append(self)
+
+        monkeypatch.setattr(closed_catalog, "_Shape", Recorded)
+        if first_only:
+            pairs = [entry.family(point) for entry in catalog_entries() for point in entry.grid]
+            assert all(Pair(P, Q).match is not None for P, Q in pairs)
+        else:
+            pairs = _gate_pairs()
+            for P, Q in pairs:
+                find_matching(P, Q)
+        assert len(shapes) == len(pairs)
+        builds = [hit for shape in shapes for hit in shape.compared.values()]
+        assert len(builds) >= 862
+        assert builds.count(False) == 0
 
     def test_unrelated_pair_matches_nothing(self):
         assert find_matching(Polynomial([2, 0, 1]), Polynomial([1, 1, 1])) == []

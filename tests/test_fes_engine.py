@@ -26,7 +26,7 @@ from scottperm import (
     special_resultant,
 )
 from scottperm import fes_engine
-from scottperm.errors import ZeroDegree
+from scottperm.errors import BadParams, ZeroDegree
 from scottperm.fes_engine import all_ones_poly, power_minus_one
 from scottperm.scott_engine import evaluate
 from test_exact_core import degree_polys
@@ -248,6 +248,12 @@ class TestPerViaFes:
             per_via_fes(RowFamily.POWER_MINUS_ONE, 3, Polynomial([-1, 0, 0, 1]))
         with pytest.raises(SharedRoot):
             per_via_fes(RowFamily.ALL_ONES, 3, Polynomial([1, 1, 1]))
+
+    @pytest.mark.parametrize("kind", ["fes", "x", 3])
+    def test_unknown_kind_is_bad_params_naming_the_families(self, kind):
+        with pytest.raises(BadParams, match="unknown row family") as caught:
+            per_via_fes(kind, 3, Polynomial([1, 0, 0, 0, 1]))
+        assert "'power_minus_one'" in str(caught.value) and "'all_ones'" in str(caught.value)
 
     def test_zero_column_polynomial_rejected(self):
         for kind in RowFamily:

@@ -583,6 +583,26 @@ class TestVerify:
         assert len(report.agreements) == 10
         assert report.all_agree
 
+    def test_all_agree_needs_a_compared_pair(self):
+        # At n = m = 20 the float routes are skipped for their cost, and no row
+        # family or catalog entry applies: theorem1 is compared with nothing.
+        report = verify(Polynomial([2, 0, 0, 0, 0, 0, 0, -3] + [0] * 12 + [1]),
+                        Polynomial([-5, 0, 0, 1] + [0] * 16 + [1]))
+        assert [route.method for route in report.routes if route.value is not None] == ["theorem1"]
+        assert report.agreements == ()
+        assert report.all_agree is False
+
+    @pytest.mark.parametrize(
+        "agreements,expected",
+        [
+            ((), False),
+            ((("theorem1", "oracle", 0.0, True),), True),
+            ((("theorem1", "oracle", 0.0, True), ("theorem1", "fes", 1.0, False)), False),
+        ],
+    )
+    def test_all_agree_is_every_compared_pair_agreeing(self, agreements, expected):
+        assert VerifyReport(3, 3, 1e-6, (), agreements).all_agree is expected
+
     @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, -1e-9])
     def test_tolerance_must_be_finite_and_not_negative(self, tolerance):
         with pytest.raises(BadParams, match="tolerance"):
@@ -692,7 +712,8 @@ class TestVerify:
                 assert route.error is None and route.value is not None
             else:
                 assert route.value is None and any("skipped" in note for note in route.notes)
-        assert report.all_agree
+        # With both float routes skipped, theorem1 is compared with nothing.
+        assert report.all_agree is bool(ran)
 
     def test_float_routes_run_at_n_14(self):
         P, Q = random_coprime_pair(random.Random(14), 14, 14)
