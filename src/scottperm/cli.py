@@ -10,8 +10,9 @@ Commands:
   oracle against the polynomial-time determinant route.
 
 Exit codes: 0 success, 2 shared root, 3 parse error, 4 out of catalog domain, 5 an
-exponent above the degree budget MAX_DEGREE (ResourceLimit), 1 anything else, such as
-ZeroDegree for a constant P or a zero Q, or a usage error (BadParams).
+exponent or bench range end above the degree budget MAX_DEGREE (ResourceLimit), 1
+anything else, such as ZeroDegree for a constant P or a zero Q, or a usage error
+(BadParams).
 Errors are JSON on stderr, and so is each warning shown, such as DegreeZeroWarning.
 """
 from __future__ import annotations
@@ -31,8 +32,7 @@ from typing import Any, Callable, NoReturn, Sequence, TextIO
 # closed_catalog and numeric_oracle load on first use, in catalog and bench.
 from . import scott_engine
 from .errors import BadParams, ParseError, ResourceLimit
-from .exact_core import Polynomial
-from .scott_engine import MAX_DEGREE  # the parser checks each exponent against it
+from .exact_core import MAX_DEGREE, Polynomial  # the parser checks each exponent against it
 
 
 class DegreeZeroWarning(UserWarning):
@@ -364,6 +364,8 @@ def _parse_range(text: str) -> list[int]:
         raise BadParams(f"bad range {text!r}: want an integer or lo..hi") from None
     if hi < lo:
         raise BadParams(f"bad range {text!r}: upper end below lower end")
+    if hi > MAX_DEGREE:
+        raise ResourceLimit(f"range end {hi} is above the degree budget {MAX_DEGREE}")
     return list(range(lo, hi + 1))
 
 
@@ -395,7 +397,8 @@ def bench_rows(
 ) -> list[dict[str, Any]]:
     """Timing rows for seeded random coprime instances, one per (n, m).
 
-    Where n <= max_n, the oracle and theorem1 legs of a row are timed together.
+    Where n <= max_n and the oracle route's work is within verify's default
+    oracle_cost_limit, the oracle and theorem1 legs of a row are timed together.
     """
     import random
 
@@ -408,11 +411,12 @@ def bench_rows(
     if len(n_values) != len(m_values):
         raise BadParams("n and m ranges must have equal lengths")
     rng = random.Random(seed)
+    oracle_work = scott_engine._METHODS["oracle"].work
     rows: list[dict[str, Any]] = []
     for n, m in zip(n_values, m_values):
         P, Q = numeric_oracle.random_coprime_pair(rng, n, m)
         legs = [lambda: scott_engine.scott_permanent(P, Q)]
-        if n <= max_n:
+        if n <= max_n and oracle_work(scott_engine.Pair(P, Q)) <= scott_engine.ORACLE_COST_LIMIT:
             X = numeric_oracle.find_roots(P)
             Y = numeric_oracle.find_roots(Q)
             legs.append(lambda: numeric_oracle.brute_permanent(X, Y))
@@ -488,7 +492,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p_bench.add_argument("n_range", help="e.g. 2..8 or 5")
     p_bench.add_argument("m_range", help="e.g. 2..8 or 5")
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--max-n", type=int, default=10, help="largest n for the oracle leg")
+    p_bench.add_argument("--max-n", type=int, default=10,
+                         help="largest n for the oracle leg, which is also skipped"
+                              " above verify's default oracle cost limit")
     p_bench.add_argument("--json", action="store_true", help="JSON rows instead of CSV")
     p_bench.set_defaults(func=_cmd_bench)
 

@@ -5,17 +5,16 @@ exact closed form of the permanent.  Entries are enumerable metadata, so the
 whole catalog can be swept against the determinant engine, matched against a
 parsed (P, Q) pair, or listed by the command line.
 
-Recognition is data plus one check, on integer keys: a polynomial's key is
-its primitive integer coefficient list with a positive leading coefficient,
-so two polynomials are proportional exactly when their keys are equal.  An
-entry's reader proposes candidate parameters for a concrete (P, Q): it reads
-degrees, supports, P's sign and the coefficients on the keys, so it proposes
-only what its family can be, but it builds no polynomial.
+Recognition is data plus one check, on integer keys: a polynomial's key
+(`Polynomial.key`) is its primitive integer coefficient list with a positive
+leading coefficient, so two polynomials are proportional exactly when their
+keys are equal.  An entry's reader proposes candidate parameters for a
+concrete (P, Q): it reads degrees, supports and the coefficients on the keys,
+so it proposes only what its family can be, but it builds no polynomial.
 `CatalogEntry.infer` validates each candidate, builds the entry's family there
 and keeps the first whose keys equal the pair's, so a match is always a
-member of the family.  `iter_matching` shares one pair's keys and already
-compared families among all readers, and reads the entries lazily;
-`find_matching` lists all its matches.
+member of the family.  `iter_matching` shares one pair's shape among all
+readers, and reads the entries lazily; `find_matching` lists all its matches.
 
 The four ``prop4x`` entries carry, in addition, identities for weighted sums
 over involutions of the n-th roots of unity; ``involution_identity_check``
@@ -46,7 +45,7 @@ from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import BadParams, OutOfDomain
-from .exact_core import Polynomial, _clear_denominators, _primitive
+from .exact_core import Polynomial, _clear_denominators
 from .fes_engine import all_ones_poly, power_minus_one
 from .params import Params, _validate
 
@@ -639,30 +638,15 @@ def involution_identity_check(
 # Readers --------------------------------------------------------------------
 
 
-def _key(X: Polynomial) -> list[int]:
-    """X's primitive integer coefficient list with a positive leading coefficient
-    ([] for the zero polynomial): two polynomials are proportional exactly when
-    their keys are equal."""
-    if not X.coeffs:
-        return []
-    key = _primitive(_clear_denominators(X.coeffs)[0])
-    return key if key[-1] > 0 else [-c for c in key]
-
-
 class _Shape:
-    """One (P, Q) as the readers see it: the integer keys of P and Q, their
-    degrees and supports and P's sign, and the family comparisons already made
-    for it.  Q itself is kept for the readers that propose its coefficients."""
+    """One (P, Q) as the readers see it: the keys of P and Q and their degrees
+    and supports.  Q itself is kept for the readers that propose its coefficients."""
 
     def __init__(self, P: Polynomial, Q: Polynomial):
         self.Q, self.n, self.d = Q, P.degree, Q.degree
-        self.kp, self.kq = _key(P), _key(Q)
+        self.kp, self.kq = P.key, Q.key
         self.sp = tuple(e for e, c in enumerate(self.kp) if c)
-        # +1 when P's constant term is its leading coefficient, -1 when it is minus that.
-        low, lead = (self.kp[0], self.kp[-1]) if self.kp else (0, 0)
-        self.sign = 1 if low == lead else -1 if low == -lead else 0
         self.sq = tuple(e for e, c in enumerate(self.kq) if c)
-        self.compared: dict[tuple, bool] = {}
 
     @functools.cached_property
     def progressions(self) -> list[tuple[Fraction, int]]:
@@ -692,8 +676,9 @@ RowReader = Callable[[_Shape, int], Iterable[Params]]  # also given P's family p
 
 
 def _minus_one(read: RowReader) -> Reader:
-    """A reader for P = x^n - 1: support {0, n} and sign -1."""
-    return lambda s: read(s, s.n) if s.sp == (0, s.n) and s.sign == -1 else ()
+    """A reader for P = x^n - 1: support {0, n} and a constant term of minus the
+    lead, which on a key (primitive, lead positive) is exactly [-1, 0, ..., 0, 1]."""
+    return lambda s: read(s, s.n) if s.sp == (0, s.n) and s.kp[0] == -s.kp[-1] else ()
 
 
 def _all_ones(read: RowReader) -> Reader:
@@ -1382,11 +1367,8 @@ def _infer(entry: CatalogEntry, shape: _Shape) -> Params | None:
             params = _validate(entry.id, entry.param_kinds, raw)
         except BadParams:
             continue
-        key = (entry.family, *params.items())
-        if key not in shape.compared:
-            fp, fq = entry.family(params)
-            shape.compared[key] = _key(fp) == shape.kp and _key(fq) == shape.kq
-        if shape.compared[key]:
+        fp, fq = entry.family(params)
+        if fp.key == shape.kp and fq.key == shape.kq:
             return params
     return None
 

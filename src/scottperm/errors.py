@@ -77,8 +77,9 @@ class ParseError(ScottPermError):
 
 class ResourceLimit(ScottPermError):
     """An input above a fixed budget, refused before any work is done on it: an
-    exponent above the degree budget `scott_engine.MAX_DEGREE` on the command line,
-    or a P or Q of higher degree at `Pair`, the entry of every exact and float route."""
+    exponent or a `bench` range end above the degree budget `exact_core.MAX_DEGREE`
+    on the command line, or a P or Q of higher degree at `Pair`, the entry of every
+    exact and float route, or at `fes_engine.per_via_fes`."""
 
     exit_code = 5
 

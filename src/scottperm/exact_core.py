@@ -20,13 +20,28 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence, Union
 
-from .errors import BothZero, NonSquare, SharedRoot, ZeroConstantTerm, ZeroPolynomial
+from .errors import BothZero, NonSquare, ResourceLimit, SharedRoot, ZeroConstantTerm, ZeroPolynomial
 
 # Canonical exact scalar: numerator/denominator in lowest terms, denominator > 0.
 # fractions.Fraction maintains exactly these invariants after every operation.
 Rational = Fraction
 
 Coefficient = Union[int, Fraction]
+
+# The largest degree of P or Q that the routes take, and the largest exponent the
+# command line's parser takes.  It admits every exponent below 1000, which the
+# parser's tests reach; one eval of a dense random pair took 1.1 s at degree 128
+# and 26 s at 256 on a 2-core VM (about n^4.6), so this budget bounds a
+# polynomial's size, not an eval's time.
+MAX_DEGREE = 1024
+
+
+def _within_budget(side: str, degree: int) -> None:
+    """ResourceLimit when the side's polynomial has a degree above MAX_DEGREE."""
+    if degree > MAX_DEGREE:
+        raise ResourceLimit(
+            f"the {side} polynomial's degree {degree} is above the degree budget {MAX_DEGREE}"
+        )
 
 
 # Fraction(k) for -_SMALL_LIMIT <= k <= _SMALL_LIMIT, shared: Fraction.__new__ is pure
@@ -69,6 +84,22 @@ class Polynomial:
     def degree(self) -> int | None:
         """Degree of the polynomial, or None for the zero polynomial."""
         return len(self.coeffs) - 1 if self.coeffs else None
+
+    @property
+    def key(self) -> list[int]:
+        """The coefficients divided by their content, with a positive leading
+        coefficient ([] for the zero polynomial): the same roots with the smallest
+        integers, so two polynomials are proportional exactly when their keys are
+        equal.  Computed on first use and kept; callers must not mutate it."""
+        key = self.__dict__.get("_key")
+        if key is None:
+            key = _clear_denominators(self.coeffs)[0]
+            if key:
+                content = math.gcd(*key) if key[-1] > 0 else -math.gcd(*key)
+                if content != 1:
+                    key = [c // content for c in key]
+            object.__setattr__(self, "_key", key)
+        return key
 
     @property
     def is_zero(self) -> bool:
@@ -187,13 +218,6 @@ def _clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
     if scale == 1:
         return [v.numerator for v in values], 1
     return [v.numerator * (scale // v.denominator) for v in values], scale
-
-
-def _primitive(values: list[int]) -> list[int]:
-    """A nonzero integer list divided by its content (the gcd of its entries): as a
-    polynomial, the same roots with the smallest integers."""
-    content = math.gcd(*values)
-    return values if content == 1 else [c // content for c in values]
 
 
 def series_inverse(p: Polynomial, order: int) -> list[Fraction]:

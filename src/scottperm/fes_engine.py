@@ -3,13 +3,13 @@
 When the row polynomial is x^n - 1 or 1 + x + ... + x^(n-1), the permanent
 numerator collapses to the determinant of a small sum of "broken diagonals":
 cyclic diagonals of the column polynomial's weighted coefficients.  Q enters
-as one integer list, its denominators cleared once, every diagonal is written
-straight into one list of integer rows, and `exact_core._bareiss` takes the
-determinant.  `banded_permanent` divides it by the integer resultant of the
-monic row polynomial with that same list: scaling Q by a constant scales the
-determinant and the resultant by the same factor, so neither Q nor its
-resultant is normalized.  `fes` and `fes_tilde` divide the scale back out as
-a power of Q's denominator lcm.
+as one integer list, every diagonal is written straight into one list of
+integer rows, and `exact_core._bareiss` takes the determinant.
+`banded_permanent` divides it by the integer resultant of the monic row
+polynomial with that same list: scaling Q by a constant scales the
+determinant and the resultant by the same factor, so the routes pass Q's key.
+`fes` and `fes_tilde` clear Q's denominators instead and divide the scale
+back out as a power of their lcm.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from .exact_core import (
     _bareiss,
     _clear_denominators,
     _coprime_resultant,
-    _primitive,
+    _within_budget,
 )
 from .results import EvalResult
 
@@ -58,11 +58,12 @@ def classify_row_polynomial(P: Polynomial) -> tuple[RowFamily, int] | None:
     """Detect whether P, up to a constant factor, belongs to a row family.
 
     Returns (family, n) where n is the family parameter: x^n - 1 has degree
-    n, while the all-ones polynomial of parameter n has degree n - 1.
+    n, while the all-ones polynomial of parameter n has degree n - 1.  It is
+    read on P's key.
     """
     if P.degree is None or P.degree < 1:
         return None
-    *low, lead = P.coeffs
+    *low, lead = P.key
     if low[0] == -lead and not any(low[1:]):
         return RowFamily.POWER_MINUS_ONE, P.degree
     if all(c == lead for c in low):
@@ -159,12 +160,13 @@ def per_via_fes(kind: RowFamily | str, n: int, Q: Polynomial) -> EvalResult:
     """Permanent of (1/(x_i - y_j)) with rows from one of the two families.
 
     kind selects the row polynomial: x^n - 1 or 1 + x + ... + x^(n-1), as a
-    RowFamily or its value; any other kind is BadParams.
-    The value is the banded determinant of Q cleared to primitive integers
-    divided by the resultant of the row polynomial with that integer Q (the
-    scaling cancels).  That resultant is computed first, by the shared-root check
-    that `Pair` makes too, so a shared root is `Pair`'s SharedRoot, with its
-    message.  The fes route builds its value with the same `banded_permanent`.
+    RowFamily or its value; any other kind is BadParams, and a row or column
+    degree above the degree budget is `Pair`'s ResourceLimit, before any work.
+    The value is the banded determinant of Q's key divided by the resultant
+    of the row polynomial with that key (the scaling cancels).  That
+    resultant is computed first, by the shared-root check that `Pair` makes
+    too, so a shared root is `Pair`'s SharedRoot, with its message.  The fes
+    route builds its value with the same `banded_permanent`.
     """
     try:
         family = RowFamily(kind)
@@ -173,9 +175,11 @@ def per_via_fes(kind: RowFamily | str, n: int, Q: Polynomial) -> EvalResult:
         raise BadParams(f"unknown row family {kind!r}; use a RowFamily or one of {accepted}") from None
     if Q.is_zero:
         raise ZeroDegree("the column polynomial must be nonzero")
-    P = power_minus_one(n) if family is RowFamily.POWER_MINUS_ONE else all_ones_poly(n)
-    p, q = (_primitive(_clear_denominators(X.coeffs)[0]) for X in (P, Q))
-    return banded_permanent(family, n, q, _coprime_resultant(p, q))
+    minus_one = family is RowFamily.POWER_MINUS_ONE
+    _within_budget("row", n if minus_one else n - 1)
+    _within_budget("column", Q.degree)
+    P = power_minus_one(n) if minus_one else all_ones_poly(n)
+    return banded_permanent(family, n, Q.key, _coprime_resultant(P.key, Q.key))
 
 
 def banded_permanent(family: RowFamily, n: int, q: list[int], denominator: int) -> EvalResult:

@@ -53,13 +53,11 @@ def find_roots(p: Polynomial) -> list[complex]:
         raise ZeroDegree("root finding needs degree >= 1")
     import numpy as np
 
-    n = p.degree
-    # float(c / lead) as one correctly rounded int / int, without a Fraction;
-    # the divisor is kept positive, so a zero c gives 0.0, not -0.0.
-    scale, divisor = p.leading.denominator, p.leading.numerator
-    if divisor < 0:
-        scale, divisor = -scale, -divisor
-    monic_desc = [c.numerator * scale / (c.denominator * divisor) for c in reversed(p.coeffs)]
+    n, key = p.degree, p.key
+    # float(c / lead) as one correctly rounded int / int on the key, whose lead
+    # is positive, so a zero c gives 0.0, not -0.0.
+    lead = key[-1]
+    monic_desc = [c / lead for c in reversed(key)]
     deriv_desc = [monic_desc[i] * (n - i) for i in range(n)]
 
     polished = []

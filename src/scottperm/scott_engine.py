@@ -8,11 +8,11 @@ obtained without ever computing a root: it equals
 
 where H is the n x (m+n-1) band of complete homogeneous symmetric functions
 of X, E is an (m+n-1) x n matrix of weighted elementary symmetric functions
-of Y, and Res is the resultant of the monic forms.  `Pair` clears P and Q to
-primitive integer coefficient lists p and q once, and every exact route works on those:
-Res(p, q) = lc(p)^m lc(q)^n Res.  The numerator is taken from det G, with
-G = Bez(p, r1) - d/dx Bez(p, r0) and r0, r1 the pseudo-remainders of q, q'
-mod p: det G = (-1)^(n(n-1)/2) (lc(p)^(m-n+2) lc(q))^n Res det(H @ E), so the
+of Y, and Res is the resultant of the monic forms.  `Pair` reads P's and Q's
+primitive integer coefficient lists p and q (`Polynomial.key`), and every exact
+route works on those: Res(p, q) = lc(p)^m lc(q)^n Res.  The numerator is taken
+from det G, with G = Bez(p, r1) - d/dx Bez(p, r0) and r0, r1 the
+pseudo-remainders of q, q' mod p: det G = (-1)^(n(n-1)/2) (lc(p)^(m-n+2) lc(q))^n Res det(H @ E), so the
 permanent is +-det G / (lc(p)^((n-1)(m-n)+n) Res(p, q)), and no root, monic
 form, H or E is built.  `ROUTES` is the one table of this and every other
 route (each returns an `EvalResult`, from the leaf module `results`):
@@ -35,19 +35,18 @@ from .errors import (
     BadParams,
     OutOfDomain,
     RepeatedXRoot,
-    ResourceLimit,
     ScottPermError,
     ZeroDegree,
 )
 from .exact_core import (
+    MAX_DEGREE,  # Pair's degree budget, under the name the tests read
     Polynomial,
     RationalMatrix,
     _bareiss,
-    _clear_denominators,
     _coprime_resultant,
-    _primitive,
     _pseudo_remainder,
     _subresultant,
+    _within_budget,
     series_inverse,
 )
 from .results import EvalResult, Value
@@ -240,18 +239,14 @@ class VerifyReport:
 ROUTE_FAILURES = (ScottPermError, ArithmeticError)
 
 
-# The largest degree of P or Q that `Pair` takes, and the largest exponent the
-# command line's parser takes.  It admits every exponent below 1000, which the
-# parser's tests reach; one eval of a dense random pair took 1.1 s at degree 128
-# and 26 s at 256 on a 2-core VM (about n^4.6), so this budget bounds a
-# polynomial's size, not an eval's time.
-MAX_DEGREE = 1024
+# verify's default oracle_cost_limit, which `bench`'s oracle leg keeps to as well.
+ORACLE_COST_LIMIT = 20_000_000
 
 
 class Pair:
     """(P, Q) checked once, for every route: ZeroDegree for a constant P or a zero
-    Q, and ResourceLimit for a degree above MAX_DEGREE; then P and Q are cleared
-    to primitive integer coefficient lists p and q, once (the permanent depends
+    Q, and ResourceLimit for a degree above MAX_DEGREE; then p and q are P's and
+    Q's keys, their primitive integer coefficient lists (the permanent depends
     only on the roots), and SharedRoot is raised when their integer resultant
     Res(p, q) is 0 (float roots miss a shared multiple root).  For m >= n that
     resultant's sequence opens with r0 = `_pseudo_remainder(q, p)`, which
@@ -266,14 +261,10 @@ class Pair:
             raise ZeroDegree("the row polynomial must have degree >= 1")
         if Q.is_zero:
             raise ZeroDegree("the column polynomial must be nonzero")
-        for side, poly in (("row", P), ("column", Q)):
-            if poly.degree > MAX_DEGREE:
-                raise ResourceLimit(
-                    f"the {side} polynomial's degree {poly.degree} is above the degree budget {MAX_DEGREE}"
-                )
+        _within_budget("row", P.degree)
+        _within_budget("column", Q.degree)
         self.P, self.Q, self.n, self.m = P, Q, P.degree, Q.degree
-        self.p = _primitive(_clear_denominators(P.coeffs)[0])
-        self.q = _primitive(_clear_denominators(Q.coeffs)[0])
+        self.p, self.q = P.key, Q.key
         self.r0 = _pseudo_remainder(self.q, self.p) if self.m >= self.n else None
         self.resultant = _coprime_resultant(self.p, self.q, self.r0)
         # Keyed by identity: hashing a Polynomial hashes every coefficient.
@@ -365,15 +356,14 @@ def _closed_form(pair: Pair) -> EvalResult:
 
 # In verify's order.  Each route calls its engine through a module attribute at
 # call time, so a wrapper or monkeypatch installed there sees every call.  fes names its
-# result fes or fes_tilde and divides by Res(monic row polynomial, q) = Res(p, q) / lc(p)^m,
-# an exact division: p is lc(p) times a monic integer row polynomial.
+# result fes or fes_tilde; a row family's key p is its monic row polynomial.
 ROUTES = (
     Route("theorem1", lambda pair: _theorem1(pair)),
     Route("oracle", _oracle, work_text="m*n*2^n",
           work=lambda pair: 0 if pair.n > pair.m else pair.m * pair.n * 2**pair.n),
     Route("involution", _involution, work=lambda pair: pair.n * 2**pair.n, work_text="n*2^n"),
     Route("fes", lambda pair: fes_engine.banded_permanent(
-              *pair.family, pair.q, pair.resultant // pair.p[-1] ** pair.m),
+              *pair.family, pair.q, pair.resultant),
           applies=lambda pair: pair.family is not None,
           needs="a row polynomial of the form x^n - 1 or 1 + x + ... + x^(n-1)"),
     Route("closed_form", _closed_form, applies=lambda pair: pair.match is not None,
@@ -431,7 +421,7 @@ def verify(
     P: Polynomial,
     Q: Polynomial,
     tolerance: float = 1e-6,
-    oracle_cost_limit: int = 20_000_000,
+    oracle_cost_limit: int = ORACLE_COST_LIMIT,
 ) -> VerifyReport:
     """Evaluate the permanent by every route in ROUTES that applies, and compare.
 

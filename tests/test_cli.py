@@ -21,6 +21,7 @@ from scottperm.cli import (
     PolyExpr,
     _cmd_verify,
     _write_json,
+    bench_rows,
     main,
     parse_poly,
     _value_json,
@@ -607,6 +608,24 @@ class TestBenchCommand:
     def test_bad_range_text(self, capsys):
         assert error_json(capsys, 1, "bench", "5..2", "3")["error"] == "BadParams"
         assert error_json(capsys, 1, "bench", "abc", "3")["error"] == "BadParams"
+
+    def test_range_end_above_the_degree_budget_is_a_resource_limit(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "range", lambda *args: pytest.fail("the range was listed"), raising=False)
+        with pytest.raises(ResourceLimit, match="range end 1025 is above the degree budget 1024"):
+            cli._parse_range("2..1025")
+        monkeypatch.undo()
+        assert error_json(capsys, 5, "bench", "1025", "3")["error"] == "ResourceLimit"
+        assert cli._parse_range(f"{cli.MAX_DEGREE}") == [cli.MAX_DEGREE]
+
+    def test_oracle_leg_is_skipped_above_verifys_cost_limit(self, monkeypatch):
+        # The oracle's m*n*2^n DP steps: 15 * 41 * 2^15 is just above verify's default limit.
+        assert scott_engine.ORACLE_COST_LIMIT < 15 * 41 * 2**15
+        (over,) = bench_rows([15], [41], seed=3, max_n=20)
+        assert over["oracle_ms"] is None and over["agree"] is None and over["theorem1_ms"] > 0
+        monkeypatch.setattr(scott_engine, "ORACLE_COST_LIMIT", 4 * 4 * 2**4)
+        within, at, above = bench_rows([4, 4, 4], [3, 4, 5], seed=3, max_n=20)
+        assert within["agree"] is True and at["agree"] is True
+        assert above["oracle_ms"] is None and above["agree"] is None
 
 
 def _without_timings(payload):

@@ -1,6 +1,7 @@
 """Closed-form catalog: values, families, parameter handling, recognition."""
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -395,6 +396,19 @@ def _gate_pairs() -> list[tuple[Polynomial, Polynomial]]:
     )
 
 
+def _record_builds(monkeypatch) -> list[tuple[str, Polynomial, Polynomial]]:
+    """Each catalog family built from here on, as (entry id, P, Q)."""
+    builds = []
+    for entry in catalog_entries():
+        def family(params, entry=entry):
+            built = entry.family(params)
+            builds.append((entry.id, *built))
+            return built
+
+        monkeypatch.setitem(closed_catalog._REGISTRY, entry.id, dataclasses.replace(entry, family=family))
+    return builds
+
+
 class TestRecognition:
     def test_full_grid_is_recognized_consistently(self):
         total = 0
@@ -535,21 +549,35 @@ class TestRecognition:
         monkeypatch.setattr(fes_engine, "classify_row_polynomial", refuse)
         assert [find_matching(P, Q) for P, Q in pairs] == expected
 
-    def test_plus_one_rows_build_no_minus_one_family(self):
-        # P's sign tells x^3 + 1 from x^3 - 1 before any family is built.
-        minus_one = {e.family for e in catalog_entries() if e.family(e.grid[0])[0].coeff(0) < 0}
+    def test_plus_one_rows_build_no_minus_one_family(self, monkeypatch):
+        # P's key tells x^3 + 1 from x^3 - 1 before any family is built.
+        minus_one = {e.id for e in catalog_entries() if e.family(e.grid[0])[0].coeff(0) < 0}
         P = power_plus_one(3)
-        misses = compared = 0
-        for entry in catalog_entries():
-            for point in entry.grid:
-                shape = closed_catalog._Shape(P, entry.family(point)[1])
-                for reader in catalog_entries():
-                    closed_catalog._infer(reader, shape)
-                compared += len(shape.compared)
-                misses += sum(not hit for (family, *_), hit in shape.compared.items()
-                              if family in minus_one)
-        assert compared > 0
-        assert misses == 0
+        columns = [entry.family(point)[1] for entry in catalog_entries() for point in entry.grid]
+        builds = _record_builds(monkeypatch)
+        for Q in columns:
+            shape = closed_catalog._Shape(P, Q)
+            for reader in catalog_entries():
+                closed_catalog._infer(reader, shape)
+        assert len(builds) > 0
+        assert [entry_id for entry_id, _, _ in builds if entry_id in minus_one] == []
+
+    @pytest.mark.parametrize(
+        "P,proposed",
+        [
+            (Polynomial([-1, 0, 0, 2]), False),
+            (Polynomial([-2, 0, 0, 1]), False),
+            (Polynomial([1, 0, 0, -1]), True),
+            (Polynomial([-3, 0, 0, 3]), True),
+        ],
+        ids=["2x^3-1", "x^3-2", "-x^3+1", "3x^3-3"],
+    )
+    def test_minus_one_rows_are_those_classify_row_polynomial_names(self, P, proposed):
+        # The catalog's own x^n - 1 guard and the row-family recognizer agree.
+        shape = closed_catalog._Shape(P, Polynomial([5, 0, 1]))
+        assert list(closed_catalog._minus_one(lambda s, n: [n])(shape)) == ([3] if proposed else [])
+        family = fes_engine.RowFamily.POWER_MINUS_ONE
+        assert (classify_row_polynomial(P) == (family, 3)) is proposed
 
     @staticmethod
     def _scaled_params(entry_id: str, params: dict, Q: Polynomial, d: Fraction) -> dict:
@@ -585,12 +613,12 @@ class TestRecognition:
     def test_keys_are_equal_exactly_for_proportional_polynomials(self, coeffs, c):
         X = Polynomial(coeffs)
         assume(not X.is_zero and c != 0)
-        key = closed_catalog._key(X)
+        key = X.key
         assert key[-1] > 0 and math.gcd(*key) == 1 and len(key) == len(X.coeffs)
         assert all(Fraction(k, key[-1]) == x / X.leading for k, x in zip(key, X.coeffs))
-        assert closed_catalog._key(X * c) == key
+        assert (X * c).key == key
         if X.degree:  # X + 1 is then not proportional to X
-            assert closed_catalog._key(X + Polynomial([1])) != key
+            assert (X + Polynomial([1])).key != key
 
     @pytest.mark.parametrize("first_only", [True, False])
     def test_readers_build_no_failing_family(self, monkeypatch, first_only):
@@ -608,15 +636,21 @@ class TestRecognition:
         monkeypatch.setattr(closed_catalog, "_Shape", Recorded)
         if first_only:
             pairs = [entry.family(point) for entry in catalog_entries() for point in entry.grid]
-            assert all(Pair(P, Q).match is not None for P, Q in pairs)
         else:
             pairs = _gate_pairs()
-            for P, Q in pairs:
+        builds = _record_builds(monkeypatch)
+        failed = built = 0
+        for P, Q in pairs:
+            if first_only:
+                assert Pair(P, Q).match is not None
+            else:
                 find_matching(P, Q)
+            failed += sum(fp.key != P.key or fq.key != Q.key for _, fp, fq in builds)
+            built += len(builds)
+            builds.clear()
         assert len(shapes) == len(pairs)
-        builds = [hit for shape in shapes for hit in shape.compared.values()]
-        assert len(builds) >= 862
-        assert builds.count(False) == 0
+        assert built >= 862
+        assert failed == 0
 
     def test_unrelated_pair_matches_nothing(self):
         assert find_matching(Polynomial([2, 0, 1]), Polynomial([1, 1, 1])) == []

@@ -86,6 +86,18 @@ class TestPolynomial:
     def test_monic(self):
         assert Polynomial([2, 0, 4]).monic() == Polynomial([Fraction(1, 2), 0, 1])
 
+    def test_key_is_the_primitive_list_with_a_positive_lead(self):
+        assert Polynomial().key == []
+        assert Polynomial([4, 0, -6]).key == [-2, 0, 3]
+        P = Polynomial([Fraction(1, 2), Fraction(-2, 3), -5])
+        assert P.key == [-3, 4, 30]
+        assert P.key is P.key
+        for c in (Fraction(-7, 3), 10**12):
+            assert (P * c).key == P.key
+        # The kept key is no field: equality, hash and repr stay on the coefficients.
+        fresh = Polynomial(P.coeffs)
+        assert P == fresh and hash(P) == hash(fresh) and repr(P) == repr(fresh)
+
     def test_negation_subtraction_and_repr(self):
         p, q = Polynomial([1, Fraction(1, 2), 3]), Polynomial([4, 0, 3])
         assert -p == Polynomial([-1, Fraction(-1, 2), -3])

@@ -26,7 +26,8 @@ from scottperm import (
     special_resultant,
 )
 from scottperm import fes_engine
-from scottperm.errors import BadParams, ZeroDegree
+from scottperm.errors import BadParams, ResourceLimit, ZeroDegree
+from scottperm.exact_core import MAX_DEGREE
 from scottperm.fes_engine import all_ones_poly, power_minus_one
 from scottperm.scott_engine import evaluate
 from test_exact_core import degree_polys
@@ -320,6 +321,31 @@ class TestPerViaFes:
         assert result.value == Fraction(-3, 8)
         with pytest.raises(SharedRoot):
             per_via_fes(RowFamily.POWER_MINUS_ONE, 4, Polynomial.from_pairs([(0, 3), (6, -3)]))
+
+    @pytest.mark.parametrize("side", ["row", "column"])
+    def test_a_degree_above_the_budget_is_pairs_resource_limit(self, monkeypatch, side):
+        big = MAX_DEGREE + 1
+        n, Q = (big, Polynomial([3, 1])) if side == "row" else (3, Polynomial.from_pairs([(0, 2), (big, 1)]))
+        with pytest.raises(ResourceLimit) as routed:
+            evaluate(power_minus_one(n), Q, "fes")
+
+        def unreachable(*args):
+            raise AssertionError("work done on a polynomial above the degree budget")
+
+        monkeypatch.setattr(fes_engine, "power_minus_one", unreachable)
+        monkeypatch.setattr(fes_engine, "_coprime_resultant", unreachable)
+        with pytest.raises(ResourceLimit) as direct:
+            per_via_fes(RowFamily.POWER_MINUS_ONE, n, Q)
+        assert str(direct.value) == str(routed.value)
+        assert f"the {side} polynomial's degree 1025 is above" in str(direct.value)
+
+    def test_the_budget_is_admitted(self, monkeypatch):
+        # _bareiss only counts the rows, so no 1024 x 1024 determinant is taken.
+        monkeypatch.setattr(fes_engine, "_bareiss", len)
+        result = per_via_fes(RowFamily.POWER_MINUS_ONE, MAX_DEGREE, Polynomial([3, 1]))
+        assert (result.n, result.m) == (1024, 1)
+        column = Polynomial.from_pairs([(0, 3), (MAX_DEGREE, 1)])
+        assert per_via_fes(RowFamily.POWER_MINUS_ONE, 2, column).m == 1024
 
     def test_vanishes_with_more_rows_than_columns(self):
         result = per_via_fes(RowFamily.POWER_MINUS_ONE, 4, Polynomial([1, 0, 2]))

@@ -138,6 +138,11 @@ class TestFindRoots:
             expected = [float(c / p.leading) for c in reversed(p.coeffs)]
             assert [x.hex() for x in seen.pop()] == [x.hex() for x in expected]
 
+    @pytest.mark.parametrize("c", [Fraction(-2), Fraction(3, 7)])
+    def test_a_scaled_polynomial_has_the_same_roots(self, c):
+        P = Polynomial([Fraction(1, 3), -2, 0, 5, Fraction(7, 2)])
+        assert find_roots(P * c) == find_roots(P)
+
     def test_coefficients_past_float_range_overflow(self):
         p = Polynomial([10**400, Fraction(1, 3)])
         with pytest.raises(OverflowError):

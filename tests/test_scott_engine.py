@@ -355,7 +355,7 @@ def seeded_pairs(seed: int) -> list[tuple[str, Polynomial, Polynomial]]:
 
 
 class TestIntegerPair:
-    """`Pair` clears P and Q to integer lists once; every route's value and every
+    """`Pair` reads P's and Q's integer keys; every route's value and every
     SharedRoot equal those of the rational reference formulas."""
 
     @pytest.mark.parametrize("seed", range(4))
@@ -437,13 +437,35 @@ class TestIntegerPair:
             cleared.append(tuple(values))
             return original(values)
 
-        monkeypatch.setattr(scott_engine, "_clear_denominators", counted)
+        monkeypatch.setattr(exact_core, "_clear_denominators", counted)
         P, Q = Polynomial([Fraction(1, 2), 3, 2]), Polynomial([1, Fraction(-2, 3), 0, 5])
         pair = scott_engine.Pair(P, Q)
         assert (pair.p, pair.q) == ([1, 6, 4], [3, -2, 0, 15])
         for route in ("theorem1", "oracle", "involution"):
             scott_engine.ROUTES[[r.name for r in scott_engine.ROUTES].index(route)].evaluate(pair)
         assert cleared == [P.coeffs, Q.coeffs]
+
+    @pytest.mark.parametrize("method", ["verify", "closed:thm10"])
+    def test_a_catalog_pair_is_cleared_once(self, monkeypatch, method):
+        # Pair, the catalog's recognizer and find_roots read the same two keys.
+        cleared = []
+        original = exact_core._clear_denominators
+
+        def counted(values):
+            cleared.append(values)
+            return original(values)
+
+        for module in (exact_core, closed_catalog, fes_engine):  # each that imports it
+            monkeypatch.setattr(module, "_clear_denominators", counted)
+        P, Q = closed_catalog.catalog_family("thm10", n=2, r=1, a=(1, 2), b=(1, 1))
+        P, Q = P * Fraction(3, 2), Q * Fraction(-5, 7)
+        if method == "verify":
+            report = verify(P, Q)
+            assert report.all_agree
+            assert [o.value is not None for o in report.routes if o.method == "closed_form"] == [True]
+        else:
+            assert scott_engine.evaluate(P, Q, method).method == method
+        assert [sum(values is X.coeffs for values in cleared) for X in (P, Q)] == [1, 1]
 
 
     def test_content_is_divided_out(self, monkeypatch):
@@ -470,7 +492,7 @@ class TestIntegerPair:
             assert calls == [(p, q)]
             calls.clear()
             scaled = scott_engine.evaluate(P * content, Q * (-7 * content), route)
-            assert calls == [(p, [-c for c in q])]
+            assert calls == [(p, q)]  # keys have a positive lead
             assert (scaled.method, scaled.value) == (method, primitive.value)
             assert type(scaled.value) is Fraction
             if route == "fes":
@@ -503,7 +525,7 @@ class TestDegreeBudget:
         def unreachable(values):
             raise AssertionError("a coefficient list was cleared")
 
-        monkeypatch.setattr(scott_engine, "_clear_denominators", unreachable)
+        monkeypatch.setattr(exact_core, "_clear_denominators", unreachable)
         big = power_poly(scott_engine.MAX_DEGREE + 1, -1)
         P, Q = (big, Polynomial([2, 1])) if side == "row" else (Polynomial([2, 1]), big)
         with pytest.raises(ResourceLimit, match=f"the {side} polynomial's degree 1025 is above"):
