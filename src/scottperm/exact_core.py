@@ -2,7 +2,8 @@
 
 Every quantity on the exact evaluation path lives here: `Rational` (an
 arbitrary-precision fraction in canonical form), `Polynomial` (a dense
-coefficient tuple over `Rational`, low degree first, trailing zeros trimmed),
+coefficient tuple over `Rational`, low degree first, trailing zeros trimmed,
+whose `key` is the primitive integer form every integer-level reader takes),
 and `RationalMatrix` (dense, row-major).  On top of those sit power-series
 inversion, one fraction-free integer determinant kernel (`_bareiss`, Bareiss's
 three-step elimination: three columns per pass, four products and one exact
