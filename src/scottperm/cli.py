@@ -397,8 +397,8 @@ def bench_rows(
 ) -> list[dict[str, Any]]:
     """Timing rows for seeded random coprime instances, one per (n, m).
 
-    Where n <= max_n and the oracle route's work is within verify's default
-    oracle_cost_limit, the oracle and theorem1 legs of a row are timed together.
+    Where n <= max_n and the oracle route's work is within verify's
+    ORACLE_COST_LIMIT, the oracle and theorem1 legs of a row are timed together.
     """
     import random
 
@@ -415,10 +415,10 @@ def bench_rows(
     rows: list[dict[str, Any]] = []
     for n, m in zip(n_values, m_values):
         P, Q = numeric_oracle.random_coprime_pair(rng, n, m)
+        pair = scott_engine.Pair(P, Q)
         legs = [lambda: scott_engine.scott_permanent(P, Q)]
-        if n <= max_n and oracle_work(scott_engine.Pair(P, Q)) <= scott_engine.ORACLE_COST_LIMIT:
-            X = numeric_oracle.find_roots(P)
-            Y = numeric_oracle.find_roots(Q)
+        if n <= max_n and oracle_work(pair) <= scott_engine.ORACLE_COST_LIMIT:
+            X, Y = pair.roots(P), pair.roots(Q)
             legs.append(lambda: numeric_oracle.brute_permanent(X, Y))
         (exact, theorem1_ms), *oracle = _timed_best(*legs)
         row: dict[str, Any] = {

@@ -224,22 +224,22 @@ def _clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
 def series_inverse(p: Polynomial, order: int) -> list[Fraction]:
     """First order+1 coefficients of the formal power series 1/p(t).
 
-    Requires p(0) != 0.  The result c satisfies
-    p(t) * sum(c[i] t^i) == 1 (mod t^(order+1)).
+    Requires p(0) != 0.  The recurrence runs on p's key, over the integers; the
+    result c satisfies p(t) * sum(c[i] t^i) == 1 (mod t^(order+1)).
     """
     if p.is_zero or p.coeffs[0] == 0:
         raise ZeroConstantTerm("series inversion requires a nonzero constant term")
     if order < 0:
         raise ValueError("order must be nonnegative")
-    # With p = c / scale for integers c, g[k] = c0^(k+1) * [t^k] 1/c(t) is an
-    # integer: g[k] = -sum_i c[i] * c0^(i-1) * g[k-i].
-    c, scale = _clear_denominators(p.coeffs)
-    c0 = c[0]
+    # With p = s c for the key c and s = lc(p) / lc(c), g[k] = c0^(k+1) * [t^k] 1/c(t)
+    # is an integer: g[k] = -sum_i c[i] * c0^(i-1) * g[k-i].
+    c = p.key
+    c0, s = c[0], p.leading / c[-1]
     weights = [c[i] * c0 ** (i - 1) for i in range(1, len(c))]
     g = [1]
     for k in range(1, order + 1):
         g.append(-sum(map(mul, weights, g[k - 1 :: -1])))
-    return [Fraction(scale * gk, c0 ** (k + 1)) for k, gk in enumerate(g)]
+    return [Fraction(s.denominator * gk, s.numerator * c0 ** (k + 1)) for k, gk in enumerate(g)]
 
 
 @dataclass(frozen=True, init=False)
@@ -428,27 +428,24 @@ def sylvester_matrix(p: Polynomial, q: Polynomial) -> RationalMatrix:
 def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
     """lc(b)^(deg a - deg b + 1) * a mod b, with trailing zeros trimmed.
 
-    The lazy form: a step whose top coefficient is already 0 does not
-    multiply by lc(b), and the powers it skipped are made up once at the end.
+    a is scaled by that power once, not at all when lc(b) = 1: the quotient of
+    the scaled a by b then has integer coefficients (the pseudo-division
+    theorem), so each quotient digit is the top coefficient divided exactly by
+    lc(b), and each step updates only the deg b entries under the top.
     """
     lead = b[-1]
     low = b[:-1]
-    r = a[:]
-    skipped = 0
-    for shift in range(len(a) - len(b), -1, -1):
+    shifts = len(a) - len(b) + 1
+    r = a[:] if lead == 1 else [lead**shifts * c for c in a]
+    for shift in range(shifts - 1, -1, -1):
         t = r.pop()
-        if not t:
-            skipped += 1
-            continue
-        if lead != 1:
-            r = [lead * c for c in r]
-        for i, d in enumerate(low, shift):
-            r[i] -= t * d
+        if t:
+            if lead != 1:
+                t //= lead
+            for i, d in enumerate(low, shift):
+                r[i] -= t * d
     while r and not r[-1]:
         r.pop()
-    if skipped and lead != 1:
-        factor = lead**skipped
-        r = [factor * c for c in r]
     return r
 
 
@@ -508,17 +505,16 @@ def _subresultant(a: list[int], b: list[int], first: list[int] | None = None) ->
 def resultant(p: Polynomial, q: Polynomial) -> Fraction:
     """Res(p, q) = lc(p)^deg(q) * lc(q)^deg(p) * prod (x_i - y_j).
 
-    With p = A / L and q = B / M for integer A, B (`_clear_denominators`),
-    Res(p, q) = Res(A, B) / (L^deg(q) * M^deg(p)), and Res(A, B) is one
+    With p = s A and q = t B for the keys A, B and s = lc(p) / lc(A), t = lc(q) / lc(B),
+    Res(p, q) = s^deg(q) * t^deg(p) * Res(A, B), and Res(A, B) is one
     subresultant pseudo-remainder sequence over the integers (`_subresultant`);
     it is 0 as soon as a remainder vanishes.  The Sylvester matrix
     (`sylvester_matrix`) has the same determinant.
     """
     if p.is_zero or q.is_zero:
         raise ZeroPolynomial("resultant of the zero polynomial")
-    a, scale_a = _clear_denominators(p.coeffs)
-    b, scale_b = _clear_denominators(q.coeffs)
-    return Fraction(_subresultant(a, b), scale_a**q.degree * scale_b**p.degree)
+    a, b = p.key, q.key
+    return _subresultant(a, b) * (p.leading / a[-1]) ** q.degree * (q.leading / b[-1]) ** p.degree
 
 
 def _coprime_resultant(p: list[int], q: list[int], first: list[int] | None = None) -> int:

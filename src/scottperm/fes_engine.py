@@ -8,8 +8,8 @@ integer rows, and `exact_core._bareiss` takes the determinant.
 `banded_permanent` divides it by the integer resultant of the monic row
 polynomial with that same list: scaling Q by a constant scales the
 determinant and the resultant by the same factor, so the routes pass Q's key.
-`fes` and `fes_tilde` clear Q's denominators instead and divide the scale
-back out as a power of their lcm.
+`fes` and `fes_tilde` build their rows from Q's key too, and multiply the
+determinant back by a power of the one rational factor lc(Q) / lc(key).
 """
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ from .exact_core import (
     Polynomial,
     RationalMatrix,
     _bareiss,
-    _clear_denominators,
     _coprime_resultant,
     _within_budget,
 )
@@ -95,14 +94,15 @@ def _banded_rows(family: RowFamily, n: int, q: list[int]) -> list[list[int]]:
     return [[a - b for a, b in zip(rows[k][:-1], rows[k + 1])] for k in range(n - 1)]
 
 
-def _cleared_rows(family: RowFamily, n: int, Q: Polynomial) -> tuple[list[list[int]], int]:
-    """`_banded_rows` of Q with its denominators cleared, and their lcm L: the matrix is rows / L."""
-    q, scale = _clear_denominators(Q.coeffs)
-    return _banded_rows(family, n, q), scale
+def _key_rows(family: RowFamily, n: int, Q: Polynomial) -> tuple[list[list[int]], Fraction]:
+    """`_banded_rows` of Q's key, built first so that a zero Q is ZeroDegree, and the
+    factor s = lc(Q) / lc(key): the matrix is s * rows."""
+    rows = _banded_rows(family, n, Q.key)
+    return rows, Q.leading / Q.key[-1]
 
 
-def _as_matrix(rows: list[list[int]], scale: int) -> RationalMatrix:
-    return RationalMatrix.from_rows([[Fraction(v, scale) for v in row] for row in rows])
+def _as_matrix(rows: list[list[int]], factor: Fraction) -> RationalMatrix:
+    return RationalMatrix.from_rows([[v * factor for v in row] for row in rows])
 
 
 def fes_matrix(n: int, Q: Polynomial) -> RationalMatrix:
@@ -112,13 +112,13 @@ def fes_matrix(n: int, Q: Polynomial) -> RationalMatrix:
     row (r mod n, as a value in 1..n) with column values
     r*a_r, (r-1)*a_r, ..., (r-n+1)*a_r.
     """
-    return _as_matrix(*_cleared_rows(RowFamily.POWER_MINUS_ONE, n, Q))
+    return _as_matrix(*_key_rows(RowFamily.POWER_MINUS_ONE, n, Q))
 
 
 def fes(Q: Polynomial, n: int) -> Fraction:
     """Permanent numerator for rows x^n - 1: det of the broken-diagonal sum."""
-    rows, scale = _cleared_rows(RowFamily.POWER_MINUS_ONE, n, Q)
-    return Fraction(_bareiss(rows), scale**n)
+    rows, factor = _key_rows(RowFamily.POWER_MINUS_ONE, n, Q)
+    return _bareiss(rows) * factor**n
 
 
 def fes_tilde_matrix(n: int, Q: Polynomial) -> RationalMatrix:
@@ -128,13 +128,13 @@ def fes_tilde_matrix(n: int, Q: Polynomial) -> RationalMatrix:
     offset (r mod n) and subtracted at offset (r-1 mod n), both as values
     in 1..n.  An entry that would fall on row n is dropped.
     """
-    return _as_matrix(*_cleared_rows(RowFamily.ALL_ONES, n, Q))
+    return _as_matrix(*_key_rows(RowFamily.ALL_ONES, n, Q))
 
 
 def fes_tilde(Q: Polynomial, n: int) -> Fraction:
     """Permanent numerator for rows 1 + x + ... + x^(n-1)."""
-    rows, scale = _cleared_rows(RowFamily.ALL_ONES, n, Q)
-    return Fraction(_bareiss(rows), scale ** (n - 1))
+    rows, factor = _key_rows(RowFamily.ALL_ONES, n, Q)
+    return _bareiss(rows) * factor ** (n - 1)
 
 
 def special_resultant(

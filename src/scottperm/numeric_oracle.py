@@ -292,8 +292,9 @@ def random_coprime_pair(
     """A random pair of monic integer polynomials with no common factor.
 
     Coefficients are drawn uniformly from [-5, 5].  Candidates whose roots
-    for the first polynomial come closer than 1e-6 are rejected, so
-    downstream 1/(x_i - x_j) terms stay well conditioned.
+    for the first polynomial find_roots cannot certify (DidNotConverge, or its
+    OverflowError at a high degree), or come closer than 1e-6, are rejected,
+    so downstream 1/(x_i - x_j) terms stay well conditioned.
     """
     if deg_p < 1 or deg_q < 1:
         raise BadParams("both degrees must be at least 1")
@@ -304,7 +305,7 @@ def random_coprime_pair(
             continue
         try:
             roots = find_roots(p)
-        except DidNotConverge:
+        except (DidNotConverge, OverflowError):
             continue
         if any(
             abs(roots[i] - roots[j]) < 1e-6

@@ -239,7 +239,7 @@ class VerifyReport:
 ROUTE_FAILURES = (ScottPermError, ArithmeticError)
 
 
-# verify's default oracle_cost_limit, which `bench`'s oracle leg keeps to as well.
+# The float routes' DP work budget, which verify and `bench`'s oracle leg read when they run.
 ORACLE_COST_LIMIT = 20_000_000
 
 
@@ -315,7 +315,7 @@ class Pair:
 
 class Route(NamedTuple):
     """A way to evaluate a pair; `needs` says what `applies` asks for.  `work`
-    counts the DP steps verify limits by oracle_cost_limit; `work_text` names them."""
+    counts the DP steps verify limits by ORACLE_COST_LIMIT; `work_text` names them."""
 
     name: str
     evaluate: Callable[[Pair], EvalResult]
@@ -417,18 +417,14 @@ def evaluate(P: Polynomial, Q: Polynomial, method: str = "auto") -> EvalResult:
     return route.evaluate(pair)
 
 
-def verify(
-    P: Polynomial,
-    Q: Polynomial,
-    tolerance: float = 1e-6,
-    oracle_cost_limit: int = ORACLE_COST_LIMIT,
-) -> VerifyReport:
+def verify(P: Polynomial, Q: Polynomial, tolerance: float = 1e-6) -> VerifyReport:
     """Evaluate the permanent by every route in ROUTES that applies, and compare.
 
     Each route reports its own timing.  A route that fails with one of
     ROUTE_FAILURES, or returns a value that is not finite, contributes an
     error instead of a value; `Pair` raises SharedRoot before any runs.  A float
-    route is skipped when its DP work (m*n*2^n, n*2^n) exceeds oracle_cost_limit.
+    route is skipped when its DP work (m*n*2^n, n*2^n) exceeds ORACLE_COST_LIMIT,
+    read when verify runs.
     A tolerance that is not a finite number >= 0 is BadParams.
     """
     if not 0 <= tolerance < math.inf:
@@ -438,7 +434,7 @@ def verify(
     for route in ROUTES:
         if not route.applies(pair):
             continue
-        if route.work is not None and route.work(pair) > oracle_cost_limit:
+        if route.work is not None and route.work(pair) > ORACLE_COST_LIMIT:
             note = f"skipped: {route.work_text} exceeds oracle_cost_limit"
             outcomes.append(RouteOutcome(route.name, None, 0.0, None, (note,)))
             continue

@@ -617,6 +617,14 @@ class TestBenchCommand:
         assert error_json(capsys, 5, "bench", "1025", "3")["error"] == "ResourceLimit"
         assert cli._parse_range(f"{cli.MAX_DEGREE}") == [cli.MAX_DEGREE]
 
+    def test_a_large_n_row_draws_again_when_find_roots_overflows(self, capsys):
+        # Seed 2's first P of degree 500 overflows find_roots' residual check;
+        # the row draws another, and its oracle leg is skipped (n > --max-n).
+        code, out, err = run_cli(capsys, "bench", "500", "3", "--seed", "2")
+        assert code == 0, err
+        header, row = out.splitlines()
+        assert header == "n,m,oracle_ms,theorem1_ms,agree" and row.startswith("500,3,,")
+
     def test_oracle_leg_is_skipped_above_verifys_cost_limit(self, monkeypatch):
         # The oracle's m*n*2^n DP steps: 15 * 41 * 2^15 is just above verify's default limit.
         assert scott_engine.ORACLE_COST_LIMIT < 15 * 41 * 2**15

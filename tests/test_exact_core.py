@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scottperm import (
@@ -228,6 +228,37 @@ class TestSeriesInverse:
             assert product.coeff(k) == 0
 
 
+def _rational_poly(rng: random.Random, degree: int) -> Polynomial:
+    """A seeded polynomial with rational coefficients and a lead that is not 1."""
+    coeffs = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))) for _ in range(degree)]
+    return Polynomial(coeffs + [Fraction(rng.choice((-7, -3, -2, 2, 3, 5)), rng.choice((1, 2, 3, 4)))])
+
+
+class TestReferencesOnKeys:
+    """`resultant` and `series_inverse` run on the key and one rational factor;
+    on rational non-monic inputs they still equal their references, as Fractions."""
+
+    def test_resultant_is_the_sylvester_determinant(self):
+        rng = random.Random(31)
+        for _ in range(60):
+            p, q = _rational_poly(rng, rng.randint(0, 8)), _rational_poly(rng, rng.randint(0, 8))
+            value = resultant(p, q)
+            assert type(value) is Fraction
+            assert value == exact_det(sylvester_matrix(p, q)), (p, q)
+
+    def test_series_inverse_is_the_inverse_series(self):
+        rng = random.Random(32)
+        for _ in range(60):
+            p = _rational_poly(rng, rng.randint(0, 8))
+            if p.coeff(0) == 0:
+                p = p + Polynomial([Fraction(-5, 3)])
+            order = rng.randint(0, 20)
+            inverse = series_inverse(p, order)
+            assert len(inverse) == order + 1 and all(type(c) is Fraction for c in inverse)
+            product = poly_mul(p, Polynomial(inverse))
+            assert [product.coeff(k) for k in range(order + 1)] == [1] + [0] * order, p
+
+
 class TestResultant:
     def test_plus_minus_one_vs_squares_plus_one(self):
         assert resultant(X2_MINUS_1, X2_PLUS_1) == 4
@@ -377,6 +408,17 @@ def _kernel_pairs() -> dict[str, list[tuple[list[int], list[int]]]]:
 KERNEL_PAIRS = _kernel_pairs()
 
 
+@st.composite
+def pseudo_division_pairs(draw) -> tuple[list[int], list[int]]:
+    """(a, b) with deg a - deg b from 0 to 130, lc(b) in +-{1, 2, 3, 7}, and a
+    either x^k - 1 or sparse, its top coefficient possibly 0."""
+    b = draw(st.lists(st.integers(-5, 5), max_size=10)) + [draw(st.sampled_from([1, -1, 2, -2, 3, -3, 7, -7]))]
+    size = len(b) + draw(st.integers(0, 130))
+    if size > 1 and draw(st.booleans()):
+        return [-1] + [0] * (size - 2) + [1], b
+    return draw(st.lists(st.one_of(st.just(0), st.integers(-9, 9)), min_size=size, max_size=size)), b
+
+
 class TestSubresultantKernel:
     """`_subresultant` on integer lists against the Sylvester determinant, and
     `_pseudo_remainder` against `poly_divmod`."""
@@ -413,6 +455,21 @@ class TestSubresultantKernel:
                 a, b = b, a
             if len(a) > 1:
                 assert _subresultant(a, b, _pseudo_remainder(b, a)) == _subresultant(a, b)
+
+    @settings(max_examples=200)
+    @given(pseudo_division_pairs())
+    @example(([-1] + [0] * 130 + [1], [2, -7]))  # x^131 - 1 by a binomial: delta 130
+    @example(([-1] + [0] * 11 + [1], [5, 0, 0, 3]))
+    @example(([4, 0, 0, 0, 0], [1, 0, 2]))  # zero top: no step subtracts
+    @example(([3, -1, 5], [1, 2, -7]))  # delta 0
+    def test_pseudo_remainder_scales_a_once(self, pair):
+        # lc(b)^(delta+1) * a has an integer quotient by b, so its remainder is
+        # the pseudo-remainder, in integers.
+        a, b = pair
+        scale = b[-1] ** (len(a) - len(b) + 1)
+        _, expected = poly_divmod(Polynomial([scale * c for c in a]), Polynomial(b))
+        got = _pseudo_remainder(a, b)
+        assert got == list(expected.coeffs) and all(type(c) is int for c in got)
 
     @pytest.mark.parametrize("kind", KERNEL_PAIRS)
     def test_pseudo_remainder(self, kind):

@@ -15,6 +15,7 @@ from scottperm import (
     SharedRoot,
     ZeroLeadingCoefficient,
     classify_row_polynomial,
+    exact_det,
     fes,
     fes_matrix,
     fes_tilde,
@@ -165,6 +166,48 @@ class TestFesTilde:
     def test_needs_at_least_two_rows(self):
         with pytest.raises(ZeroDegree):
             fes_tilde_matrix(1, Polynomial([1, 1]))
+
+
+def _written_out(family: RowFamily, n: int, Q: Polynomial) -> list[list[Fraction]]:
+    """The broken-diagonal matrix from Q's coefficients as given: a_r puts (r - c) a_r
+    at row (r + c - 1) mod n, column c; the all-ones rows are each minus the next."""
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for r, a in enumerate(Q.coeffs):
+        for c in range(n):
+            rows[(r + c - 1) % n][c] += (r - c) * a
+    if family is RowFamily.POWER_MINUS_ONE:
+        return rows
+    return [[a - b for a, b in zip(rows[k][:-1], rows[k + 1])] for k in range(n - 1)]
+
+
+class TestReferencesOnKeys:
+    """fes, fes_tilde and their matrices build their rows from Q's key and scale
+    them by one rational factor; on rational non-monic Q they still equal the
+    written-out matrix, its determinant and theorem1's numerator, as Fractions."""
+
+    @pytest.mark.parametrize("family", list(RowFamily))
+    def test_rational_non_monic_columns(self, family):
+        rng = random.Random(31)
+        minus_one = family is RowFamily.POWER_MINUS_ONE
+        value, matrix = (fes, fes_matrix) if minus_one else (fes_tilde, fes_tilde_matrix)
+        for _ in range(30):
+            n = rng.randint(1 if minus_one else 2, 9)
+            coeffs = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))) for _ in range(rng.randint(n, n + 6))]
+            Q = Polynomial(coeffs + [Fraction(rng.choice((-7, -3, -2, 2, 3, 5)), rng.choice((1, 2, 3, 4)))])
+            det, rows = value(Q, n), matrix(n, Q)
+            assert type(det) is Fraction and all(type(v) is Fraction for v in rows.entries)
+            assert rows.to_lists() == _written_out(family, n, Q)
+            assert det == exact_det(rows)
+            P = power_minus_one(n) if minus_one else all_ones_poly(n)
+            if resultant(P, Q):
+                assert det / resultant(P, Q) == scott_permanent(P, Q).value, (n, Q)
+
+    @pytest.mark.parametrize("build", [fes, fes_tilde, lambda Q, n: fes_matrix(n, Q),
+                                       lambda Q, n: fes_tilde_matrix(n, Q)])
+    def test_a_zero_column_polynomial_is_zero_degree(self, build):
+        # The rows are built before Q's leading coefficient is read.
+        with pytest.raises(ZeroDegree, match="the column polynomial must be nonzero"):
+            build(Polynomial(), 3)
 
 
 class TestSpecialResultant:

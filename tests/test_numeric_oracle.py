@@ -379,6 +379,24 @@ class TestRandomCoprimePair:
                 for j in range(i + 1, len(X)):
                     assert abs(X[i] - X[j]) > 1e-6
 
+    def test_a_candidate_whose_roots_overflow_is_drawn_again(self, monkeypatch):
+        # find_roots' OverflowError, as at a high degree, rejects the candidate
+        # like DidNotConverge; the next candidate is the next draw of the rng.
+        original, overflowed = numeric_oracle.find_roots, []
+
+        def overflow_once(p):
+            if not overflowed:
+                overflowed.append(p)
+                raise OverflowError("|z|^3 overflows in the residual check")
+            return original(p)
+
+        monkeypatch.setattr(numeric_oracle, "find_roots", overflow_once)
+        P, Q = random_coprime_pair(random.Random(4), 3, 4)
+        rng = random.Random(4)
+        first = [rng.randint(-5, 5) for _ in range(3 + 4)]
+        assert overflowed == [Polynomial(first[:3] + [1])]
+        assert (P, Q) == random_coprime_pair(rng, 3, 4)
+
     @pytest.mark.parametrize("deg_p,deg_q", [(0, 2), (2, 0)])
     def test_degrees_must_be_positive(self, deg_p, deg_q):
         with pytest.raises(BadParams, match="at least 1"):

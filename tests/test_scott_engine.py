@@ -455,7 +455,7 @@ class TestIntegerPair:
             cleared.append(values)
             return original(values)
 
-        for module in (exact_core, closed_catalog, fes_engine):  # each that imports it
+        for module in (exact_core, closed_catalog):  # each that imports it
             monkeypatch.setattr(module, "_clear_denominators", counted)
         P, Q = closed_catalog.catalog_family("thm10", n=2, r=1, a=(1, 2), b=(1, 1))
         P, Q = P * Fraction(3, 2), Q * Fraction(-5, 7)
@@ -710,8 +710,9 @@ class TestVerify:
         assert "non-finite" in oracle.error
         assert report.all_agree
 
-    def test_oracle_skipped_beyond_cost_limit(self):
-        report = verify(power_poly(7, -1), power_poly(7, 2), oracle_cost_limit=1000)
+    def test_oracle_skipped_beyond_cost_limit(self, monkeypatch):
+        monkeypatch.setattr(scott_engine, "ORACLE_COST_LIMIT", 1000)
+        report = verify(power_poly(7, -1), power_poly(7, 2))
         oracle = next(route for route in report.routes if route.method == "oracle")
         assert oracle.value is None
         assert any("skipped" in note for note in oracle.notes)
@@ -725,8 +726,9 @@ class TestVerify:
             (7 * 2**7 - 1, set()),
         ],
     )
-    def test_float_routes_skipped_by_subset_dp_work(self, limit, ran):
-        report = verify(Polynomial([1, 2, 0, 0, 0, 0, 0, 1]), power_poly(7, 2), oracle_cost_limit=limit)
+    def test_float_routes_skipped_by_subset_dp_work(self, monkeypatch, limit, ran):
+        monkeypatch.setattr(scott_engine, "ORACLE_COST_LIMIT", limit)
+        report = verify(Polynomial([1, 2, 0, 0, 0, 0, 0, 1]), power_poly(7, 2))
         routes = {route.method: route for route in report.routes}
         for method in ("oracle", "involution"):
             route = routes[method]
