@@ -24,10 +24,9 @@ import re
 import sys
 import time
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, NoReturn, Sequence, TextIO
+from typing import Any, Callable, NamedTuple, NoReturn, Sequence, TextIO
 
 # closed_catalog and numeric_oracle load on first use, in catalog and bench.
 from . import scott_engine
@@ -39,9 +38,9 @@ class DegreeZeroWarning(UserWarning):
     """Emitted when a parsed polynomial is a constant (degree zero or zero)."""
 
 
-@dataclass(frozen=True)
-class PolyExpr:
-    """A parsed polynomial together with its source text and variable name."""
+class PolyExpr(NamedTuple):
+    """A parsed polynomial together with its source text and variable name, as an
+    immutable record (a named tuple)."""
 
     source: str
     parsed: Polynomial
@@ -309,30 +308,64 @@ def _cmd_eval(args: argparse.Namespace) -> Any:
     }
 
 
-def _cmd_verify(args: argparse.Namespace) -> Any:
+# The verify document's objects at their depths, as json.dumps(..., indent=2) lays them out.
+_VERIFY = ('{\n  "n": %s,\n  "m": %s,\n  "tolerance": %s,\n  "all_agree": %s,\n'
+           '  "routes": %s,\n  "agreements": %s\n}')
+_ROUTE = ('{\n      "method": %s,\n      "value": %s,\n      "error": %s,\n'
+          '      "elapsed_ms": %s,\n      "notes": %s\n    }')
+_AGREEMENT = '{\n      "a": %s,\n      "b": %s,\n      "gap": %s,\n      "agree": %s\n    }'
+_EXACT_VALUE = '{\n        "num": "%s",\n        "den": "%s"\n      }'
+_FLOAT_VALUE = '{\n        "re": %s,\n        "im": %s\n      }'
+
+
+def _json_list(items: list[str], newline: str) -> str:
+    """A JSON list of encoded items, each on a line indented two spaces past newline."""
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
+
+
+def _verify_document(report: scott_engine.VerifyReport) -> str:
+    """The verify document, written straight from the report's records with the
+    generic writer's scalar encoders: byte for byte json.dumps(payload, indent=2)
+    of the payload that holds n, m, tolerance, all_agree, each route's method,
+    value (_value_json), error, elapsed_ms (rounded to 3 places) and notes, and
+    each agreement's a, b, gap and agree."""
+    routes = []
+    for route in report.routes:
+        value = route.value
+        if value is None:
+            shown = "null"
+        elif isinstance(value, Fraction):
+            shown = _EXACT_VALUE % (_decimal(value.numerator), _decimal(value.denominator))
+        else:
+            z = complex(value)
+            shown = _FLOAT_VALUE % (_json_float(z.real), _json_float(z.imag))
+        routes.append(_ROUTE % (
+            encode_basestring_ascii(route.method),
+            shown,
+            "null" if route.error is None else encode_basestring_ascii(route.error),
+            _json_float(round(route.elapsed_ms, 3)),
+            _json_list([encode_basestring_ascii(note) for note in route.notes], "\n      "),
+        ))
+    agreements = [
+        _AGREEMENT % (encode_basestring_ascii(a), encode_basestring_ascii(b), _json_float(gap),
+                      "true" if ok else "false")
+        for a, b, gap, ok in report.agreements
+    ]
+    return _VERIFY % (
+        int.__repr__(report.n),
+        int.__repr__(report.m),
+        _json_float(report.tolerance),
+        "true" if report.all_agree else "false",
+        _json_list(routes, "\n  "),
+        _json_list(agreements, "\n  "),
+    )
+
+
+def _cmd_verify(args: argparse.Namespace) -> str:
     P = parse_poly(args.P).parsed
     Q = parse_poly(args.Q).parsed
-    report = scott_engine.verify(P, Q, tolerance=args.tolerance)
-    return {
-        "n": report.n,
-        "m": report.m,
-        "tolerance": report.tolerance,
-        "all_agree": report.all_agree,
-        "routes": [
-            {
-                "method": route.method,
-                "value": _value_json(route.value),
-                "error": route.error,
-                "elapsed_ms": round(route.elapsed_ms, 3),
-                "notes": list(route.notes),
-            }
-            for route in report.routes
-        ],
-        "agreements": [
-            {"a": a, "b": b, "gap": gap, "agree": ok}
-            for a, b, gap, ok in report.agreements
-        ],
-    }
+    return _verify_document(scott_engine.verify(P, Q, tolerance=args.tolerance))
 
 
 def _cmd_catalog(args: argparse.Namespace) -> Any:
@@ -398,7 +431,9 @@ def bench_rows(
     """Timing rows for seeded random coprime instances, one per (n, m).
 
     Where n <= max_n and the oracle route's work is within verify's
-    ORACLE_COST_LIMIT, the oracle and theorem1 legs of a row are timed together.
+    ORACLE_COST_LIMIT, the oracle and theorem1 legs of a row are timed together,
+    on a pair from random_coprime_pair; any other row draws its pair without
+    finding a root.
     """
     import random
 
@@ -414,10 +449,12 @@ def bench_rows(
     oracle_work = scott_engine._METHODS["oracle"].work
     rows: list[dict[str, Any]] = []
     for n, m in zip(n_values, m_values):
-        P, Q = numeric_oracle.random_coprime_pair(rng, n, m)
-        pair = scott_engine.Pair(P, Q)
+        timed = n <= max_n and oracle_work(n, m) <= scott_engine.ORACLE_COST_LIMIT
+        draw = numeric_oracle.random_coprime_pair if timed else numeric_oracle._random_monic_pair
+        P, Q = draw(rng, n, m)
         legs = [lambda: scott_engine.scott_permanent(P, Q)]
-        if n <= max_n and oracle_work(pair) <= scott_engine.ORACLE_COST_LIMIT:
+        if timed:
+            pair = scott_engine.Pair(P, Q)
             X, Y = pair.roots(P), pair.roots(Q)
             legs.append(lambda: numeric_oracle.brute_permanent(X, Y))
         (exact, theorem1_ms), *oracle = _timed_best(*legs)
@@ -526,7 +563,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     if failure is not None:
         _report("error", type(failure), failure)
         return getattr(failure, "exit_code", 1)
-    if payload is not None:
+    if isinstance(payload, str):  # verify's document, already rendered
+        sys.stdout.write(payload + "\n")
+    elif payload is not None:
         _write_json(sys.stdout, payload)
     return 0
 

@@ -16,7 +16,6 @@ No floating point enters any function in this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence, Union
@@ -62,13 +61,33 @@ def _to_rational(value: Coefficient) -> Fraction:
     raise TypeError(f"expected an int or Fraction, got {type(value).__name__}")
 
 
-@dataclass(frozen=True, init=False)
-class Polynomial:
+class _Frozen:
+    """An immutable value: its fields are set once, through object.__setattr__, and
+    equality and hash read the tuple that the subclass's `_fields()` returns, among
+    instances of one class."""
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Polynomial(_Frozen):
     """A univariate polynomial over Rational.
 
     `coeffs[i]` is the coefficient of the i-th power; trailing zeros are
     trimmed, so a nonzero polynomial's last coefficient is nonzero.  The zero
     polynomial is the empty tuple and has no degree (`degree` is None).
+    Equality, hash and repr read `coeffs` only.
     """
 
     coeffs: tuple[Fraction, ...]
@@ -80,6 +99,9 @@ class Polynomial:
         while values and values[-1] == 0:
             values.pop()
         object.__setattr__(self, "coeffs", tuple(values))
+
+    def _fields(self) -> tuple:
+        return (self.coeffs,)
 
     @property
     def degree(self) -> int | None:
@@ -242,9 +264,9 @@ def series_inverse(p: Polynomial, order: int) -> list[Fraction]:
     return [Fraction(s.denominator * gk, s.numerator * c0 ** (k + 1)) for k, gk in enumerate(g)]
 
 
-@dataclass(frozen=True, init=False)
-class RationalMatrix:
-    """Dense matrix over Rational, stored row-major."""
+class RationalMatrix(_Frozen):
+    """Dense matrix over Rational, stored row-major; equality, hash and repr read
+    rows, cols and entries."""
 
     rows: int
     cols: int
@@ -257,6 +279,12 @@ class RationalMatrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", values)
+
+    def _fields(self) -> tuple:
+        return (self.rows, self.cols, self.entries)
+
+    def __repr__(self) -> str:
+        return f"RationalMatrix(rows={self.rows!r}, cols={self.cols!r}, entries={self.entries!r})"
 
     @staticmethod
     def from_rows(data: Sequence[Sequence[Coefficient]]) -> RationalMatrix:

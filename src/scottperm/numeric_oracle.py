@@ -8,8 +8,8 @@ second subset DP (O(n * 2^n)); Ryser's formula as a square-case reference;
 and bordered Cauchy / Borchardt determinants.  None of these functions is
 used by the exact evaluators; they exist so independent routes can be
 compared numerically.  numpy is imported inside the functions that use it
-(find_roots and the bordered determinants), so importing this module, and
-the package, does not load it.
+(find_roots' seeds and the bordered determinants), so importing this module,
+and the package, does not load it.
 """
 from __future__ import annotations
 
@@ -38,21 +38,41 @@ def _horner(coeffs_desc: Sequence[complex], z: complex) -> complex:
     return acc
 
 
+def _root_seeds(monic_desc: list[float]) -> list[complex]:
+    """numpy.roots(monic_desc) as a list, bit for bit, without its checks and copies.
+
+    For a monic list numpy.roots does exactly this: trailing zero coefficients
+    give exact 0j roots, after the eigenvalues (LAPACK, through
+    numpy.linalg.eigvals) of the companion matrix of the rest, which has ones
+    below the diagonal and first row -monic_desc[1:].
+    """
+    import numpy as np
+
+    size = len(monic_desc) - 1
+    while not monic_desc[size]:
+        size -= 1
+    seeds = [0j] * (len(monic_desc) - 1 - size)
+    if size:
+        companion = np.eye(size, k=-1)
+        companion[0] = [-c for c in monic_desc[1 : size + 1]]
+        seeds[:0] = np.linalg.eigvals(companion).astype(complex).tolist()
+    return seeds
+
+
 def find_roots(p: Polynomial) -> list[complex]:
     """All complex roots of p, with multiplicity, as companion-matrix eigenvalues.
 
-    numpy.roots (LAPACK) seeds the estimates; each is polished by a couple of
-    guarded Newton steps and must pass a relative residual check, otherwise
-    DidNotConverge is raised; a root past the float range for that check is
-    an OverflowError that names it.  The value of p at the current estimate is
-    carried from step to step, so a root costs 3 evaluations of p and at most
-    2 of p'.  Roots are returned sorted by (real, imag) so repeated calls agree
-    exactly.
+    `_root_seeds` gives the estimates, those of numpy.roots for the monic
+    float coefficients; each is polished by at most two guarded Newton steps,
+    stopping at the first refused one, and must pass a relative residual
+    check, otherwise DidNotConverge is raised; a root past the float range for
+    that check is an OverflowError that names it.  The value of p at the
+    current estimate is carried from step to step, so a root costs at most 3
+    evaluations of p and 2 of p'.  Roots are returned sorted by (real, imag)
+    so repeated calls agree exactly.
     """
     if p.degree is None or p.degree < 1:
         raise ZeroDegree("root finding needs degree >= 1")
-    import numpy as np
-
     n, key = p.degree, p.key
     # float(c / lead) as one correctly rounded int / int on the key, whose lead
     # is positive, so a zero c gives 0.0, not -0.0.
@@ -61,7 +81,7 @@ def find_roots(p: Polynomial) -> list[complex]:
     deriv_desc = [monic_desc[i] * (n - i) for i in range(n)]
 
     polished = []
-    for z in np.roots(monic_desc).astype(complex).tolist():
+    for z in _root_seeds(monic_desc):
         value = _horner(monic_desc, z)
         for _ in range(2):
             dp = _horner(deriv_desc, z)
@@ -69,8 +89,9 @@ def find_roots(p: Polynomial) -> list[complex]:
                 break
             candidate = z - value / dp
             candidate_value = _horner(monic_desc, candidate)
-            if abs(candidate_value) < abs(value):
-                z, value = candidate, candidate_value
+            if not abs(candidate_value) < abs(value):  # a second step would refuse it again
+                break
+            z, value = candidate, candidate_value
         try:
             residual = abs(value) / (1.0 + abs(z) ** n)
         except OverflowError:  # the errno text of float ** names neither the root nor the check
@@ -217,15 +238,22 @@ def involution_sum(X: Sequence[complex], Y: Sequence[complex]) -> complex:
 
     The fixed-point weight at x_k is
     sum over other x of 1/(x - x_k) + sum over y of 1/(x_k - y).
-    Valid for any number of y values, including fewer than x values.
+    Valid for any number of y values, including fewer than x values.  The
+    y terms of x_k are row k of one reciprocal difference matrix, built at the
+    first charge, so involution_weighted_sum's RepeatedXRoot comes before any
+    SingularEntry.
     """
+    a: list[list[complex]] = []
+
     def charge(k: int) -> complex:
+        if not a:
+            a.extend(_reciprocal_difference_matrix(X, Y))
         s = X[k]
         acc = 0j
         for i, x in enumerate(X):
             if i != k:
                 acc += 1.0 / (x - s)
-        for term in _reciprocal_difference_matrix([s], Y)[0]:
+        for term in a[k]:
             acc += term
         return acc
 
@@ -284,6 +312,20 @@ def borchardt_matrix_det(X: Sequence[complex], Y: Sequence[complex]) -> complex:
     return _bordered_det(X, Y, 2)
 
 
+def _random_monic_pair(
+    rng: random.Random, deg_p: int, deg_q: int
+) -> tuple[Polynomial, Polynomial]:
+    """A random pair of monic integer polynomials with no common factor,
+    coefficients drawn uniformly from [-5, 5]; no root is found."""
+    if deg_p < 1 or deg_q < 1:
+        raise BadParams("both degrees must be at least 1")
+    while True:
+        p = Polynomial([rng.randint(-5, 5) for _ in range(deg_p)] + [1])
+        q = Polynomial([rng.randint(-5, 5) for _ in range(deg_q)] + [1])
+        if resultant(p, q) != 0:
+            return p, q
+
+
 def random_coprime_pair(
     rng: random.Random,
     deg_p: int,
@@ -296,13 +338,8 @@ def random_coprime_pair(
     OverflowError at a high degree), or come closer than 1e-6, are rejected,
     so downstream 1/(x_i - x_j) terms stay well conditioned.
     """
-    if deg_p < 1 or deg_q < 1:
-        raise BadParams("both degrees must be at least 1")
     while True:
-        p = Polynomial([rng.randint(-5, 5) for _ in range(deg_p)] + [1])
-        q = Polynomial([rng.randint(-5, 5) for _ in range(deg_q)] + [1])
-        if resultant(p, q) == 0:
-            continue
+        p, q = _random_monic_pair(rng, deg_p, deg_q)
         try:
             roots = find_roots(p)
         except (DidNotConverge, OverflowError):

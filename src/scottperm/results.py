@@ -1,14 +1,12 @@
 """`EvalResult`, what every route returns: a leaf module, so every module can import it."""
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 Value = Union[Fraction, complex]
 
 
-@dataclass(frozen=True)
-class EvalResult:
-    """Outcome of one evaluation route."""
+class EvalResult(NamedTuple):
+    """Outcome of one evaluation route: an immutable record (a named tuple)."""
 
     value: Value
     method: str

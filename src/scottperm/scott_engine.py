@@ -24,7 +24,6 @@ import cmath
 import functools
 import math
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -189,17 +188,26 @@ def relative_gap(a: Value, b: Value) -> float:
     """
     if not (_finite(a) and _finite(b)):
         return math.inf
-    if isinstance(a, (float, complex)) or isinstance(b, (float, complex)):
-        try:
-            za, zb = complex(a), complex(b)
-        except OverflowError:  # an exact value beyond the float range
-            pass
-        else:
-            size = max(1.0, abs(za), abs(zb))
-            if size < _FLOAT_GAP_LIMIT:
-                gap = abs(za - zb) / size
-                if gap:
-                    return gap
+    return _gap(a, _as_complex(a), b, _as_complex(b))
+
+
+def _as_complex(z: Value) -> complex | None:
+    """complex(z), or None for an exact value beyond the float range."""
+    try:
+        return complex(z)
+    except OverflowError:
+        return None
+
+
+def _gap(a: Value, za: complex | None, b: Value, zb: complex | None) -> float:
+    """relative_gap of finite a and b, given their `_as_complex` forms."""
+    if (za is not None and zb is not None
+            and (isinstance(a, (float, complex)) or isinstance(b, (float, complex)))):
+        size = max(1.0, abs(za), abs(zb))
+        if size < _FLOAT_GAP_LIMIT:
+            gap = abs(za - zb) / size
+            if gap:
+                return gap
     if a == b:
         return 0.0
     ar, ai = _exact_parts(a)
@@ -210,8 +218,10 @@ def relative_gap(a: Value, b: Value) -> float:
     return math.sqrt(gap_squared)
 
 
-@dataclass(frozen=True)
-class RouteOutcome:
+class RouteOutcome(NamedTuple):
+    """One route's part of a verify report, an immutable record (a named tuple): its
+    value, or None when it failed (error says why) or was skipped (notes say why)."""
+
     method: str
     value: Value | None
     elapsed_ms: float
@@ -219,13 +229,15 @@ class RouteOutcome:
     notes: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
+    """What verify returns, an immutable record (a named tuple): the route outcomes in
+    ROUTES order, and (a, b, gap, agreed) for each pair of routes that gave a value."""
+
     n: int
     m: int
     tolerance: float
     routes: tuple[RouteOutcome, ...]
-    agreements: tuple[tuple[str, str, float, bool], ...] = field(default=())
+    agreements: tuple[tuple[str, str, float, bool], ...] = ()
 
     @property
     def all_agree(self) -> bool:
@@ -314,14 +326,14 @@ class Pair:
 
 
 class Route(NamedTuple):
-    """A way to evaluate a pair; `needs` says what `applies` asks for.  `work`
+    """A way to evaluate a pair; `needs` says what `applies` asks for.  `work(n, m)`
     counts the DP steps verify limits by ORACLE_COST_LIMIT; `work_text` names them."""
 
     name: str
     evaluate: Callable[[Pair], EvalResult]
     applies: Callable[[Pair], bool] = lambda pair: True
     needs: str = ""
-    work: Callable[[Pair], int] | None = None
+    work: Callable[[int, int], int] | None = None
     work_text: str = ""
 
 
@@ -359,9 +371,8 @@ def _closed_form(pair: Pair) -> EvalResult:
 # result fes or fes_tilde; a row family's key p is its monic row polynomial.
 ROUTES = (
     Route("theorem1", lambda pair: _theorem1(pair)),
-    Route("oracle", _oracle, work_text="m*n*2^n",
-          work=lambda pair: 0 if pair.n > pair.m else pair.m * pair.n * 2**pair.n),
-    Route("involution", _involution, work=lambda pair: pair.n * 2**pair.n, work_text="n*2^n"),
+    Route("oracle", _oracle, work_text="m*n*2^n", work=lambda n, m: 0 if n > m else m * n * 2**n),
+    Route("involution", _involution, work=lambda n, m: n * 2**n, work_text="n*2^n"),
     Route("fes", lambda pair: fes_engine.banded_permanent(
               *pair.family, pair.q, pair.resultant),
           applies=lambda pair: pair.family is not None,
@@ -434,7 +445,7 @@ def verify(P: Polynomial, Q: Polynomial, tolerance: float = 1e-6) -> VerifyRepor
     for route in ROUTES:
         if not route.applies(pair):
             continue
-        if route.work is not None and route.work(pair) > ORACLE_COST_LIMIT:
+        if route.work is not None and route.work(pair.n, pair.m) > ORACLE_COST_LIMIT:
             note = f"skipped: {route.work_text} exceeds oracle_cost_limit"
             outcomes.append(RouteOutcome(route.name, None, 0.0, None, (note,)))
             continue
@@ -450,11 +461,12 @@ def verify(P: Polynomial, Q: Polynomial, tolerance: float = 1e-6) -> VerifyRepor
         elapsed = (time.perf_counter() - start) * 1000.0
         outcomes.append(RouteOutcome(method, value, elapsed, error, notes))
 
-    agreements: list[tuple[str, str, float, bool]] = []
-    valued = [o for o in outcomes if o.value is not None]
-    for i in range(len(valued)):
-        for j in range(i + 1, len(valued)):
-            gap = relative_gap(valued[i].value, valued[j].value)
-            agreements.append((valued[i].method, valued[j].method, gap, gap <= tolerance))
+    # Each value converts to complex once, for all the pairs it is in.
+    valued = [(o.method, o.value, _as_complex(o.value)) for o in outcomes if o.value is not None]
+    agreements = []
+    for i, (a, va, za) in enumerate(valued):
+        for b, vb, zb in valued[i + 1:]:
+            gap = _gap(va, za, vb, zb)
+            agreements.append((a, b, gap, gap <= tolerance))
 
     return VerifyReport(pair.n, pair.m, tolerance, tuple(outcomes), tuple(agreements))

@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import random
 import re
 import subprocess
 import sys
@@ -15,7 +16,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scottperm import ParseError, Polynomial, ResourceLimit, cli, scott_engine
+from scottperm import (
+    ParseError,
+    Polynomial,
+    ResourceLimit,
+    catalog_entries,
+    catalog_family,
+    cli,
+    numeric_oracle,
+    scott_engine,
+)
 from scottperm.cli import (
     DegreeZeroWarning,
     PolyExpr,
@@ -617,13 +627,44 @@ class TestBenchCommand:
         assert error_json(capsys, 5, "bench", "1025", "3")["error"] == "ResourceLimit"
         assert cli._parse_range(f"{cli.MAX_DEGREE}") == [cli.MAX_DEGREE]
 
-    def test_a_large_n_row_draws_again_when_find_roots_overflows(self, capsys):
-        # Seed 2's first P of degree 500 overflows find_roots' residual check;
-        # the row draws another, and its oracle leg is skipped (n > --max-n).
+    def test_a_large_n_row_prints_one_row_without_its_oracle_leg(self, capsys):
+        # The oracle leg is skipped (n > --max-n), so the pair is drawn without
+        # finding a root (seed 2's first P of degree 500 would overflow find_roots).
         code, out, err = run_cli(capsys, "bench", "500", "3", "--seed", "2")
         assert code == 0, err
         header, row = out.splitlines()
         assert header == "n,m,oracle_ms,theorem1_ms,agree" and row.startswith("500,3,,")
+
+    def test_a_row_without_its_oracle_leg_finds_no_root(self, monkeypatch):
+        monkeypatch.setattr(numeric_oracle, "find_roots", lambda p: pytest.fail("find_roots was called"))
+        (row,) = bench_rows([600], [3], seed=2, max_n=10)
+        assert row["oracle_ms"] is None and row["agree"] is None and row["theorem1_ms"] > 0
+
+    def test_only_rows_that_time_the_oracle_reject_close_roots(self, monkeypatch):
+        drawn, original = [], scott_engine.scott_permanent
+
+        def recorded(P, Q):
+            if not drawn or drawn[-1] != (P, Q):
+                drawn.append((P, Q))
+            return original(P, Q)
+
+        monkeypatch.setattr(scott_engine, "scott_permanent", recorded)
+        timed, skipped, timed_again = bench_rows([3, 12, 4], [3, 3, 5], seed=5, max_n=10)
+        assert timed["agree"] is True and skipped["agree"] is None and timed_again["agree"] is True
+        rng = random.Random(5)
+        assert drawn == [
+            numeric_oracle.random_coprime_pair(rng, 3, 3),
+            numeric_oracle._random_monic_pair(rng, 12, 3),
+            numeric_oracle.random_coprime_pair(rng, 4, 5),
+        ]
+
+    def test_seed_0_rows_are_those_of_random_coprime_pairs(self, capsys):
+        # Every row of `bench 2..8 2..8 --seed 0` times the oracle, so each draws
+        # its pair with random_coprime_pair: the columns that do not time are fixed.
+        code, out, err = run_cli(capsys, "bench", "2..8", "2..8", "--seed", "0")
+        assert code == 0, err
+        columns = [line.split(",")[:2] + line.split(",")[4:] for line in out.splitlines()]
+        assert columns == [["n", "m", "agree"]] + [[str(n), str(n), "true"] for n in range(2, 9)]
 
     def test_oracle_leg_is_skipped_above_verifys_cost_limit(self, monkeypatch):
         # The oracle's m*n*2^n DP steps: 15 * 41 * 2^15 is just above verify's default limit.
@@ -917,13 +958,14 @@ class TestJsonWriter:
         assert stream.getvalue() == json.dumps(payload, indent=2) + "\n"
 
     def test_verify_report_with_an_error_route_and_a_skipped_route(self):
-        payload = _cmd_verify(argparse.Namespace(P="x^18 - 6x^9 + 9", Q="y^18 + 2", tolerance=1e-6))
+        text = _cmd_verify(argparse.Namespace(P="x^18 - 6x^9 + 9", Q="y^18 + 2", tolerance=1e-6))
+        payload = json.loads(text)
         routes = {route["method"]: route for route in payload["routes"]}
         assert routes["involution"]["error"].startswith("RepeatedXRoot")
         assert routes["oracle"]["notes"][0].startswith("skipped")
         stream = io.StringIO()
         _write_json(stream, payload)
-        assert stream.getvalue() == json.dumps(payload, indent=2) + "\n"
+        assert stream.getvalue() == text + "\n"
 
     def test_unknown_type_is_a_type_error(self):
         with pytest.raises(TypeError, match="not JSON serializable"):
@@ -964,6 +1006,91 @@ class TestJsonWriter:
                 assert written() == dumped()
             finally:
                 sys.set_int_max_str_digits(limit)
+
+
+def verify_payload(report: scott_engine.VerifyReport) -> dict:
+    """The verify document as a dict, field by field from the report: the reference
+    that json.dumps(..., indent=2) prints and the rendered document must equal."""
+    return {
+        "n": report.n,
+        "m": report.m,
+        "tolerance": report.tolerance,
+        "all_agree": report.all_agree,
+        "routes": [
+            {
+                "method": route.method,
+                "value": _value_json(route.value),
+                "error": route.error,
+                "elapsed_ms": round(route.elapsed_ms, 3),
+                "notes": list(route.notes),
+            }
+            for route in report.routes
+        ],
+        "agreements": [
+            {"a": a, "b": b, "gap": gap, "agree": ok} for a, b, gap, ok in report.agreements
+        ],
+    }
+
+
+class TestVerifyDocument:
+    @staticmethod
+    def recording(monkeypatch) -> list:
+        """The reports that scott_engine.verify returns from here on, in order."""
+        reports, original = [], scott_engine.verify
+
+        def recorded(*args, **kwargs):
+            reports.append(original(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(scott_engine, "verify", recorded)
+        return reports
+
+    def test_every_catalog_pair_prints_the_document_of_its_report(self, capsys, monkeypatch):
+        reports = self.recording(monkeypatch)
+        for entry in catalog_entries():
+            for point in entry.grid:
+                P, Q = catalog_family(entry.id, **point)
+                code, out, err = run_cli(capsys, "verify", "--", render_poly(P, "x"), render_poly(Q, "y"))
+                assert code == 0, err
+                assert out == json.dumps(verify_payload(reports[-1]), indent=2) + "\n", (entry.id, point)
+        assert len(reports) == 862
+
+    def test_a_random_pair_prints_the_document_of_its_report(self, capsys, monkeypatch):
+        reports = self.recording(monkeypatch)
+        code, out, err = run_cli(capsys, "verify", "x^7 - 3x^2 + x - 2", "y^7 + 2y^5 - y + 4")
+        assert code == 0, err
+        (report,) = reports
+        assert [route.error for route in report.routes] == [None, None, None]
+        assert out == json.dumps(verify_payload(report), indent=2) + "\n"
+
+    # theorem1's numerator has 5001 digits, more than str() gives by default (4300).
+    ROUTES = (
+        scott_engine.RouteOutcome("theorem1", Fraction(-(10**5000) - 1, 3), 12.34567),
+        scott_engine.RouteOutcome(
+            "oracle", None, 0.0, None, ("skipped: m*n*2^n exceeds oracle_cost_limit",)
+        ),
+        scott_engine.RouteOutcome(
+            "involution", None, 0.0004, 'DidNotConverge: "z" at C:\\tmp\\ is naïve ∑ \U0001f600 \x00\t/'
+        ),
+        scott_engine.RouteOutcome("fes", complex(-0.0, 5e-324), 1e-05),
+        scott_engine.RouteOutcome("closed_form", Fraction(7), 3.0, None, ("matched thm10", "é \"two\"")),
+    )
+
+    @pytest.mark.parametrize(
+        "report",
+        [
+            scott_engine.VerifyReport(3, 5, 1e-06, ROUTES, ()),
+            scott_engine.VerifyReport(
+                3, 5, 0.5, ROUTES,
+                (("theorem1", "fes", 1.0, False), ("theorem1", "closed_form", 2.5e-17, True)),
+            ),
+            scott_engine.VerifyReport(1, 1, 1e-06, ROUTES[1:2], ()),
+            scott_engine.VerifyReport(0, 0, 1e-06, (), ()),
+        ],
+        ids=["no agreements", "agreements", "skipped only", "no routes"],
+    )
+    def test_hand_built_reports(self, report):
+        assert cli._verify_document(report) == json.dumps(verify_payload(report), indent=2)
 
 
 class TestExactValuesOfAnySize:

@@ -98,6 +98,20 @@ class TestPolynomial:
         fresh = Polynomial(P.coeffs)
         assert P == fresh and hash(P) == hash(fresh) and repr(P) == repr(fresh)
 
+    def test_immutable_value_semantics(self):
+        # What a frozen dataclass over `coeffs` gave: equality within the class
+        # only, the hash of (coeffs,), and no attribute set or deleted.
+        P = Polynomial([1, Fraction(1, 2)])
+        assert P == Polynomial([1, Fraction(1, 2), 0]) and P != Polynomial([1])
+        assert P != P.coeffs and P.__eq__(P.coeffs) is NotImplemented
+        assert hash(P) == hash((P.coeffs,))
+        assert len({P, Polynomial([1, Fraction(1, 2)])}) == 1
+        with pytest.raises(AttributeError, match="cannot assign to field 'coeffs'"):
+            P.coeffs = ()
+        with pytest.raises(AttributeError, match="cannot delete field 'coeffs'"):
+            del P.coeffs
+        assert P.coeffs == (1, Fraction(1, 2))
+
     def test_negation_subtraction_and_repr(self):
         p, q = Polynomial([1, Fraction(1, 2), 3]), Polynomial([4, 0, 3])
         assert -p == Polynomial([-1, Fraction(-1, 2), -3])
@@ -191,6 +205,19 @@ _TWO_BY_THREE = RationalMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
 def test_error_contracts(call, error):
     with pytest.raises(error):
         call()
+
+
+def test_rational_matrix_is_an_immutable_value():
+    # What a frozen dataclass over rows, cols and entries gave.
+    M = RationalMatrix.from_rows([[1, Fraction(1, 2)]])
+    assert M == RationalMatrix(1, 2, [1, Fraction(1, 2)]) and M != RationalMatrix(2, 1, [1, Fraction(1, 2)])
+    assert M.__eq__((1, 2, M.entries)) is NotImplemented
+    assert hash(M) == hash((1, 2, M.entries))
+    assert repr(M) == "RationalMatrix(rows=1, cols=2, entries=(Fraction(1, 1), Fraction(1, 2)))"
+    with pytest.raises(AttributeError, match="cannot assign to field 'rows'"):
+        M.rows = 2
+    with pytest.raises(AttributeError, match="cannot delete field 'entries'"):
+        del M.entries
 
 
 class TestPolyDivmod:

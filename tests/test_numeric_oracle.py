@@ -115,7 +115,7 @@ class TestFindRoots:
     def test_bad_seed_fails_the_residual_check(self, monkeypatch):
         # Newton cannot leave z = 0 on x^2 - 4 (p'(0) = 0), so only the
         # residual check stands between the bad seed and the caller.
-        monkeypatch.setattr(np, "roots", lambda c: np.zeros(len(c) - 1, dtype=complex))
+        monkeypatch.setattr(numeric_oracle, "_root_seeds", lambda c: [0j] * (len(c) - 1))
         with pytest.raises(DidNotConverge):
             find_roots(Polynomial([-4, 0, 1]))
 
@@ -124,7 +124,7 @@ class TestFindRoots:
         # Bitwise, -0.0 included: the integer division in find_roots rounds the
         # same rational as float(c / p.leading).
         seen = []
-        monkeypatch.setattr(np, "roots", lambda c: seen.append(list(c)) or np.zeros(0))
+        monkeypatch.setattr(numeric_oracle, "_root_seeds", lambda c: seen.append(list(c)) or [])
         rng = random.Random(seed)
 
         def rational(digits: int) -> Fraction:
@@ -137,6 +137,64 @@ class TestFindRoots:
             find_roots(p)
             expected = [float(c / p.leading) for c in reversed(p.coeffs)]
             assert [x.hex() for x in seen.pop()] == [x.hex() for x in expected]
+
+    @staticmethod
+    def _seeded_polynomials(kind: str, rng: random.Random) -> list[Polynomial]:
+        def rational() -> Fraction:
+            return Fraction(rng.randint(-(10**6), 10**6), rng.randint(1, 10 ** rng.randint(1, 6)))
+
+        polys = []
+        for _ in range(150):
+            n = 1 if kind == "degree 1" else rng.randint(2, 9)
+            if kind == "zero roots":
+                zeros = rng.randint(1, n)
+                coeffs = [0] * zeros + [rng.randint(-5, 5) for _ in range(n - zeros)] + [rng.randint(1, 5)]
+            elif kind == "non-monic":
+                coeffs = [rng.randint(-5, 5) for _ in range(n)] + [rng.choice([-7, -2, 3, 10])]
+            else:  # degree 1 and rational
+                coeffs = [rational() for _ in range(n)] + [rational() or 1]
+            polys.append(Polynomial(coeffs))
+        # A nonzero constant term that underflows to 0.0 counts as a zero root, as in numpy.roots.
+        polys.append(Polynomial([1, 0, 10**400]))
+        return polys
+
+    @pytest.mark.parametrize("kind", ["degree 1", "zero roots", "rational", "non-monic"])
+    def test_seeds_are_those_of_numpy_roots_bit_for_bit(self, kind, monkeypatch):
+        calls, original = [], numeric_oracle._root_seeds
+
+        def recorded(monic_desc):
+            seeds = original(monic_desc)
+            calls.append((list(monic_desc), seeds))
+            return seeds
+
+        monkeypatch.setattr(numeric_oracle, "_root_seeds", recorded)
+        for p in self._seeded_polynomials(kind, random.Random(kind)):
+            try:
+                find_roots(p)
+            except DidNotConverge:  # the seeds are compared all the same
+                pass
+        assert len(calls) == 151
+        for monic_desc, seeds in calls:
+            expected = np.roots(monic_desc).astype(complex).tolist()
+            assert all(type(z) is complex for z in seeds)
+            assert [(z.real.hex(), z.imag.hex()) for z in seeds] == [
+                (z.real.hex(), z.imag.hex()) for z in expected
+            ], monic_desc
+
+    def test_a_refused_newton_step_ends_the_polishing(self, monkeypatch):
+        # At an exact root the step goes nowhere and is refused; a second step
+        # would take the same p'(z) and refuse the same candidate.
+        calls = {3: 0, 2: 0}
+        original = numeric_oracle._horner
+
+        def counted(coeffs_desc, z):
+            calls[len(coeffs_desc)] += 1
+            return original(coeffs_desc, z)
+
+        monkeypatch.setattr(numeric_oracle, "_root_seeds", lambda c: [2 + 0j, -2 + 0j])
+        monkeypatch.setattr(numeric_oracle, "_horner", counted)
+        assert find_roots(Polynomial([-4, 0, 1])) == [-2 + 0j, 2 + 0j]
+        assert calls == {3: 4, 2: 2}
 
     @pytest.mark.parametrize("c", [Fraction(-2), Fraction(3, 7)])
     def test_a_scaled_polynomial_has_the_same_roots(self, c):
@@ -308,6 +366,27 @@ class TestInvolutionSum:
     def test_repeated_x_roots_are_found_before_a_singular_entry(self):
         with pytest.raises(RepeatedXRoot):
             involution_sum([1.0, 1.0 + 1e-13], [1.0])
+
+    def test_a_singular_entry_in_a_later_row_has_brute_permanents_message(self):
+        X, Y = [1.0, 3.0], [7.0, 3.0 + 1e-13]
+        with pytest.raises(SingularEntry) as brute:
+            brute_permanent(X, Y)
+        with pytest.raises(SingularEntry) as involution:
+            involution_sum(X, Y)
+        assert str(involution.value) == str(brute.value)
+        assert "x=3.0" in str(involution.value)
+
+    def test_one_reciprocal_difference_matrix_per_sum(self, monkeypatch):
+        calls, original = [], numeric_oracle._reciprocal_difference_matrix
+
+        def recorded(X, Y, power=1):
+            calls.append((list(X), list(Y), power))
+            return original(X, Y, power)
+
+        monkeypatch.setattr(numeric_oracle, "_reciprocal_difference_matrix", recorded)
+        X, Y = [0.5, 1.5j, -2.0, 3.0 + 1.0j], [0.25, -1.0, 2.0j, 4.0, -3.0j]
+        involution_sum(X, Y)
+        assert calls == [(X, Y, 1)]
 
     def test_fixed_point_weight_adds_its_terms_in_order(self):
         # sum over other x of 1/(x - x_k), then over y of 1/(x_k - y), term by

@@ -54,3 +54,18 @@ def test_gallery_loads_without_the_catalog():
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_the_cli_imports_without_dataclasses():
+    # Polynomial, RationalMatrix and the records are plain classes and named
+    # tuples, so the command line's start-up loads neither dataclasses nor
+    # inspect; the catalog and the gallery, loaded on first use, keep theirs.
+    script = (
+        "import sys\n"
+        "import scottperm.cli\n"
+        "assert not [m for m in ('dataclasses', 'inspect') if m in sys.modules], 'cli'\n"
+        "import scottperm.closed_catalog\n"
+        "assert 'dataclasses' in sys.modules, 'catalog'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -16,6 +16,7 @@ from scottperm import (
     EvalResult,
     Polynomial,
     ResourceLimit,
+    RouteOutcome,
     SharedRoot,
     VerifyReport,
     ZeroDegree,
@@ -643,6 +644,32 @@ class TestVerify:
     def test_shared_root_raises(self):
         with pytest.raises(SharedRoot):
             verify(power_poly(2, -1), power_poly(2, -1))
+
+    def test_agreements_are_the_relative_gaps_of_the_values(self, monkeypatch):
+        # verify converts each value to complex once, for all its pairs, and each
+        # gap is still relative_gap's.
+        conversions, original = [], scott_engine._as_complex
+
+        def counted(z):
+            conversions.append(z)
+            return original(z)
+
+        monkeypatch.setattr(scott_engine, "_as_complex", counted)
+        report = verify(power_poly(3, -1), power_poly(4, 1))
+        values = {route.method: route.value for route in report.routes}
+        assert len(values) == 5 and len(conversions) == 5 and len(report.agreements) == 10
+        monkeypatch.undo()
+        for a, b, gap, ok in report.agreements:
+            assert gap == relative_gap(values[a], values[b]) and ok is (gap <= 1e-6)
+
+    def test_records_are_named_tuples(self):
+        result = EvalResult(Fraction(1), "theorem1", 1, 1)
+        assert result.notes == () and result == (Fraction(1), "theorem1", 1, 1, ())
+        outcome = RouteOutcome("oracle", None, 0.0)
+        assert outcome.error is None and outcome.notes == ()
+        assert VerifyReport(1, 1, 1e-6, (outcome,)).agreements == ()
+        with pytest.raises(AttributeError):
+            result.value = Fraction(2)
 
     def test_resultant_computed_once(self, monkeypatch):
         # Every resultant on the route path is one integer subresultant sequence,
