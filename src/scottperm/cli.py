@@ -26,7 +26,7 @@ import time
 import warnings
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, NamedTuple, NoReturn, Sequence, TextIO
+from typing import Any, Callable, NamedTuple, NoReturn, Sequence
 
 # closed_catalog and numeric_oracle load on first use, in catalog and bench.
 from . import scott_engine
@@ -141,18 +141,34 @@ def _reject(text: str, m: re.Match, grammar: tuple, variable: str | None) -> NoR
 
 
 def _read_sum(text: str) -> tuple[Polynomial, str]:
+    """Each term is read in place from its match.  A term out of place, or with a
+    value that _term refuses (a digit run past int(), a zero denominator, a second
+    name, an exponent outside 1..MAX_DEGREE), goes to _reject, which raises its error."""
     table: dict[int, int | Fraction] = {}
     variable, pos, end = None, 0, len(text)
     while True:
         m = _TERM.match(text, pos)
-        groups = sign, num, slash, den, star, name, caret, exp = m.groups()
+        sign, num, slash, den, star, name, caret, exp = m.groups()
         pos = m.end()
-        if not ((num or name) and (not (slash or den) or num and slash and den)
-                and (not star or num and name) and (not (caret or exp) or name and caret and exp)
-                and (pos == end or text[pos] in "+-")):
+        try:
+            if not ((num or name) and (not (slash or den) or num and slash and den)
+                    and (not star or num and name) and (not (caret or exp) or name and caret and exp)
+                    and (pos == end or text[pos] in "+-")):
+                raise ValueError
+            coeff = int(num) if num else 1
+            if den:
+                coeff = Fraction(coeff, int(den))  # ZeroDivisionError for a zero denominator
+            exponent = 0
+            if name:
+                if name != variable and (variable is not None or not name.isalpha()):
+                    raise ValueError
+                exponent = int(exp) if exp else 1
+                if not 0 < exponent <= MAX_DEGREE:
+                    raise ValueError
+        except (ValueError, ZeroDivisionError):
             _reject(text, m, _SUM, variable)
-        exponent, coeff, variable = _term(text, m, groups, variable)
-        table[exponent] = table.get(exponent, 0) + coeff
+        variable = name or variable
+        table[exponent] = table.get(exponent, 0) + (-coeff if sign == "-" else coeff)
         if pos == end:
             break
     return Polynomial([table.get(k, _ZERO) for k in range(max(table) + 1)]), variable or "x"
@@ -226,52 +242,6 @@ def _json_float(value: float) -> str:
     return _JSON_NONFINITE.get(text, text)
 
 
-# The scalar encoders, by exact type, all in C but _json_float; a subclass such as
-# a str Enum takes _json's isinstance tests.
-_JSON_SCALARS: dict[type, Callable[[Any], str]] = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    float: _json_float,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): {None: "null"}.__getitem__,
-}
-
-
-def _write_json(stream: TextIO, payload: Any) -> None:
-    """Write payload and a newline in one write, byte for byte as json.dumps(payload,
-    indent=2) would, which encodes piece by piece in pure Python.  Here a dict or
-    list is one join, and each scalar in it is written in place, not by a call of _json."""
-    stream.write(_json(payload, "\n") + "\n")
-
-
-def _json(value: Any, newline: str) -> str:
-    """value as JSON, its inner lines indented two spaces past newline; keys are str.
-    Only containers recurse: each scalar in one is written by its _JSON_SCALARS entry."""
-    encode = _JSON_SCALARS.get(type(value))
-    if encode:
-        return encode(value)
-    inner, items = newline + "  ", []
-    if isinstance(value, dict):
-        for k, v in value.items():
-            encode = _JSON_SCALARS.get(type(v))
-            items.append(encode_basestring_ascii(k) + ": " + (encode(v) if encode else _json(v, inner)))
-        ends = "{}"
-    elif isinstance(value, (list, tuple)):
-        for v in value:
-            encode = _JSON_SCALARS.get(type(v))
-            items.append(encode(v) if encode else _json(v, inner))
-        ends = "[]"
-    elif isinstance(value, str):
-        return encode_basestring_ascii(value)
-    elif isinstance(value, int):
-        return int.__repr__(value)
-    elif isinstance(value, float):
-        return _json_float(value)
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    return ends[0] + inner + ("," + inner).join(items) + newline + ends[1] if items else ends
-
-
 def _decimal(n: int) -> str:
     """n in base 10 at any size: str() refuses more digits than the process-wide
     sys.get_int_max_str_digits(), so a larger n is split with divmod."""
@@ -283,39 +253,17 @@ def _decimal(n: int) -> str:
         return ("-" if n < 0 else "") + _decimal(high) + _decimal(low).zfill(half)
 
 
-def _value_json(value: Any) -> dict[str, Any] | None:
+def _json_value(value: Any, newline: str) -> str:
+    """A value as its document field holds it, its lines indented two spaces past
+    newline: null, {"num", "den"} of a Fraction in decimal strings, or {"re", "im"}."""
     if value is None:
-        return None
+        return "null"
+    inner = newline + "  "
     if isinstance(value, Fraction):
-        return {"num": _decimal(value.numerator), "den": _decimal(value.denominator)}
+        num, den = _decimal(value.numerator), _decimal(value.denominator)
+        return f'{{{inner}"num": "{num}",{inner}"den": "{den}"{newline}}}'
     z = complex(value)
-    return {"re": z.real, "im": z.imag}
-
-
-def _cmd_eval(args: argparse.Namespace) -> Any:
-    P = parse_poly(args.P).parsed
-    Q = parse_poly(args.Q).parsed
-    start = time.perf_counter()
-    result = scott_engine.evaluate(P, Q, args.method)
-    elapsed_ms = (time.perf_counter() - start) * 1000
-    return {
-        "n": result.n,
-        "m": result.m,
-        "method": result.method,
-        "value": _value_json(result.value),
-        "elapsed_ms": round(elapsed_ms, 3),
-        "notes": list(result.notes),
-    }
-
-
-# The verify document's objects at their depths, as json.dumps(..., indent=2) lays them out.
-_VERIFY = ('{\n  "n": %s,\n  "m": %s,\n  "tolerance": %s,\n  "all_agree": %s,\n'
-           '  "routes": %s,\n  "agreements": %s\n}')
-_ROUTE = ('{\n      "method": %s,\n      "value": %s,\n      "error": %s,\n'
-          '      "elapsed_ms": %s,\n      "notes": %s\n    }')
-_AGREEMENT = '{\n      "a": %s,\n      "b": %s,\n      "gap": %s,\n      "agree": %s\n    }'
-_EXACT_VALUE = '{\n        "num": "%s",\n        "den": "%s"\n      }'
-_FLOAT_VALUE = '{\n        "re": %s,\n        "im": %s\n      }'
+    return f'{{{inner}"re": {_json_float(z.real)},{inner}"im": {_json_float(z.imag)}{newline}}}'
 
 
 def _json_list(items: list[str], newline: str) -> str:
@@ -324,29 +272,56 @@ def _json_list(items: list[str], newline: str) -> str:
     return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
 
 
+def _json_notes(notes: Sequence[str], newline: str) -> str:
+    return _json_list([encode_basestring_ascii(note) for note in notes], newline)
+
+
+# The eval and verify documents' objects at their depths, as json.dumps(..., indent=2)
+# lays them out; the documents are written straight from their records with the
+# scalar encoders encode_basestring_ascii, int.__repr__, _json_float and _decimal.
+_EVAL = ('{\n  "n": %s,\n  "m": %s,\n  "method": %s,\n  "value": %s,\n  "elapsed_ms": %s,\n'
+         '  "notes": %s\n}')
+_VERIFY = ('{\n  "n": %s,\n  "m": %s,\n  "tolerance": %s,\n  "all_agree": %s,\n'
+           '  "routes": %s,\n  "agreements": %s\n}')
+_ROUTE = ('{\n      "method": %s,\n      "value": %s,\n      "error": %s,\n'
+          '      "elapsed_ms": %s,\n      "notes": %s\n    }')
+_AGREEMENT = '{\n      "a": %s,\n      "b": %s,\n      "gap": %s,\n      "agree": %s\n    }'
+
+
+def _cmd_eval(args: argparse.Namespace) -> str:
+    """The eval document: byte for byte json.dumps(payload, indent=2) of the payload
+    that holds the result's n, m, method, value, elapsed_ms (rounded to 3 places)
+    and notes."""
+    P = parse_poly(args.P).parsed
+    Q = parse_poly(args.Q).parsed
+    start = time.perf_counter()
+    result = scott_engine.evaluate(P, Q, args.method)
+    elapsed_ms = (time.perf_counter() - start) * 1000
+    return _EVAL % (
+        int.__repr__(result.n),
+        int.__repr__(result.m),
+        encode_basestring_ascii(result.method),
+        _json_value(result.value, "\n  "),
+        _json_float(round(elapsed_ms, 3)),
+        _json_notes(result.notes, "\n  "),
+    )
+
+
 def _verify_document(report: scott_engine.VerifyReport) -> str:
-    """The verify document, written straight from the report's records with the
-    generic writer's scalar encoders: byte for byte json.dumps(payload, indent=2)
-    of the payload that holds n, m, tolerance, all_agree, each route's method,
-    value (_value_json), error, elapsed_ms (rounded to 3 places) and notes, and
-    each agreement's a, b, gap and agree."""
-    routes = []
-    for route in report.routes:
-        value = route.value
-        if value is None:
-            shown = "null"
-        elif isinstance(value, Fraction):
-            shown = _EXACT_VALUE % (_decimal(value.numerator), _decimal(value.denominator))
-        else:
-            z = complex(value)
-            shown = _FLOAT_VALUE % (_json_float(z.real), _json_float(z.imag))
-        routes.append(_ROUTE % (
+    """The verify document: byte for byte json.dumps(payload, indent=2) of the
+    payload that holds n, m, tolerance, all_agree, each route's method, value,
+    error, elapsed_ms (rounded to 3 places) and notes, and each agreement's a, b,
+    gap and agree."""
+    routes = [
+        _ROUTE % (
             encode_basestring_ascii(route.method),
-            shown,
+            _json_value(route.value, "\n      "),
             "null" if route.error is None else encode_basestring_ascii(route.error),
             _json_float(round(route.elapsed_ms, 3)),
-            _json_list([encode_basestring_ascii(note) for note in route.notes], "\n      "),
-        ))
+            _json_notes(route.notes, "\n      "),
+        )
+        for route in report.routes
+    ]
     agreements = [
         _AGREEMENT % (encode_basestring_ascii(a), encode_basestring_ascii(b), _json_float(gap),
                       "true" if ok else "false")
@@ -368,13 +343,13 @@ def _cmd_verify(args: argparse.Namespace) -> str:
     return _verify_document(scott_engine.verify(P, Q, tolerance=args.tolerance))
 
 
-def _cmd_catalog(args: argparse.Namespace) -> Any:
+def _cmd_catalog(args: argparse.Namespace) -> str:
     from . import closed_catalog
 
     entries = closed_catalog.catalog_entries()
     if args.id is not None:
         entries = (closed_catalog.get_entry(args.id),)
-    return [
+    return json.dumps([
         {
             "id": entry.id,
             "params": list(entry.param_names),
@@ -383,7 +358,7 @@ def _cmd_catalog(args: argparse.Namespace) -> Any:
             "grid_points": len(entry.grid),
         }
         for entry in entries
-    ]
+    ], indent=2)
 
 
 def _parse_range(text: str) -> list[int]:
@@ -432,7 +407,8 @@ def bench_rows(
 
     Where n <= max_n and the oracle route's work is within verify's
     ORACLE_COST_LIMIT, the oracle and theorem1 legs of a row are timed together,
-    on a pair from random_coprime_pair; any other row draws its pair without
+    on a pair from random_coprime_pair's draws, whose close-root test finds P's
+    roots once for the oracle leg too; any other row draws its pair without
     finding a root.
     """
     import random
@@ -450,12 +426,13 @@ def bench_rows(
     rows: list[dict[str, Any]] = []
     for n, m in zip(n_values, m_values):
         timed = n <= max_n and oracle_work(n, m) <= scott_engine.ORACLE_COST_LIMIT
-        draw = numeric_oracle.random_coprime_pair if timed else numeric_oracle._random_monic_pair
-        P, Q = draw(rng, n, m)
+        if timed:
+            P, Q, X = numeric_oracle._random_separated_pair(rng, n, m)
+            Y = numeric_oracle.find_roots(Q)
+        else:
+            P, Q = numeric_oracle._random_monic_pair(rng, n, m)
         legs = [lambda: scott_engine.scott_permanent(P, Q)]
         if timed:
-            pair = scott_engine.Pair(P, Q)
-            X, Y = pair.roots(P), pair.roots(Q)
             legs.append(lambda: numeric_oracle.brute_permanent(X, Y))
         (exact, theorem1_ms), *oracle = _timed_best(*legs)
         row: dict[str, Any] = {
@@ -473,16 +450,16 @@ def bench_rows(
     return rows
 
 
-def _cmd_bench(args: argparse.Namespace) -> Any:
+def _cmd_bench(args: argparse.Namespace) -> str:
     rows = bench_rows(_parse_range(args.n_range), _parse_range(args.m_range), args.seed, args.max_n)
     if args.json:
-        return rows
-    sys.stdout.write("n,m,oracle_ms,theorem1_ms,agree\n")
+        return json.dumps(rows, indent=2)
+    lines = ["n,m,oracle_ms,theorem1_ms,agree"]
     for row in rows:
         oracle = "" if row["oracle_ms"] is None else f"{row['oracle_ms']}"
         agree = "" if row["agree"] is None else str(row["agree"]).lower()
-        sys.stdout.write(f"{row['n']},{row['m']},{oracle},{row['theorem1_ms']},{agree}\n")
-    return None
+        lines.append(f"{row['n']},{row['m']},{oracle},{row['theorem1_ms']},{agree}")
+    return "\n".join(lines)
 
 
 # Entry point ---------------------------------------------------------------
@@ -544,7 +521,7 @@ def _report(key: str, kind: type, detail: object) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    payload = failure = None
+    output = failure = None
     # The caller's filters still pick the warnings; each one they let through
     # becomes one JSON line on stderr, as an error does.
     with warnings.catch_warnings(record=True) as shown:
@@ -555,7 +532,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             # on; parser itself reads only an empty argv, help or an unknown command.
             command = commands.get(argv[0]) if argv else None
             args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
-            payload = args.func(args)
+            output = args.func(args)
         except scott_engine.ROUTE_FAILURES as exc:
             failure = exc
     for warning in shown:
@@ -563,10 +540,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if failure is not None:
         _report("error", type(failure), failure)
         return getattr(failure, "exit_code", 1)
-    if isinstance(payload, str):  # verify's document, already rendered
-        sys.stdout.write(payload + "\n")
-    elif payload is not None:
-        _write_json(sys.stdout, payload)
+    sys.stdout.write(output + "\n")  # each command's document, JSON or bench's CSV
     return 0
 
 

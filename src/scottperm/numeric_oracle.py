@@ -63,13 +63,14 @@ def find_roots(p: Polynomial) -> list[complex]:
     """All complex roots of p, with multiplicity, as companion-matrix eigenvalues.
 
     `_root_seeds` gives the estimates, those of numpy.roots for the monic
-    float coefficients; each is polished by at most two guarded Newton steps,
-    stopping at the first refused one, and must pass a relative residual
-    check, otherwise DidNotConverge is raised; a root past the float range for
-    that check is an OverflowError that names it.  The value of p at the
-    current estimate is carried from step to step, so a root costs at most 3
-    evaluations of p and 2 of p'.  Roots are returned sorted by (real, imag)
-    so repeated calls agree exactly.
+    float coefficients; a nonzero coefficient that underflows to 0.0 there is
+    DidNotConverge, naming its power.  Each estimate is polished by at most two
+    guarded Newton steps, stopping at the first refused one, and must pass a
+    relative residual check, otherwise DidNotConverge is raised; a root past
+    the float range for that check is an OverflowError that names it.  The
+    value of p at the current estimate is carried from step to step, so a root
+    costs at most 3 evaluations of p and 2 of p'.  Roots are returned sorted by
+    (real, imag) so repeated calls agree exactly.
     """
     if p.degree is None or p.degree < 1:
         raise ZeroDegree("root finding needs degree >= 1")
@@ -78,6 +79,13 @@ def find_roots(p: Polynomial) -> list[complex]:
     # is positive, so a zero c gives 0.0, not -0.0.
     lead = key[-1]
     monic_desc = [c / lead for c in reversed(key)]
+    if 0.0 in monic_desc:
+        # A nonzero c that rounds to 0.0 would be taken for a zero coefficient:
+        # the seeds would count it as zero roots, and the residual check, in
+        # the same floats, would pass them.
+        for k, c in enumerate(key):
+            if c and not monic_desc[n - k]:
+                raise DidNotConverge(f"the x^{k} coefficient of the monic form underflows to 0.0")
     deriv_desc = [monic_desc[i] * (n - i) for i in range(n)]
 
     polished = []
@@ -338,6 +346,14 @@ def random_coprime_pair(
     OverflowError at a high degree), or come closer than 1e-6, are rejected,
     so downstream 1/(x_i - x_j) terms stay well conditioned.
     """
+    return _random_separated_pair(rng, deg_p, deg_q)[:2]
+
+
+def _random_separated_pair(
+    rng: random.Random, deg_p: int, deg_q: int
+) -> tuple[Polynomial, Polynomial, list[complex]]:
+    """random_coprime_pair's pair, from the same draws, with the first
+    polynomial's roots that its rejection test found."""
     while True:
         p, q = _random_monic_pair(rng, deg_p, deg_q)
         try:
@@ -350,7 +366,7 @@ def random_coprime_pair(
             for j in range(i + 1, deg_p)
         ):
             continue
-        return p, q
+        return p, q, roots
 
 
 def unit_roots(n: int, sign: int = 1) -> list[complex]:

@@ -13,8 +13,8 @@ primitive integer coefficient lists p and q (`Polynomial.key`), and every exact
 route works on those: Res(p, q) = lc(p)^m lc(q)^n Res.  The numerator is taken
 from det G, with G = Bez(p, r1) - d/dx Bez(p, r0) and r0, r1 the
 pseudo-remainders of q, q' mod p: det G = (-1)^(n(n-1)/2) (lc(p)^(m-n+2) lc(q))^n Res det(H @ E), so the
-permanent is +-det G / (lc(p)^((n-1)(m-n)+n) Res(p, q)), and no root, monic
-form, H or E is built.  `ROUTES` is the one table of this and every other
+permanent is +-det G / (lc(p)^((n-1)(m-n)+n) Res(p, q)), or +-det(G / lc(p)) /
+Res(p, q) for n = m, and no root, monic form, H or E is built.  `ROUTES` is the one table of this and every other
 route (each returns an `EvalResult`, from the leaf module `results`):
 `evaluate` runs one by name, `verify` all that apply.
 """
@@ -144,15 +144,22 @@ def scott_permanent(P: Polynomial, Q: Polynomial) -> EvalResult:
 
 
 def _theorem1(pair: Pair) -> EvalResult:
-    """scott_permanent of a checked pair: +-det G / (lc(p)^((n-1)(m-n)+n) Res(p, q))."""
+    """scott_permanent of a checked pair: +-det G / (lc(p)^((n-1)(m-n)+n) Res(p, q)),
+    which is +-det(G / lc(p)) / Res(p, q) for n = m, where lc(p) divides every
+    entry of G.  Whether it divides G for m > n is not proven, so G is kept whole there."""
     n, m, p = pair.n, pair.m, pair.p
     if n > m:
         return EvalResult(Fraction(0), "theorem1", n, m, ("n > m: permanent vanishes",))
-    det = _bareiss(_theorem1_rows(p, pair.q, pair.r0))
+    rows, a, power = _theorem1_rows(p, pair.q, pair.r0), p[-1], (n - 1) * (m - n) + n
+    if n == m and a != 1:
+        # r1 = a q' and r0 = a q - q_n p, so G = a (Bez(p, q') - d/dx Bez(p, q)):
+        # G / a has n fewer factors a in its determinant, and smaller entries.
+        rows, power = [[g // a for g in row] for row in rows], 0
+    det = _bareiss(rows)
     # det G / ((-1)^(n(n-1)/2) (lc(p)^(m-n+2) lc(q))^n) over Res(p, q) / (lc(p)^m lc(q)^n).
     if n * (n - 1) // 2 % 2:
         det = -det
-    value = Fraction(det, p[-1] ** ((n - 1) * (m - n) + n) * pair.resultant)
+    value = Fraction(det, a**power * pair.resultant)
     return EvalResult(value, "theorem1", n, m)
 
 

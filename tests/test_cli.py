@@ -2,7 +2,8 @@
 from __future__ import annotations
 
 import argparse
-import io
+import hashlib
+import importlib.util
 import json
 import random
 import re
@@ -11,12 +12,15 @@ import sys
 import time
 import warnings
 from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scottperm import (
+    EvalResult,
     ParseError,
     Polynomial,
     ResourceLimit,
@@ -30,14 +34,11 @@ from scottperm.cli import (
     DegreeZeroWarning,
     PolyExpr,
     _cmd_verify,
-    _write_json,
     bench_rows,
     main,
     parse_poly,
-    _value_json,
     render_poly,
 )
-from scottperm.fes_engine import RowFamily
 
 from test_closed_catalog import ALL_IDS
 
@@ -159,6 +160,39 @@ NON_DECIMAL_DIGITS = [("x^²", 2), ("²x", 0), ("x²", 1), ("x + y²", 5)]
 TEXT_ALPHABET = "0123456789abxyzXY+-*/^[], \t\n²٣α½"
 
 
+@st.composite
+def valid_sums(draw):
+    """(text, name, terms): a valid sum with random spacing, signs, integer, p/q and
+    implicit coefficients, optional '*', repeated exponents and a name of one to
+    three letters, and each term's (exponent, signed coefficient)."""
+    name = draw(st.text("xyzαβ", min_size=1, max_size=3))
+    space = st.sampled_from(["", " ", "  ", "\t", "\n "])
+    digits = st.integers(0, 10**30).map(str) | st.integers(0, 99).map(lambda k: "0" + str(k))
+    text, terms, named = "", [], False
+    for i in range(draw(st.integers(1, 8))):
+        sign = draw(st.sampled_from(["+", "-"] + ([""] if i == 0 else [])))
+        exponent = draw(st.sampled_from([None, 1]) | st.integers(0, 40))  # None: no name
+        numerator = draw(st.none() if exponent is not None and draw(st.booleans()) else digits)
+        coeff, shown = Fraction(1), ""
+        if numerator is not None:
+            coeff, shown = Fraction(int(numerator)), numerator
+            if draw(st.booleans()):
+                denominator = draw(st.integers(1, 10**12))
+                coeff /= denominator
+                shown += draw(space) + "/" + draw(space) + str(denominator)
+        if exponent is not None:
+            if numerator is not None:
+                shown += draw(space) + draw(st.sampled_from(["*", ""])) + draw(space)
+            shown += name
+            if exponent != 1 or draw(st.booleans()):
+                exponent = max(exponent, 1)
+                shown += draw(space) + "^" + draw(space) + str(exponent)
+            named = True
+        text += draw(space) + sign + draw(space) + shown + draw(space)
+        terms.append((exponent or 0, -coeff if sign == "-" else coeff))
+    return text, name if named else None, terms
+
+
 class TestParseCorpus:
     @pytest.mark.filterwarnings("ignore::scottperm.cli.DegreeZeroWarning")
     @pytest.mark.parametrize("text,coeffs,variable", PARSED)
@@ -203,6 +237,19 @@ class TestParseCorpus:
             except ParseError:
                 parsed = False
             assert parsed == (whole and last not in needs), body
+
+    @settings(max_examples=400)
+    @given(valid_sums())
+    def test_a_valid_sum_parses_to_the_polynomial_of_its_terms(self, sum_and_terms):
+        text, name, terms = sum_and_terms
+        table: dict[int, Fraction] = {}
+        for exponent, coeff in terms:
+            table[exponent] = table.get(exponent, 0) + coeff
+        expected = Polynomial([table.get(k, 0) for k in range(max(table) + 1)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegreeZeroWarning)
+            expr = parse_poly(text)
+        assert (expr.parsed, expr.variable) == (expected, name or "x"), text
 
     @settings(max_examples=400)
     @given(st.text(TEXT_ALPHABET, max_size=16).filter(lambda t: not re.search(r"\^\s*\d{4}", t)))
@@ -476,6 +523,19 @@ class TestVerifyCommand:
         assert payload["agreements"] == []
         assert payload["all_agree"] is False
 
+    def test_a_coefficient_that_underflows_fails_both_float_routes(self, capsys):
+        # x^2 + 10^-400 has the roots +-1e-200 i, not the two zero roots that its floats give.
+        payload = eval_json(capsys, "verify", "--", "x^2 + 1/1" + "0" * 400, "y^3 - 2")
+        theorem1, oracle, involution = payload["routes"]
+        assert theorem1["error"] is None
+        value = Fraction(int(theorem1["value"]["num"]), int(theorem1["value"]["den"]))
+        P, Q = Polynomial([Fraction(1, 10**400), 0, 1]), Polynomial([-2, 0, 0, 1])
+        assert value == scott_engine.scott_permanent(P, Q).value != 0
+        message = "DidNotConverge: the x^0 coefficient of the monic form underflows to 0.0"
+        for route, method in ((oracle, "oracle"), (involution, "involution")):
+            assert (route["method"], route["value"], route["error"]) == (method, None, message)
+        assert payload["agreements"] == [] and payload["all_agree"] is False
+
     def test_full_agreement(self, capsys):
         payload = eval_json(capsys, "verify", "x^3-1", "y^4+1")
         assert set(payload) == {"n", "m", "tolerance", "all_agree", "routes", "agreements"}
@@ -657,6 +717,21 @@ class TestBenchCommand:
             numeric_oracle._random_monic_pair(rng, 12, 3),
             numeric_oracle.random_coprime_pair(rng, 4, 5),
         ]
+
+    def test_each_polynomial_of_a_timed_row_is_root_found_once(self, monkeypatch):
+        found, original = [], numeric_oracle.find_roots
+
+        def recorded(p):
+            found.append(p)
+            return original(p)
+
+        monkeypatch.setattr(numeric_oracle, "find_roots", recorded)
+        rows = bench_rows([4, 5], [5, 6], seed=1, max_n=10)
+        assert [row["agree"] for row in rows] == [True, True]
+        # Seed 1's first draw of each row passes the close-root test: P, then Q, once each.
+        rng = random.Random(1)
+        drawn = [numeric_oracle._random_monic_pair(rng, 4, 5), numeric_oracle._random_monic_pair(rng, 5, 6)]
+        assert found == [drawn[0][0], drawn[0][1], drawn[1][0], drawn[1][1]]
 
     def test_seed_0_rows_are_those_of_random_coprime_pairs(self, capsys):
         # Every row of `bench 2..8 2..8 --seed 0` times the oracle, so each draws
@@ -915,97 +990,26 @@ class TestTextFormat:
         assert err.count("\n") == 1
 
 
-# Scalars of every type json writes, a str Enum among them, in nested dicts,
-# lists and tuples; ints past the 4300-digit limit of int.__repr__ included.
-JSON_KEYS = st.one_of(st.text(), st.sampled_from(RowFamily))
-JSON_VALUES = st.recursive(
-    st.one_of(
-        st.text(),
-        st.sampled_from(RowFamily),
-        st.integers(),
-        st.booleans(),
-        st.builds(lambda sign, k: sign * 10**4400 + k, st.sampled_from([1, -1]), st.integers()),
-        st.floats(),
-        st.none(),
-    ),
-    lambda children: st.one_of(
-        st.lists(children, max_size=4),
-        st.lists(children, max_size=4).map(tuple),
-        st.dictionaries(JSON_KEYS, children, max_size=4),
-    ),
-    max_leaves=12,
-)
+def decimal(n: int) -> str:
+    """str(n) at any size: the digit limit of str() is lifted for this call only."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str(n)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
-class TestJsonWriter:
-    @pytest.mark.parametrize(
-        "payload",
-        [
-            {},
-            [],
-            {"a": {}, "b": [], "c": [[], {}], "d": {"e": {"f": []}}},
-            [[[]], [{}], 1],
-            ("a", ("b",)),
-            {"naïve ∑": "é \U0001f600   \"quoted\" back\\slash /", "ctrl": "\x00\x1f\t\n\r\x7f"},
-            [-0.0, 0.0, 1e-06, 5e-324, 1e300, 0.1, 2.5, -1e16, float("nan"), float("inf"), float("-inf")],
-            [True, False, None, 0, -7, 10**30],
-            {"true": True, "none": None, "nested": [None, {"x": False}]},
-        ],
-    )
-    def test_bytes_are_those_of_json_dumps_with_indent_2(self, payload):
-        stream = io.StringIO()
-        _write_json(stream, payload)
-        assert stream.getvalue() == json.dumps(payload, indent=2) + "\n"
-
-    def test_verify_report_with_an_error_route_and_a_skipped_route(self):
-        text = _cmd_verify(argparse.Namespace(P="x^18 - 6x^9 + 9", Q="y^18 + 2", tolerance=1e-6))
-        payload = json.loads(text)
-        routes = {route["method"]: route for route in payload["routes"]}
-        assert routes["involution"]["error"].startswith("RepeatedXRoot")
-        assert routes["oracle"]["notes"][0].startswith("skipped")
-        stream = io.StringIO()
-        _write_json(stream, payload)
-        assert stream.getvalue() == text + "\n"
-
-    def test_unknown_type_is_a_type_error(self):
-        with pytest.raises(TypeError, match="not JSON serializable"):
-            _write_json(io.StringIO(), {"value": Fraction(1, 2)})
-
-    @pytest.mark.parametrize("payload", [Fraction(1, 2), [1, Fraction(1, 2)], ("a", {"b": [{1j}]})])
-    def test_unknown_type_anywhere_is_a_type_error(self, payload):
-        with pytest.raises(TypeError, match="not JSON serializable"):
-            _write_json(io.StringIO(), payload)
-
-    @staticmethod
-    def outcome(write):
-        """The text written, or the type and message of the error raised."""
-        try:
-            return write()
-        except ValueError as exc:  # an int past sys.get_int_max_str_digits()
-            return type(exc), str(exc)
-
-    @settings(max_examples=300)
-    @given(JSON_VALUES)
-    @example([[], {}, (), {"": ()}, "", "naïve ∑ \U0001f600", RowFamily.ALL_ONES, {RowFamily.ALL_ONES: 1}])
-    @example([True, False, None, 0, -1, 10**4400 + 3, -(10**4400)])
-    @example([float("nan"), float("inf"), float("-inf"), -0.0, 5e-324])
-    def test_bytes_are_those_of_json_dumps_for_any_payload(self, payload):
-        def written():
-            stream = io.StringIO()
-            _write_json(stream, payload)
-            return stream.getvalue()
-
-        def dumped():
-            return json.dumps(payload, indent=2) + "\n"
-
-        assert self.outcome(written) == self.outcome(dumped)
-        if hasattr(sys, "set_int_max_str_digits"):
-            limit = sys.get_int_max_str_digits()
-            sys.set_int_max_str_digits(0)
-            try:
-                assert written() == dumped()
-            finally:
-                sys.set_int_max_str_digits(limit)
+def value_payload(value) -> dict | None:
+    """A value field as a dict: null, a Fraction's num and den in decimal, or re and im."""
+    if value is None:
+        return None
+    if isinstance(value, Fraction):
+        return {"num": decimal(value.numerator), "den": decimal(value.denominator)}
+    z = complex(value)
+    return {"re": z.real, "im": z.imag}
 
 
 def verify_payload(report: scott_engine.VerifyReport) -> dict:
@@ -1019,7 +1023,7 @@ def verify_payload(report: scott_engine.VerifyReport) -> dict:
         "routes": [
             {
                 "method": route.method,
-                "value": _value_json(route.value),
+                "value": value_payload(route.value),
                 "error": route.error,
                 "elapsed_ms": round(route.elapsed_ms, 3),
                 "notes": list(route.notes),
@@ -1092,6 +1096,136 @@ class TestVerifyDocument:
     def test_hand_built_reports(self, report):
         assert cli._verify_document(report) == json.dumps(verify_payload(report), indent=2)
 
+    def test_verify_report_with_an_error_route_and_a_skipped_route(self):
+        text = _cmd_verify(argparse.Namespace(P="x^18 - 6x^9 + 9", Q="y^18 + 2", tolerance=1e-6))
+        payload = json.loads(text)
+        routes = {route["method"]: route for route in payload["routes"]}
+        assert routes["involution"]["error"].startswith("RepeatedXRoot")
+        assert routes["oracle"]["notes"][0].startswith("skipped")
+        assert json.dumps(payload, indent=2) == text
+
+
+def eval_payload(result, elapsed_ms: float) -> dict:
+    """The eval document as a dict, field by field from the result: the reference
+    that json.dumps(..., indent=2) prints and the rendered document must equal."""
+    return {
+        "n": result.n,
+        "m": result.m,
+        "method": result.method,
+        "value": value_payload(result.value),
+        "elapsed_ms": round(elapsed_ms, 3),
+        "notes": list(result.notes),
+    }
+
+
+def perfbench_workloads():
+    """perfbench/workloads.py, which generates the benchmark's operations from a seed."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestEvalDocument:
+    @staticmethod
+    def recording(monkeypatch, returned=None) -> tuple[list, list]:
+        """The results that scott_engine.evaluate returns from here on (the hand-built
+        `returned` in place of evaluating, if given), and the clock readings of eval."""
+        results, ticks, original = [], [], scott_engine.evaluate
+
+        def recorded(*args):
+            results.append(original(*args) if returned is None else returned)
+            return results[-1]
+
+        def clock():
+            ticks.append(time.perf_counter())
+            return ticks[-1]
+
+        monkeypatch.setattr(scott_engine, "evaluate", recorded)
+        monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=clock))
+        return results, ticks
+
+    @staticmethod
+    def expected(results: list, ticks: list) -> str:
+        elapsed_ms = (ticks[-1] - ticks[-2]) * 1000
+        return json.dumps(eval_payload(results[-1], elapsed_ms), indent=2) + "\n"
+
+    @pytest.mark.parametrize("workload", ["theorem1_grid", "banded_fes"])
+    def test_every_benchmark_eval_prints_the_document_of_its_result(self, capsys, monkeypatch, workload):
+        workloads = perfbench_workloads()
+        operations = {tuple(case.argv) for seed in (1, 2) for case in workloads.generate(workload, seed)}
+        results, ticks = self.recording(monkeypatch)
+        for argv in sorted(operations):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+            assert out == self.expected(results, ticks), argv
+        assert len(results) == len(operations) > 100
+
+    # 5001 digits, longer than the default limit of str() of an int (4300 digits).
+    HUGE = Fraction(-(10**5000) - 1, 3)
+
+    @pytest.mark.parametrize(
+        "result",
+        [
+            EvalResult(complex(1.5, -2.25), "oracle", 3, 4),
+            EvalResult(complex(float("nan"), float("-inf")), "involution", 2, 2),
+            EvalResult(float("inf"), "oracle", 1, 1),
+            EvalResult(complex(-0.0, 5e-324), "oracle", 1, 2),
+            EvalResult(HUGE, "theorem1", 12, 12),
+            EvalResult(Fraction(0), "theorem1", 3, 2, ("n > m: permanent vanishes",)),
+            EvalResult(
+                Fraction(7, 2), "closed:cor19", 2, 4,
+                ('matched "cor19" at C:\\tmp\\', "naïve ∑ \U0001f600 \x00\t/", ""),
+            ),
+            EvalResult(Fraction(-1), "naïve \"route\"", 0, 0),
+        ],
+        ids=["complex", "non-finite complex", "non-finite float", "signed zero", "long numerator",
+             "a note", "escaped notes", "escaped method"],
+    )
+    def test_hand_built_results(self, capsys, monkeypatch, result):
+        results, ticks = self.recording(monkeypatch, result)
+        code, out, err = run_cli(capsys, "eval", "x - 1", "y - 2")
+        assert (code, err) == (0, "")
+        assert out == self.expected(results, ticks)
+
+
+class TestOtherDocuments:
+    """catalog and bench --json print json.dumps(payload, indent=2): the bytes of the
+    JSON writer that it replaced, which these literals hold."""
+
+    def test_one_catalog_entry(self, capsys):
+        code, out, err = run_cli(capsys, "catalog", "--id", "cor19")
+        assert (code, err) == (0, "")
+        assert out == (
+            '[\n  {\n    "id": "cor19",\n    "params": [\n      "n",\n      "a"\n    ],\n'
+            '    "statement": "PER(x^n-1, y^(2n) + a y^n + 1) = (-1)^(n+1) n! for a != -2",\n'
+            '    "domain": "a != -2",\n    "grid_points": 25\n  }\n]\n'
+        )
+
+    def test_the_whole_catalog(self, capsys):
+        code, out, err = run_cli(capsys, "catalog")
+        assert (code, err) == (0, "")
+        assert len(out) == 7580
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "95b4017d9787ebf31c04c4ef1702176aadde7f15214fbc20740333ec0412c304"
+        )
+
+    def test_bench_json_rows(self, capsys, monkeypatch):
+        rows = [
+            {"n": 2, "m": 3, "oracle_ms": 0.012, "theorem1_ms": 0.034, "agree": True},
+            {"n": 12, "m": 3, "oracle_ms": None, "theorem1_ms": 1.5, "agree": None},
+        ]
+        monkeypatch.setattr(cli, "bench_rows", lambda *args: rows)
+        code, out, err = run_cli(capsys, "bench", "2", "3", "--json")
+        assert (code, err) == (0, "")
+        assert out == (
+            '[\n  {\n    "n": 2,\n    "m": 3,\n    "oracle_ms": 0.012,\n    "theorem1_ms": 0.034,\n'
+            '    "agree": true\n  },\n  {\n    "n": 12,\n    "m": 3,\n    "oracle_ms": null,\n'
+            '    "theorem1_ms": 1.5,\n    "agree": null\n  }\n]\n'
+        )
+
 
 class TestExactValuesOfAnySize:
     # The value's denominator (c + 1)^2 has 6000 digits, more than str() of an
@@ -1121,5 +1255,5 @@ class TestExactValuesOfAnySize:
 
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
     @pytest.mark.parametrize("value", [Fraction(-(10**9000) + 7, 10**4400 + 1), Fraction(10**4300)])
-    def test_value_json_splits_large_ints(self, value):
-        assert self.read_back(_value_json(value)) == value
+    def test_json_value_splits_large_ints(self, value):
+        assert self.read_back(json.loads(cli._json_value(value, "\n"))) == value

@@ -154,8 +154,6 @@ class TestFindRoots:
             else:  # degree 1 and rational
                 coeffs = [rational() for _ in range(n)] + [rational() or 1]
             polys.append(Polynomial(coeffs))
-        # A nonzero constant term that underflows to 0.0 counts as a zero root, as in numpy.roots.
-        polys.append(Polynomial([1, 0, 10**400]))
         return polys
 
     @pytest.mark.parametrize("kind", ["degree 1", "zero roots", "rational", "non-monic"])
@@ -173,13 +171,46 @@ class TestFindRoots:
                 find_roots(p)
             except DidNotConverge:  # the seeds are compared all the same
                 pass
-        assert len(calls) == 151
+        assert len(calls) == 150
         for monic_desc, seeds in calls:
             expected = np.roots(monic_desc).astype(complex).tolist()
             assert all(type(z) is complex for z in seeds)
             assert [(z.real.hex(), z.imag.hex()) for z in seeds] == [
                 (z.real.hex(), z.imag.hex()) for z in expected
             ], monic_desc
+
+    @pytest.mark.parametrize(
+        "coeffs,power",
+        [([1, 0, 10**400], 0), ([0, 3, 10**400], 1), ([10**890, 0, 1, 10**900], 2), ([1, 2, 10**330], 0)],
+    )
+    def test_a_nonzero_coefficient_that_underflows_is_did_not_converge(self, coeffs, power, monkeypatch):
+        # 1 / 10**400 rounds to 0.0: taken as a zero coefficient, it would make
+        # zero roots that the residual check, in the same floats, passes.
+        monkeypatch.setattr(numeric_oracle, "_root_seeds", lambda c: pytest.fail("seeds were found"))
+        message = rf"^the x\^{power} coefficient of the monic form underflows to 0\.0$"
+        with pytest.raises(DidNotConverge, match=message):
+            find_roots(Polynomial(coeffs))
+
+    def test_polynomials_without_underflow_reach_the_seeds_unchanged(self, monkeypatch):
+        # Exact zeros, and ratios down to about 1e-308, are no underflow.
+        seen = []
+        monkeypatch.setattr(numeric_oracle, "_root_seeds", lambda c: seen.append(list(c)) or [])
+        rng = random.Random(33)
+        for i in range(3000):
+            n = rng.randint(1, 12)
+            if i % 3 == 0:
+                coeffs = [rng.randint(-5, 5) * rng.randint(0, 1) for _ in range(n)] + [rng.randint(1, 9)]
+            elif i % 3 == 1:
+                coeffs = [rng.randint(-9, 9) * 10 ** rng.randint(0, 300) for _ in range(n)]
+                coeffs.append(10 ** rng.randint(0, 300))
+            else:
+                coeffs = [0] * rng.randint(0, n)
+                coeffs += [Fraction(rng.randint(-99, 99), rng.randint(1, 10**8)) for _ in range(n)]
+                coeffs.append(rng.choice([1, -2, Fraction(7, 3), 10**300]))
+            p = Polynomial(coeffs)
+            find_roots(p)
+            assert [x.hex() for x in seen.pop()] == [float(c / p.leading).hex() for c in reversed(p.coeffs)]
+        assert seen == []
 
     def test_a_refused_newton_step_ends_the_polishing(self, monkeypatch):
         # At an exact root the step goes nowhere and is refused; a second step

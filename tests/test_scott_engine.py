@@ -267,6 +267,78 @@ class TestNumeratorKernel:
         assert {lead for _, _, lead in shapes} == {1, -1, 3, 7}
 
 
+def rational_square_pair(rng: random.Random, n: int) -> tuple[Polynomial, Polynomial]:
+    """Rational P and Q of degree n, P with a lead coefficient that is rarely 1."""
+    def coeff() -> Fraction:
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 7)))
+
+    lead = Fraction(rng.choice((2, 3, 7, -5, 1000003)), rng.choice((1, 2, 3)))
+    P = Polynomial([coeff() for _ in range(n)] + [lead])
+    Q = Polynomial([coeff() for _ in range(n)] + [Fraction(rng.randint(1, 9), rng.randint(1, 4))])
+    return P, Q
+
+
+class TestSquareNonMonicPairs:
+    """For n = m, lc(p) = a divides G: r1 = a q' and r0 = a q - q_n p, so
+    Bez(p, r0) = a Bez(p, q); the value is +-det(G / a) / Res(p, q)."""
+
+    @staticmethod
+    def whole_g_value(pair: scott_engine.Pair) -> Fraction:
+        """+-det G / (a^n Res(p, q)), on G itself."""
+        n, p = pair.n, pair.p
+        det = exact_core._bareiss(scott_engine._theorem1_rows(p, pair.q, pair.r0))
+        return Fraction(-det if n * (n - 1) // 2 % 2 else det, p[-1] ** n * pair.resultant)
+
+    def test_values_equal_the_rational_reference(self):
+        rng, checked = random.Random(141), 0
+        while checked < 60:
+            P, Q = rational_square_pair(rng, rng.randint(1, 10))
+            if P.key[-1] == 1:  # the content took the lead coefficient out
+                continue
+            try:
+                expected = h_times_e_formula(P, Q)
+            except SharedRoot:
+                continue
+            assert scott_permanent(P, Q).value == expected, (P, Q)
+            checked += 1
+
+    def test_values_equal_those_of_g_itself(self):
+        rng, checked = random.Random(142), 0
+        while checked < 500:
+            P, Q = rational_square_pair(rng, rng.randint(1, 24))
+            if P.key[-1] == 1:
+                continue
+            try:
+                pair = scott_engine.Pair(P, Q)
+            except SharedRoot:
+                continue
+            assert scott_engine._theorem1(pair).value == self.whole_g_value(pair), (P, Q)
+            checked += 1
+
+    @pytest.mark.parametrize(
+        "p,q,divided",
+        [
+            ([3, -1, 4, 0, 2, 7], [2, 0, 5, 1, -3, 1], True),  # n = m, a = 7
+            ([-2, 5, 0, 3, 1], [1, 3, 2, 0, 2], False),  # n = m, monic
+            ([3, -1, 4, 0, 2, 7], [2, 0, 5, 1, -3, 1, 1], False),  # m > n
+        ],
+    )
+    def test_only_square_non_monic_rows_are_divided(self, p, q, divided, monkeypatch):
+        seen, original = [], scott_engine._bareiss
+
+        def recorded(rows):
+            seen.append([row[:] for row in rows])  # _bareiss works in place
+            return original(rows)
+
+        monkeypatch.setattr(scott_engine, "_bareiss", recorded)
+        pair = scott_engine.Pair(Polynomial(p), Polynomial(q))
+        scott_engine._theorem1(pair)
+        whole = scott_engine._theorem1_rows(pair.p, pair.q, pair.r0)
+        a = p[-1]
+        assert seen == [[[g // a for g in row] for row in whole] if divided else whole]
+        assert all(g % a == 0 for row in whole for g in row) or not divided
+
+
 def naive_bezoutian(A: Polynomial, B: Polynomial) -> list[list[Fraction]]:
     """The n x n coefficients of (A(x)B(y) - A(y)B(x)) / (x - y), n = deg A > deg B, term by term.
 
