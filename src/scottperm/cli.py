@@ -56,7 +56,6 @@ class PolyExpr(NamedTuple):
 # such as '²', which _fail reports as unexpected characters.
 _TERM = re.compile(r"\s*([+-]?)\s*(\d*)\s*(/?)\s*(\d*)\s*(\*?)\s*([^\W\d_]*)\s*(\^?)\s*(\d*)\s*")
 _PUNCT = "+-*/^[],"
-_ZERO = Fraction(0)  # the gaps of a sparse sum share one Fraction
 # The grammars that _read_sum and _read_list check term by term, for _reject:
 # the groups that may follow each group (0: the start of a term), what a term
 # needs where it cannot end, and what may follow a whole term.
@@ -171,7 +170,7 @@ def _read_sum(text: str) -> tuple[Polynomial, str]:
         table[exponent] = table.get(exponent, 0) + (-coeff if sign == "-" else coeff)
         if pos == end:
             break
-    return Polynomial([table.get(k, _ZERO) for k in range(max(table) + 1)]), variable or "x"
+    return Polynomial([table.get(k, 0) for k in range(max(table) + 1)]), variable or "x"
 
 
 def _read_list(text: str, pos: int) -> Polynomial:

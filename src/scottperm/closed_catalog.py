@@ -663,7 +663,7 @@ def _progressions(s: _Shape, step: int = 1) -> list[tuple[Fraction, int]]:
     is 0.  They are read on the key; a constant Q keeps its own coefficient as a."""
     c = s.kq[::step]
     if len(c) == 1:  # L = 1 with any a, or L = 2 with a = -1
-        return [(s.Q.coeffs[0], 1), (Fraction(-1), 2)]
+        return [(s.Q.coeff(0), 1), (Fraction(-1), 2)]
     diff = c[1] - c[0]
     if diff == 0 or any(c[l + 1] - c[l] != diff for l in range(1, len(c) - 1)):
         return []
@@ -714,15 +714,16 @@ def _ap(read: Callable[[int, Fraction, int], Params | bool]) -> RowReader:
 def _read_thm10(s: _Shape, n: int) -> Iterator[Params]:
     residues = {e % n for e in s.sq} - {0}
     if len(residues) == 1:
-        # Q's own coefficients, padded so both vectors have d // n + 1 entries.
-        r, end, c = residues.pop(), (s.d // n + 1) * n, s.Q.coeffs + (Fraction(0),) * n
-        yield {"n": n, "r": r, "a": c[:end:n], "b": c[r:r + end:n]}
+        # Q's own coefficients, d // n + 1 in each vector (0 past Q's degree).
+        r, end = residues.pop(), (s.d // n + 1) * n
+        yield {"n": n, "r": r, "a": tuple(map(s.Q.coeff, range(0, end, n))),
+               "b": tuple(map(s.Q.coeff, range(r, r + end, n)))}
 
 
 @_minus_one
 def _read_cor11(s: _Shape, n: int) -> Iterator[Params]:
     if all(e % n == 0 for e in s.sq):
-        yield {"n": n, "a": s.Q.coeffs[::n]}
+        yield {"n": n, "a": tuple(map(s.Q.coeff, range(0, s.d + 1, n)))}
 
 
 @_minus_one

@@ -1,20 +1,22 @@
 """Exact rational scalars, dense univariate polynomials, and exact linear algebra.
 
 Every quantity on the exact evaluation path lives here: `Rational` (an
-arbitrary-precision fraction in canonical form), `Polynomial` (a dense
-coefficient tuple over `Rational`, low degree first, trailing zeros trimmed,
-whose `key` is the primitive integer form every integer-level reader takes),
-and `RationalMatrix` (dense, row-major).  On top of those sit power-series
-inversion, one fraction-free integer determinant kernel (`_bareiss`, Bareiss's
-three-step elimination: three columns per pass, four products and one exact
-division per entry per pass), the resultant by the subresultant
-pseudo-remainder sequence over the integers, and the Sylvester matrix and
-Euclidean polynomial gcd that the tests use as references.
+arbitrary-precision fraction in canonical form), `Polynomial` (stored once, at
+construction, as its `key`, the primitive integer coefficient list that every
+integer-level reader takes, and one rational `scale`; its `Rational`
+coefficients are derived from those), and `RationalMatrix` (dense,
+row-major).  On top of those sit power-series inversion, one fraction-free
+integer determinant kernel (`_bareiss`, Bareiss's three-step elimination:
+three columns per pass, four products and one exact division per entry per
+pass), the resultant by the subresultant pseudo-remainder sequence over the
+integers, and the Sylvester matrix and Euclidean polynomial gcd that the tests
+use as references.
 
 No floating point enters any function in this module.
 """
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from operator import mul
@@ -44,17 +46,9 @@ def _within_budget(side: str, degree: int) -> None:
         )
 
 
-# Fraction(k) for -_SMALL_LIMIT <= k <= _SMALL_LIMIT, shared: Fraction.__new__ is pure
-# Python, and parsed coefficients are mostly small.
-_SMALL_LIMIT = 128
-_SMALL_INTS = tuple(Fraction(k) for k in range(-_SMALL_LIMIT, _SMALL_LIMIT + 1))
-
-
 def _to_rational(value: Coefficient) -> Fraction:
     # int first: isinstance(value, Fraction) goes through ABCMeta for an int.
     if isinstance(value, int):
-        if -_SMALL_LIMIT <= value <= _SMALL_LIMIT:
-            return _SMALL_INTS[value + _SMALL_LIMIT]
         return Fraction(value)
     if isinstance(value, Fraction):
         return value
@@ -82,70 +76,82 @@ class _Frozen:
 
 
 class Polynomial(_Frozen):
-    """A univariate polynomial over Rational.
+    """A univariate polynomial over Rational, stored as `key` and one scale.
 
-    `coeffs[i]` is the coefficient of the i-th power; trailing zeros are
-    trimmed, so a nonzero polynomial's last coefficient is nonzero.  The zero
-    polynomial is the empty tuple and has no degree (`degree` is None).
-    Equality, hash and repr read `coeffs` only.
+    `key` lists the coefficients, low degree first, divided by their content,
+    with a positive last entry: the same roots with the smallest integers, so
+    two polynomials are proportional exactly when their keys are equal.  The
+    zero polynomial's key is [] and it has no degree (`degree` is None).
+    `scale` is the one rational with `coeffs[i] == scale * key[i]` (0 for the
+    zero polynomial).  Both are set at construction, the scale as its
+    numerator and denominator, so an integer polynomial builds no Fraction;
+    `coeffs`, the Fraction coefficients with trailing zeros trimmed, is built
+    on first read.  Equality reads key and scale; hash and repr read `coeffs`.
+    Callers must not mutate `key`.
     """
 
-    coeffs: tuple[Fraction, ...]
+    key: list[int]
 
     def __init__(self, coeffs: Iterable[Coefficient] = ()):
-        self._set_trimmed([_to_rational(c) for c in coeffs])
-
-    def _set_trimmed(self, values: list[Fraction]) -> None:
-        while values and values[-1] == 0:
+        values = list(coeffs)
+        for value in values:
+            if not isinstance(value, (int, Fraction)):
+                raise TypeError(f"expected an int or Fraction, got {type(value).__name__}")
+        while values and not values[-1]:
             values.pop()
-        object.__setattr__(self, "coeffs", tuple(values))
+        ints, denominator = _clear_denominators(values)
+        content = math.gcd(*ints)
+        if ints and ints[-1] < 0:
+            content = -content
+        # No prime of the denominator divides every entry of ints, so
+        # content / denominator is in lowest terms.
+        object.__setattr__(self, "key", ints if content == 1 else [c // content for c in ints])
+        object.__setattr__(self, "_scale", (content, denominator))
 
     def _fields(self) -> tuple:
-        return (self.coeffs,)
+        return (self.key, self._scale)
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
+
+    @functools.cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """`coeffs[i]` is the coefficient of the i-th power, scale * key[i]."""
+        numerator, denominator = self._scale
+        return tuple([Fraction(numerator * c, denominator) for c in self.key])
+
+    @property
+    def scale(self) -> Fraction:
+        """The rational with coeffs[i] == scale * key[i], built from its two stored ints."""
+        return Fraction(*self._scale)
 
     @property
     def degree(self) -> int | None:
         """Degree of the polynomial, or None for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
-
-    @property
-    def key(self) -> list[int]:
-        """The coefficients divided by their content, with a positive leading
-        coefficient ([] for the zero polynomial): the same roots with the smallest
-        integers, so two polynomials are proportional exactly when their keys are
-        equal.  Computed on first use and kept; callers must not mutate it."""
-        key = self.__dict__.get("_key")
-        if key is None:
-            key = _clear_denominators(self.coeffs)[0]
-            if key:
-                content = math.gcd(*key) if key[-1] > 0 else -math.gcd(*key)
-                if content != 1:
-                    key = [c // content for c in key]
-            object.__setattr__(self, "_key", key)
-        return key
+        return len(self.key) - 1 if self.key else None
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.key
 
     @property
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.key:
             raise ZeroPolynomial("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.coeff(len(self.key) - 1)
 
     def coeff(self, k: int) -> Fraction:
         """Coefficient of the k-th power (0 for k beyond the degree)."""
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.key):
+            numerator, denominator = self._scale
+            return Fraction(numerator * self.key[k], denominator)
         return Fraction(0)
 
     def monic(self) -> Polynomial:
         """The polynomial divided by its leading coefficient."""
-        lead = self.leading
-        if lead == 1:
+        if self.leading == 1:
             return self
-        return Polynomial(c / lead for c in self.coeffs)
+        return Polynomial([Fraction(c, self.key[-1]) for c in self.key])
 
     def __add__(self, other: Polynomial) -> Polynomial:
         longer, shorter = (self.coeffs, other.coeffs)
@@ -174,20 +180,13 @@ class Polynomial(_Frozen):
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[int, Coefficient]]) -> Polynomial:
-        """Build from (exponent, coefficient) pairs; repeated exponents add.
-        Each value is converted once."""
-        table: dict[int, Fraction] = {}
+        """Build from (exponent, coefficient) pairs; repeated exponents add."""
+        table: dict[int, Coefficient] = {}
         for exponent, value in pairs:
             if exponent < 0:
                 raise ValueError("exponents must be nonnegative")
-            value = _to_rational(value)
             table[exponent] = table[exponent] + value if exponent in table else value
-        coeffs = [_to_rational(0)] * (max(table) + 1 if table else 0)
-        for exponent, value in table.items():
-            coeffs[exponent] = value
-        poly = object.__new__(Polynomial)
-        poly._set_trimmed(coeffs)
-        return poly
+        return Polynomial([table.get(k, 0) for k in range(max(table) + 1)] if table else [])
 
 
 def poly_eval(p: Polynomial, x: Coefficient) -> Fraction:
@@ -232,7 +231,7 @@ def poly_divmod(p: Polynomial, q: Polynomial) -> tuple[Polynomial, Polynomial]:
     return Polynomial(quo), Polynomial(rem[:dq])
 
 
-def _clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
+def _clear_denominators(values: Sequence[Coefficient]) -> tuple[list[int], int]:
     """Integers c_i and the lcm L of the denominators, so that values[i] == c_i / L."""
     # Unpack a list, not a generator: CPython builds a generator's tuple at a
     # guessed size and resizes it, which moves tuples between its per-size
@@ -249,14 +248,14 @@ def series_inverse(p: Polynomial, order: int) -> list[Fraction]:
     Requires p(0) != 0.  The recurrence runs on p's key, over the integers; the
     result c satisfies p(t) * sum(c[i] t^i) == 1 (mod t^(order+1)).
     """
-    if p.is_zero or p.coeffs[0] == 0:
+    if p.is_zero or p.key[0] == 0:
         raise ZeroConstantTerm("series inversion requires a nonzero constant term")
     if order < 0:
         raise ValueError("order must be nonnegative")
-    # With p = s c for the key c and s = lc(p) / lc(c), g[k] = c0^(k+1) * [t^k] 1/c(t)
+    # With p = s c for the key c and the scale s, g[k] = c0^(k+1) * [t^k] 1/c(t)
     # is an integer: g[k] = -sum_i c[i] * c0^(i-1) * g[k-i].
     c = p.key
-    c0, s = c[0], p.leading / c[-1]
+    c0, s = c[0], p.scale
     weights = [c[i] * c0 ** (i - 1) for i in range(1, len(c))]
     g = [1]
     for k in range(1, order + 1):
@@ -533,7 +532,7 @@ def _subresultant(a: list[int], b: list[int], first: list[int] | None = None) ->
 def resultant(p: Polynomial, q: Polynomial) -> Fraction:
     """Res(p, q) = lc(p)^deg(q) * lc(q)^deg(p) * prod (x_i - y_j).
 
-    With p = s A and q = t B for the keys A, B and s = lc(p) / lc(A), t = lc(q) / lc(B),
+    With p = s A and q = t B for the keys A, B and the scales s, t,
     Res(p, q) = s^deg(q) * t^deg(p) * Res(A, B), and Res(A, B) is one
     subresultant pseudo-remainder sequence over the integers (`_subresultant`);
     it is 0 as soon as a remainder vanishes.  The Sylvester matrix
@@ -541,8 +540,7 @@ def resultant(p: Polynomial, q: Polynomial) -> Fraction:
     """
     if p.is_zero or q.is_zero:
         raise ZeroPolynomial("resultant of the zero polynomial")
-    a, b = p.key, q.key
-    return _subresultant(a, b) * (p.leading / a[-1]) ** q.degree * (q.leading / b[-1]) ** p.degree
+    return _subresultant(p.key, q.key) * p.scale ** q.degree * q.scale ** p.degree
 
 
 def _coprime_resultant(p: list[int], q: list[int], first: list[int] | None = None) -> int:

@@ -9,7 +9,7 @@ integer rows, and `exact_core._bareiss` takes the determinant.
 polynomial with that same list: scaling Q by a constant scales the
 determinant and the resultant by the same factor, so the routes pass Q's key.
 `fes` and `fes_tilde` build their rows from Q's key too, and multiply the
-determinant back by a power of the one rational factor lc(Q) / lc(key).
+determinant back by a power of Q's scale (`Polynomial.scale`).
 """
 from __future__ import annotations
 
@@ -95,10 +95,9 @@ def _banded_rows(family: RowFamily, n: int, q: list[int]) -> list[list[int]]:
 
 
 def _key_rows(family: RowFamily, n: int, Q: Polynomial) -> tuple[list[list[int]], Fraction]:
-    """`_banded_rows` of Q's key, built first so that a zero Q is ZeroDegree, and the
-    factor s = lc(Q) / lc(key): the matrix is s * rows."""
-    rows = _banded_rows(family, n, Q.key)
-    return rows, Q.leading / Q.key[-1]
+    """`_banded_rows` of Q's key, built first so that a zero Q is ZeroDegree, and Q's
+    scale s: the matrix is s * rows."""
+    return _banded_rows(family, n, Q.key), Q.scale
 
 
 def _as_matrix(rows: list[list[int]], factor: Fraction) -> RationalMatrix:

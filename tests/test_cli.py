@@ -304,6 +304,31 @@ class TestEvalCommand:
         payload = eval_json(capsys, "eval", "[2, 0, 1]", "y^3+1")
         assert payload["method"] == "theorem1"
 
+    @pytest.mark.parametrize(
+        "P,Q,method,shown",
+        [
+            ("x^3 - 2*x + 5", "y^4 + y - 3", "theorem1", "theorem1"),
+            ("x^5 - 1", "y^7 + 2*y^2 + 5", "fes", "fes"),
+            ("x^4 + x^3 + x^2 + x + 1", "y^6 - 2*y + 7", "fes", "fes_tilde"),
+            ("x^3 - 2*x + 5", "y^4 + y - 3", "auto", "theorem1"),
+            ("3/2*x^3 - 2*x + 5", "-2/3*y^4 + y - 3", "theorem1", "theorem1"),
+            ("3/2*x^3 - 3/2", "2/3*y^5 + y - 3", "fes", "fes"),
+            ("-x^2 - x - 1", "1/2*y^4 + 7", "fes", "fes_tilde"),
+            ("3/2*x^3 - 3/2", "1/2*y^4 + 7", "auto", "fes"),
+        ],
+    )
+    def test_the_exact_routes_never_build_the_fraction_coefficients(
+        self, capsys, monkeypatch, P, Q, method, shown
+    ):
+        # They read each polynomial's key and scale only, on integer and on
+        # rational, non-monic text alike.
+        def unread(self):
+            raise AssertionError("Polynomial.coeffs was built")
+
+        monkeypatch.setattr(Polynomial, "coeffs", property(unread))
+        payload = eval_json(capsys, "eval", "--method", method, "--", P, Q)
+        assert payload["method"] == shown
+
     def test_explicit_determinant_route(self, capsys):
         payload = eval_json(capsys, "eval", "x^3-1", "y^3+1", "--method", "theorem1")
         assert payload["method"] == "theorem1"

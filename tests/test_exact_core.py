@@ -26,7 +26,7 @@ from scottperm import (
 )
 from scottperm import exact_core
 from scottperm.exact_core import _bareiss, _pseudo_remainder, _subresultant
-from scottperm.fes_engine import RowFamily, _banded_rows
+from scottperm.fes_engine import RowFamily, _banded_rows, fes, fes_tilde
 from scottperm.scott_engine import _theorem1_rows
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=6)
@@ -94,7 +94,8 @@ class TestPolynomial:
         assert P.key is P.key
         for c in (Fraction(-7, 3), 10**12):
             assert (P * c).key == P.key
-        # The kept key is no field: equality, hash and repr stay on the coefficients.
+        # Equality reads key and scale, hash and repr the coefficients: a copy built
+        # from the coefficients agrees on all three.
         fresh = Polynomial(P.coeffs)
         assert P == fresh and hash(P) == hash(fresh) and repr(P) == repr(fresh)
 
@@ -122,10 +123,10 @@ class TestPolynomial:
     @pytest.mark.parametrize(
         "values",
         [
-            [0, 1, -1, 5, -5],  # in the shared table
+            [0, 1, -1, 5, -5],  # small
             [True, False, True],  # bools are ints
-            [128, -128, 129, -129, 10**30, -(10**30)],  # the table's edges and beyond
-            [-7, -3, -200],  # negative, inside and outside the table
+            [128, -128, 129, -129, 10**30, -(10**30)],  # large
+            [-7, -3, -200],  # all negative: the key's lead is positive
         ],
     )
     def test_int_coefficients_are_equal_fractions(self, values):
@@ -151,6 +152,28 @@ class TestPolynomial:
     @given(nonzero_polys(4), nonzero_polys(4))
     def test_degree_adds_under_multiplication(self, p, q):
         assert (p * q).degree == p.degree + q.degree
+
+    @given(st.lists(st.one_of(st.integers(-300, 300), rationals), max_size=8), rationals.filter(bool))
+    @example([0, 0], Fraction(3))
+    @example([Fraction(-3, 4), 0, Fraction(9, 2), 0], Fraction(-2, 5))
+    def test_the_stored_form_gives_the_coefficients(self, values, c):
+        P = Polynomial(values)
+        trimmed = list(values)
+        while trimmed and trimmed[-1] == 0:
+            trimmed.pop()
+        assert P.coeffs == tuple(trimmed) and all(type(v) is Fraction for v in P.coeffs)
+        for copy in (Polynomial(P.coeffs), Polynomial.from_pairs(enumerate(values))):
+            assert copy == P and hash(copy) == hash(P)
+        assert tuple(P.scale * k for k in P.key) == P.coeffs and type(P.scale) is Fraction
+        assert (P * c).key == P.key and (P * c).scale == c * P.scale
+
+    @given(st.lists(st.integers(-9, 9), min_size=1, max_size=6).filter(lambda c: c[0] and c[-1]),
+           st.integers(2, 6))
+    def test_integer_inputs_give_fractions(self, coeffs, n):
+        P = Polynomial(coeffs)
+        assert type(resultant(P, Polynomial([3, 1]))) is Fraction
+        assert type(fes(P, n)) is Fraction and type(fes_tilde(P, n)) is Fraction
+        assert all(type(v) is Fraction for v in series_inverse(P, 3))
 
 
 class TestPolyEval:

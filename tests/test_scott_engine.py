@@ -520,7 +520,8 @@ class TestIntegerPair:
 
     @pytest.mark.parametrize("method", ["verify", "closed:thm10"])
     def test_a_catalog_pair_is_cleared_once(self, monkeypatch, method):
-        # Pair, the catalog's recognizer and find_roots read the same two keys.
+        # Each polynomial is cleared once, when it is built; Pair, the catalog's
+        # recognizer and find_roots then read the same two keys.
         cleared = []
         original = exact_core._clear_denominators
 
@@ -531,14 +532,19 @@ class TestIntegerPair:
         for module in (exact_core, closed_catalog):  # each that imports it
             monkeypatch.setattr(module, "_clear_denominators", counted)
         P, Q = closed_catalog.catalog_family("thm10", n=2, r=1, a=(1, 2), b=(1, 1))
+        cleared.clear()
         P, Q = P * Fraction(3, 2), Q * Fraction(-5, 7)
+        assert [tuple(values) for values in cleared] == [P.coeffs, Q.coeffs]
+        cleared.clear()
         if method == "verify":
             report = verify(P, Q)
             assert report.all_agree
             assert [o.value is not None for o in report.routes if o.method == "closed_form"] == [True]
         else:
             assert scott_engine.evaluate(P, Q, method).method == method
-        assert [sum(values is X.coeffs for values in cleared) for X in (P, Q)] == [1, 1]
+        assert cleared  # each family the catalog builds is cleared as it is built
+        # A reader that cleared P's or Q's coefficients again would pass that tuple.
+        assert [sum(values is X.coeffs for values in cleared) for X in (P, Q)] == [0, 0]
 
 
     def test_content_is_divided_out(self, monkeypatch):
@@ -595,10 +601,12 @@ class TestDegreeBudget:
     )
     @pytest.mark.parametrize("side", ["row", "column"])
     def test_a_degree_above_the_budget_fails_at_once(self, monkeypatch, run, side):
-        def unreachable(values):
-            raise AssertionError("a coefficient list was cleared")
+        def unreachable(*lists):
+            raise AssertionError("the resultant sequence started")
 
-        monkeypatch.setattr(exact_core, "_clear_denominators", unreachable)
+        for module in (exact_core, scott_engine):  # each that imports them
+            for name in ("_pseudo_remainder", "_subresultant"):
+                monkeypatch.setattr(module, name, unreachable)
         big = power_poly(scott_engine.MAX_DEGREE + 1, -1)
         P, Q = (big, Polynomial([2, 1])) if side == "row" else (Polynomial([2, 1]), big)
         with pytest.raises(ResourceLimit, match=f"the {side} polynomial's degree 1025 is above"):
