@@ -10,12 +10,10 @@ where H is the n x (m+n-1) band of complete homogeneous symmetric functions
 of X, E is an (m+n-1) x n matrix of weighted elementary symmetric functions
 of Y, and Res is the resultant of the monic forms.  `Pair` reads P's and Q's
 primitive integer coefficient lists p and q (`Polynomial.key`), and every exact
-route works on those: Res(p, q) = lc(p)^m lc(q)^n Res.  The numerator is taken
-from det G, with G = Bez(p, r1) - d/dx Bez(p, r0) and r0, r1 the
-pseudo-remainders of q, q' mod p: det G = (-1)^(n(n-1)/2) (lc(p)^(m-n+2) lc(q))^n Res det(H @ E), so the
-permanent is +-det G / (lc(p)^((n-1)(m-n)+n) Res(p, q)), or +-det(G / lc(p)) /
-Res(p, q) for n = m, and no root, monic form, H or E is built.  `ROUTES` is the one table of this and every other
-route (each returns an `EvalResult`, from the leaf module `results`):
+route works on those.  theorem1 takes the numerator from det G, the integer
+Bezoutian of `_theorem1_rows` (`_theorem1` states the formula and its proof), and
+builds no root, monic form, H or E.  `ROUTES` is the one table of this and every
+other route (each returns an `EvalResult`, from the leaf module `results`):
 `evaluate` runs one by name, `verify` all that apply.
 """
 from __future__ import annotations
@@ -38,7 +36,6 @@ from .errors import (
     ZeroDegree,
 )
 from .exact_core import (
-    MAX_DEGREE,  # Pair's degree budget, under the name the tests read
     Polynomial,
     RationalMatrix,
     _bareiss,
@@ -55,17 +52,15 @@ def build_H(P: Polynomial, m: int) -> RationalMatrix:
     """The n x (m+n-1) matrix with entry h_{j-i} in row i, column j (1-based).
 
     h_k is the k-th complete homogeneous symmetric function of the roots of
-    P; its generating series is the reciprocal of t^n P(1/t) for monic P.
-    Entries with j < i are zero.
+    P; its generating series is lc(p) / (t^n p(1/t)) for P's key p, the reciprocal
+    of t^n P(1/t) for monic P.  Entries with j < i are zero.
     """
     if P.degree is None or P.degree < 1:
         raise ZeroDegree("need a polynomial of degree >= 1")
     if m < 0:
         raise ValueError("m must be nonnegative")
-    monic = P.monic()
-    n = monic.degree
-    reversed_p = Polynomial(reversed(monic.coeffs))
-    h = series_inverse(reversed_p, m + n - 2) if m + n - 2 >= 0 else []
+    n, lead = P.degree, P.key[-1]
+    h = [lead * c for c in series_inverse(Polynomial(P.key[::-1]), m + n - 2)] if m + n - 2 >= 0 else []
     width = m + n - 1
     entries = []
     for i in range(n):
@@ -137,30 +132,35 @@ def scott_permanent(P: Polynomial, Q: Polynomial) -> EvalResult:
     P and Q must not share a root, which `Pair` tests as Res(P, Q) == 0 on
     the resultant the value divides by.  With more rows than columns
     (deg P > deg Q) the permanent is zero by convention, since no injective
-    row-to-column assignment exists.  The numerator det(H @ E) is taken from det G,
-    the integer Bezoutian of `_theorem1_rows`, for any P; neither H nor E is built.
+    row-to-column assignment exists.  The value is `_theorem1`'s, for any P.
     """
     return _theorem1(Pair(P, Q))
 
 
 def _theorem1(pair: Pair) -> EvalResult:
-    """scott_permanent of a checked pair: +-det G / (lc(p)^((n-1)(m-n)+n) Res(p, q)),
-    which is +-det(G / lc(p)) / Res(p, q) for n = m, where lc(p) divides every
-    entry of G.  Whether it divides G for m > n is not proven, so G is kept whole there."""
+    """scott_permanent of a checked pair: +-det(G / a) / (a^((n-1)(m-n)) Res(p, q)).
+
+    G is `_theorem1_rows`' matrix and a = lc(p).  As det G = (-1)^(n(n-1)/2) (a^(m-n+2)
+    lc(q))^n Res det(H @ E) and Res(p, q) = a^m lc(q)^n Res, the permanent is
+    +-det G / (a^((n-1)(m-n)+n) Res(p, q)), and det G = a^n det(G / a).  a divides G for
+    every m >= n (k = m - n + 1; Bez is bilinear and Bez(p, p) = 0):
+    - r1 = a `_pseudo_remainder`(q', p), so a divides Bez(p, r1).
+    - r0 = a^k q - T p with T = a^k (q div p).  The coefficient of x^j in q div p has a
+      denominator dividing a^(m-n-j+1), so T's is a^j times an integer: T - T(0) = a W
+      with W an integer polynomial.
+    - Bez(p, T p) = Bez(p, (T - T(0)) p) = a p(x) p(y) (W(y) - W(x)) / (x - y), so a divides
+      Bez(p, r0) = a^k Bez(p, q) - Bez(p, T p), d/dx Bez(p, r0) and G = Bez(p, r1) - d/dx Bez(p, r0).
+    """
     n, m, p = pair.n, pair.m, pair.p
     if n > m:
         return EvalResult(Fraction(0), "theorem1", n, m, ("n > m: permanent vanishes",))
-    rows, a, power = _theorem1_rows(p, pair.q, pair.r0), p[-1], (n - 1) * (m - n) + n
-    if n == m and a != 1:
-        # r1 = a q' and r0 = a q - q_n p, so G = a (Bez(p, q') - d/dx Bez(p, q)):
-        # G / a has n fewer factors a in its determinant, and smaller entries.
-        rows, power = [[g // a for g in row] for row in rows], 0
+    rows, a = _theorem1_rows(p, pair.q, pair.r0), p[-1]
+    if a != 1:  # G / a: n fewer factors a in the determinant, and smaller entries
+        rows = [[g // a for g in row] for row in rows]
     det = _bareiss(rows)
-    # det G / ((-1)^(n(n-1)/2) (lc(p)^(m-n+2) lc(q))^n) over Res(p, q) / (lc(p)^m lc(q)^n).
     if n * (n - 1) // 2 % 2:
         det = -det
-    value = Fraction(det, a**power * pair.resultant)
-    return EvalResult(value, "theorem1", n, m)
+    return EvalResult(Fraction(det, a ** ((n - 1) * (m - n)) * pair.resultant), "theorem1", n, m)
 
 
 def _finite(z: Value) -> bool:

@@ -267,63 +267,63 @@ class TestNumeratorKernel:
         assert {lead for _, _, lead in shapes} == {1, -1, 3, 7}
 
 
-def rational_square_pair(rng: random.Random, n: int) -> tuple[Polynomial, Polynomial]:
-    """Rational P and Q of degree n, P with a lead coefficient that is rarely 1."""
+def rational_non_monic_pair(rng: random.Random, n: int, m: int) -> tuple[Polynomial, Polynomial]:
+    """Rational P of degree n and Q of degree m, P with a lead coefficient that is rarely 1."""
     def coeff() -> Fraction:
         return Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 7)))
 
     lead = Fraction(rng.choice((2, 3, 7, -5, 1000003)), rng.choice((1, 2, 3)))
     P = Polynomial([coeff() for _ in range(n)] + [lead])
-    Q = Polynomial([coeff() for _ in range(n)] + [Fraction(rng.randint(1, 9), rng.randint(1, 4))])
+    Q = Polynomial([coeff() for _ in range(m)] + [Fraction(rng.randint(1, 9), rng.randint(1, 4))])
     return P, Q
 
 
-class TestSquareNonMonicPairs:
-    """For n = m, lc(p) = a divides G: r1 = a q' and r0 = a q - q_n p, so
-    Bez(p, r0) = a Bez(p, q); the value is +-det(G / a) / Res(p, q)."""
+class TestNonMonicPairs:
+    """For every m >= n, lc(p) = a divides G (the proof is `_theorem1`'s), and the
+    value is +-det(G / a) / (a^((n-1)(m-n)) Res(p, q))."""
 
     @staticmethod
     def whole_g_value(pair: scott_engine.Pair) -> Fraction:
-        """+-det G / (a^n Res(p, q)), on G itself."""
-        n, p = pair.n, pair.p
+        """+-det G / (a^((n-1)(m-n)+n) Res(p, q)), on G itself."""
+        n, m, p = pair.n, pair.m, pair.p
         det = exact_core._bareiss(scott_engine._theorem1_rows(p, pair.q, pair.r0))
-        return Fraction(-det if n * (n - 1) // 2 % 2 else det, p[-1] ** n * pair.resultant)
+        power = (n - 1) * (m - n) + n
+        return Fraction(-det if n * (n - 1) // 2 % 2 else det, p[-1] ** power * pair.resultant)
 
-    def test_values_equal_the_rational_reference(self):
-        rng, checked = random.Random(141), 0
-        while checked < 60:
-            P, Q = rational_square_pair(rng, rng.randint(1, 10))
+    @staticmethod
+    def pairs(seed: int, top: int, count: int):
+        """count checked pairs with 1 <= n <= top, n <= m <= n + 12 and lc(p) != 1."""
+        rng, checked = random.Random(seed), 0
+        while checked < count:
+            n = rng.randint(1, top)
+            P, Q = rational_non_monic_pair(rng, n, rng.randint(n, n + 12))
             if P.key[-1] == 1:  # the content took the lead coefficient out
-                continue
-            try:
-                expected = h_times_e_formula(P, Q)
-            except SharedRoot:
-                continue
-            assert scott_permanent(P, Q).value == expected, (P, Q)
-            checked += 1
-
-    def test_values_equal_those_of_g_itself(self):
-        rng, checked = random.Random(142), 0
-        while checked < 500:
-            P, Q = rational_square_pair(rng, rng.randint(1, 24))
-            if P.key[-1] == 1:
                 continue
             try:
                 pair = scott_engine.Pair(P, Q)
             except SharedRoot:
                 continue
-            assert scott_engine._theorem1(pair).value == self.whole_g_value(pair), (P, Q)
+            yield pair
             checked += 1
+
+    def test_values_equal_the_rational_reference(self):
+        for pair in self.pairs(141, 10, 60):
+            assert scott_permanent(pair.P, pair.Q).value == h_times_e_formula(pair.P, pair.Q), (pair.P, pair.Q)
+
+    def test_values_equal_those_of_g_itself(self):
+        for pair in self.pairs(142, 24, 500):
+            assert scott_engine._theorem1(pair).value == self.whole_g_value(pair), (pair.P, pair.Q)
 
     @pytest.mark.parametrize(
         "p,q,divided",
         [
             ([3, -1, 4, 0, 2, 7], [2, 0, 5, 1, -3, 1], True),  # n = m, a = 7
             ([-2, 5, 0, 3, 1], [1, 3, 2, 0, 2], False),  # n = m, monic
-            ([3, -1, 4, 0, 2, 7], [2, 0, 5, 1, -3, 1, 1], False),  # m > n
+            ([3, -1, 4, 0, 2, 7], [2, 0, 5, 1, -3, 1, 1], True),  # m > n, a = 7
+            ([-2, 5, 0, 3, 1], [1, 3, 2, 0, 2, -4, 0, 3], False),  # m > n, monic
         ],
     )
-    def test_only_square_non_monic_rows_are_divided(self, p, q, divided, monkeypatch):
+    def test_only_non_monic_rows_are_divided(self, p, q, divided, monkeypatch):
         seen, original = [], scott_engine._bareiss
 
         def recorded(rows):
@@ -337,6 +337,19 @@ class TestSquareNonMonicPairs:
         a = p[-1]
         assert seen == [[[g // a for g in row] for row in whole] if divided else whole]
         assert all(g % a == 0 for row in whole for g in row) or not divided
+
+    @given(
+        st.lists(st.integers(-9, 9), min_size=1, max_size=9),
+        st.sampled_from([2, 3, 7, 12, 1000003]),
+        st.integers(0, 8),
+        st.lists(st.integers(-9, 9), min_size=17, max_size=17),
+        st.integers(-9, 9).filter(bool),
+    )
+    def test_the_lead_divides_g_at_every_shape(self, low, lead, extra, column, top):
+        p = low + [lead]
+        q = column[: len(low) + extra] + [top]  # m = n + extra
+        rows = scott_engine._theorem1_rows(p, q, exact_core._pseudo_remainder(q, p))
+        assert all(g % lead == 0 for row in rows for g in row)
 
 
 def naive_bezoutian(A: Polynomial, B: Polynomial) -> list[list[Fraction]]:
@@ -607,13 +620,13 @@ class TestDegreeBudget:
         for module in (exact_core, scott_engine):  # each that imports them
             for name in ("_pseudo_remainder", "_subresultant"):
                 monkeypatch.setattr(module, name, unreachable)
-        big = power_poly(scott_engine.MAX_DEGREE + 1, -1)
+        big = power_poly(exact_core.MAX_DEGREE + 1, -1)
         P, Q = (big, Polynomial([2, 1])) if side == "row" else (Polynomial([2, 1]), big)
         with pytest.raises(ResourceLimit, match=f"the {side} polynomial's degree 1025 is above"):
             run(P, Q)
 
     def test_the_budget_is_admitted(self):
-        pair = scott_engine.Pair(power_poly(scott_engine.MAX_DEGREE, -1), Polynomial([2, 1]))
+        pair = scott_engine.Pair(power_poly(exact_core.MAX_DEGREE, -1), Polynomial([2, 1]))
         assert (pair.n, pair.m) == (1024, 1)
 
 
